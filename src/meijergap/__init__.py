@@ -21,7 +21,7 @@ from .errors import (
     RangeError,
     SingularityError,
 )
-from .fredholm import FredholmGrid, gap_determinant, gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
+from .fredholm import FredholmGrid, gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
 from .kernel import (
     BesselKernel,
     ContourQuadrature,
@@ -38,7 +38,6 @@ from .specfun import (
     bessel_j,
     digamma,
     hurwitz_zeta_prime,
-    integral_log_gamma,
     log_barnes_g,
     log_gamma,
     zeta_prime_minus1,
@@ -64,10 +63,8 @@ __all__ = [
     "build_contours",
     "compute_coeffs",
     "digamma",
-    "gap_determinant",
     "gauss_legendre_grid",
     "hurwitz_zeta_prime",
-    "integral_log_gamma",
     "kappa_for_nu_min",
     "kernel_eval",
     "kernel_eval_series",

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import compute_coeffs, truncated_log_expansion
-from .errors import MeijerGapError, SingularityError
+from .errors import MeijerGapError
 from .fredholm import gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
-from .kernel import MeijerKernel, ProcessParams
+from .kernel import MeijerKernel, ProcessParams, build_contours, kernel_eval
 from .verify import run_checks
 
 _FMT = "{:.15g}"
@@ -151,16 +151,19 @@ def cmd_kernel(args) -> int:
     if x <= 0 or y <= 0:
         raise ValueError("x and y must be positive")
     tol = args.tol if args.tol is not None else 1e-12
-    handle = MeijerKernel(params, (0.9 * min(x, y), 1.1 * max(x, y)), tol=tol)
-    _emit_scalar(args, "K", handle(x, y))
+    cq = build_contours(params, (0.9 * min(x, y), 1.1 * max(x, y)), tol)
+    _emit_scalar(args, "K", kernel_eval(x, y, cq))
     return 0
 
 
-def _determinant(params: ProcessParams, s: float, m: int, tol: float) -> float:
+def _grid_and_handle(params: ProcessParams, s_lo: float, s_hi: float, m: int, tol: float):
+    """The grading exponent kappa, the m-point graded grid on (0, s_lo), and a
+    kernel handle whose x_range covers the nodes of every such grid on
+    (0, s) for s_lo <= s <= s_hi."""
     kappa = kappa_for_nu_min(params.nu_min)
-    grid = gauss_legendre_grid(s, m, kappa=kappa)
-    handle = MeijerKernel(params, (0.999 * float(grid.nodes[0]), s), tol=tol)
-    return log_gap_determinant(s, grid, handle)
+    grid = gauss_legendre_grid(s_lo, m, kappa=kappa)
+    handle = MeijerKernel(params, (0.999 * float(grid.nodes[0]), s_hi), tol=tol)
+    return kappa, grid, handle
 
 
 def cmd_det(args) -> int:
@@ -173,7 +176,8 @@ def cmd_det(args) -> int:
     if m < 2:
         raise ValueError("node count m must be at least 2")
     tol = args.tol if args.tol is not None else 1e-12
-    _emit_scalar(args, "det", math.exp(_determinant(params, s, int(m), tol)))
+    _, grid, handle = _grid_and_handle(params, s, s, int(m), tol)
+    _emit_scalar(args, "det", math.exp(log_gap_determinant(s, grid, handle)))
     return 0
 
 
@@ -192,9 +196,7 @@ def cmd_converge(args) -> int:
 
     cc = compute_coeffs(params)
     svals = np.geomspace(s_min, s_max, int(n_points))
-    kappa = kappa_for_nu_min(params.nu_min)
-    first_node = float(gauss_legendre_grid(s_min, int(m), kappa=kappa).nodes[0])
-    handle = MeijerKernel(params, (0.999 * first_node, s_max), tol=1e-12)
+    kappa, _, handle = _grid_and_handle(params, s_min, s_max, int(m), 1e-12)
 
     rows = []
     n_ok = 0
@@ -204,7 +206,7 @@ def cmd_converge(args) -> int:
         try:
             grid = gauss_legendre_grid(s, int(m), kappa=kappa)
             log_det = log_gap_determinant(s, grid, handle)
-        except (SingularityError, MeijerGapError) as exc:
+        except MeijerGapError as exc:
             print(f"warning: s={_fmt(s)}: {exc}", file=sys.stderr)
             rows.append((_fmt(s), "", _fmt(asym), ""))
             continue

@@ -72,48 +72,23 @@ def kappa_for_nu_min(nu_min: float) -> int:
     return math.ceil(2.0 / (1.0 + nu_min))
 
 
-def _kernel_matrix(grid: FredholmGrid, kernel) -> np.ndarray:
-    if hasattr(kernel, "matrix"):
-        return np.asarray(kernel.matrix(grid.nodes), dtype=float)
-    out = np.empty((grid.m, grid.m))
-    for i, xi in enumerate(grid.nodes):
-        for j, xj in enumerate(grid.nodes):
-            out[i, j] = kernel(xi, xj)
-    return out
-
-
-def _slogdet_one_minus(grid: FredholmGrid, kernel):
-    sqw = np.sqrt(grid.weights)
-    mat = np.eye(grid.m) - sqw[:, None] * _kernel_matrix(grid, kernel) * sqw[None, :]
-    sign, logdet = np.linalg.slogdet(mat)
-    if sign == 0.0 or not math.isfinite(logdet):
-        raise SingularityError("discretized operator is numerically singular; s is beyond the envelope")
-    return sign, logdet
-
-
-def gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
-    """det(1 - K|[0,s]) for the kernel handle on the given grid.
-
-    ``kernel`` is either a callable K(x, y) or an object with a
-    ``matrix(nodes)`` method (used when available; the handles in
-    :mod:`meijergap.kernel` provide it).  The value lies in (0, 1] up to
-    discretization error.
-    """
-    if abs(float(s) - grid.s) > 1e-12 * max(1.0, grid.s):
-        raise DomainError("grid was built for a different s")
-    sign, logdet = _slogdet_one_minus(grid, kernel)
-    return float(sign * math.exp(logdet))
-
-
 def log_gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
-    """ln det(1 - K|[0,s]); log-space form of :func:`gap_determinant`.
+    """ln det(1 - K|[0,s]) for the kernel handle on the given grid.
 
-    Raises SingularityError if the determinant is nonpositive (the
+    ``kernel`` is any object with a ``matrix(nodes)`` method returning
+    K(x_i, x_j) on the grid nodes, such as the handles in
+    :mod:`meijergap.kernel`.  The gap probability itself is
+    ``math.exp(log_gap_determinant(...))``.  Raises SingularityError if the
+    discretized determinant is zero, non-finite or negative (the
     log-determinant of a gap probability must be real).
     """
     if abs(float(s) - grid.s) > 1e-12 * max(1.0, grid.s):
         raise DomainError("grid was built for a different s")
-    sign, logdet = _slogdet_one_minus(grid, kernel)
+    sqw = np.sqrt(grid.weights)
+    mat = np.eye(grid.m) - sqw[:, None] * kernel.matrix(grid.nodes) * sqw[None, :]
+    sign, logdet = np.linalg.slogdet(mat)
+    if sign == 0.0 or not math.isfinite(logdet):
+        raise SingularityError("discretized operator is numerically singular; s is beyond the envelope")
     if sign < 0.0:
         raise SingularityError("negative discretized determinant; refine the grid")
     return float(logdet)

@@ -27,6 +27,12 @@ from .specfun import bessel_j, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
 
+# Contour discretization: Gauss-Legendre points per panel, panel length
+# along each ray, and the node budget per contour before the build gives up.
+_PANEL_POINTS = 20
+_PANEL_LENGTH = 1.5
+_NODE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class ProcessParams:
@@ -83,19 +89,16 @@ def log_big_f(z, params: ProcessParams):
 class ContourQuadrature:
     """Discretized contours and precomputed separable kernel coefficients.
 
-    ``gamma_weights`` / ``gammatilde_weights`` already carry the complex
-    direction factor dz of each node, so a contour integral is just the dot
-    product with integrand values.  ``separable_coeffs[i, j]`` equals
+    With w_i, wt_j the quadrature weights of the nodes u_i on gamma and v_j
+    on gammatilde, each carrying the complex direction factor dz,
+    ``separable_coeffs[i, j]`` equals
     w_i wt_j F(u_i) / (F(v_j) (v_j - u_i) (2 pi i)^2), making
 
         K(x, y) = Re sum_ij separable_coeffs[i, j] x^-u_i y^(v_j - 1).
     """
 
-    params: ProcessParams
     gamma_nodes: np.ndarray
-    gamma_weights: np.ndarray
     gammatilde_nodes: np.ndarray
-    gammatilde_weights: np.ndarray
     crossing_points: tuple
     x_range: tuple
     truncation_bound: float
@@ -108,7 +111,7 @@ def _panel(z0: complex, z1: complex, points: int):
     return (z0 + z1) / 2 + (z1 - z0) / 2 * x, (z1 - z0) / 2 * w
 
 
-def _build_half_contour(x_cross, angle, params, x_range, tol, invert, panel_points, panel_length, node_cap):
+def _build_half_contour(x_cross, angle, params, x_range, tol, invert):
     """One contour: vertical segment through x_cross for |Im| <= 1 plus rays
     at +-angle, oriented upward.  Rays are extended panel by panel until the
     integrand magnitude bound over x_range drops below tol."""
@@ -118,7 +121,7 @@ def _build_half_contour(x_cross, angle, params, x_range, tol, invert, panel_poin
 
     for k in range(2):  # vertical segment in two panels, bottom to top
         z0 = x_cross + 1j * (-1.0 + k)
-        zz, ww = _panel(z0, z0 + 1j, panel_points)
+        zz, ww = _panel(z0, z0 + 1j, _PANEL_POINTS)
         nodes.append(zz)
         weights.append(ww)
 
@@ -127,11 +130,11 @@ def _build_half_contour(x_cross, angle, params, x_range, tol, invert, panel_poin
         t = 0.0
         n_panels = 0
         while True:
-            zz, ww = _panel(start + direction * t, start + direction * (t + panel_length), panel_points)
+            zz, ww = _panel(start + direction * t, start + direction * (t + _PANEL_LENGTH), _PANEL_POINTS)
             # lower ray is traversed from infinity toward the segment
             nodes.append(zz)
             weights.append(orient * ww)
-            t += panel_length
+            t += _PANEL_LENGTH
             n_panels += 1
             tip = start + direction * t
             ln_f = float(log_big_f(tip, params).real)
@@ -143,21 +146,14 @@ def _build_half_contour(x_cross, angle, params, x_range, tol, invert, panel_poin
                 ln_pow = max(-re * math.log(x_lo), -re * math.log(x_hi))
             if n_panels >= 2 and ln_mag + ln_pow < ln_tol:
                 break
-            if sum(len(n) for n in nodes) + panel_points > node_cap:
+            if sum(len(n) for n in nodes) + _PANEL_POINTS > _NODE_CAP:
                 raise ConvergenceError(
-                    f"contour truncation bound {tol} not reached within {node_cap} nodes"
+                    f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes"
                 )
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def build_contours(
-    params: ProcessParams,
-    x_range: tuple,
-    tol: float,
-    panel_points: int = 20,
-    panel_length: float = 1.5,
-    node_cap: int = 4096,
-) -> ContourQuadrature:
+def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> ContourQuadrature:
     """Discretize the two kernel contours for arguments inside ``x_range``.
 
     gamma crosses the real axis at (1+nu_min)/3 with rays into the left
@@ -175,12 +171,8 @@ def build_contours(
 
     span = 1.0 + params.nu_min
     x_gamma, x_gammatilde = span / 3.0, 2.0 * span / 3.0
-    u, wu = _build_half_contour(
-        x_gamma, 2 * math.pi / 3, params, (x_lo, x_hi), tol, False, panel_points, panel_length, node_cap
-    )
-    v, wv = _build_half_contour(
-        x_gammatilde, math.pi / 3, params, (x_lo, x_hi), tol, True, panel_points, panel_length, node_cap
-    )
+    u, wu = _build_half_contour(x_gamma, 2 * math.pi / 3, params, (x_lo, x_hi), tol, False)
+    v, wv = _build_half_contour(x_gammatilde, math.pi / 3, params, (x_lo, x_hi), tol, True)
 
     ln_fu = log_big_f(u, params)
     ln_fv = log_big_f(v, params)
@@ -190,11 +182,8 @@ def build_contours(
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
 
     return ContourQuadrature(
-        params=params,
         gamma_nodes=u,
-        gamma_weights=wu,
         gammatilde_nodes=v,
-        gammatilde_weights=wv,
         crossing_points=(x_gamma, x_gammatilde),
         x_range=(x_lo, x_hi),
         truncation_bound=float(tol),
@@ -231,27 +220,22 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     return vals.real
 
 
-def kernel_eval(x: float, y: float, cq: ContourQuadrature, params: ProcessParams | None = None) -> float:
+def kernel_eval(x: float, y: float, cq: ContourQuadrature) -> float:
     """K(x, y) from the precomputed double-contour discretization.
 
     The imaginary part of the bilinear sum must vanish in exact arithmetic;
     it is checked against 100*tol and AccuracyError is raised when the
     contour truncation was inadequate for these arguments.
     """
-    if params is not None and params != cq.params:
-        raise DomainError("params disagree with the ContourQuadrature's parameters")
     return float(kernel_matrix([x], [y], cq)[0, 0])
 
 
 class MeijerKernel:
-    """Callable kernel handle bundling parameters with their contours."""
+    """Kernel handle: the contours for ``params`` over ``x_range`` and the
+    Fredholm matrix fill on them."""
 
-    def __init__(self, params: ProcessParams, x_range: tuple, tol: float = 1e-12, **build_kw):
-        self.params = params
-        self.cq = build_contours(params, x_range, tol, **build_kw)
-
-    def __call__(self, x: float, y: float) -> float:
-        return kernel_eval(x, y, self.cq)
+    def __init__(self, params: ProcessParams, x_range: tuple, tol: float = 1e-12):
+        self.cq = build_contours(params, x_range, tol)
 
     def matrix(self, xs) -> np.ndarray:
         return kernel_matrix(xs, xs, self.cq)
@@ -397,15 +381,12 @@ def bessel_kernel(x: float, y: float, nu: float) -> float:
 
 
 class BesselKernel:
-    """Callable kernel handle for the Bessel hard-edge kernel."""
+    """Kernel handle for the Bessel hard-edge kernel: its Fredholm matrix fill."""
 
     def __init__(self, nu: float):
         if nu <= -1.0:
             raise DomainError("requires nu > -1")
         self.nu = float(nu)
-
-    def __call__(self, x: float, y: float) -> float:
-        return bessel_kernel(x, y, self.nu)
 
     def matrix(self, xs) -> np.ndarray:
         # the numerator is separable in per-node Bessel values, so the fill

@@ -251,11 +251,3 @@ def bessel_j(nu: float, x: float) -> float:
             break
     return total
 
-
-def integral_log_gamma(z):
-    """Closed form of the integral of ln Gamma from 1 to z:
-
-        (z-1)/2 ln(2 pi) - (z-1) z / 2 + (z-1) ln Gamma(z) - ln G(z).
-    """
-    arr = _as_complex_array(z)
-    return (arr - 1.0) / 2.0 * _LN_2PI - (arr - 1.0) * arr / 2.0 + (arr - 1.0) * log_gamma(z) - log_barnes_g(z)

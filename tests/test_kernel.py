@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from meijergap import kernel
 from meijergap.errors import AccuracyError, ConvergenceError, DomainError
 from meijergap.kernel import (
     BesselKernel,
@@ -71,17 +72,19 @@ class TestBuildContours:
         assert len(loose.gamma_nodes) <= len(tight.gamma_nodes)
         assert len(loose.gammatilde_nodes) <= len(tight.gammatilde_nodes)
 
-    def test_panel_refinement_stability(self):
+    def test_panel_refinement_stability(self, monkeypatch):
         p = ProcessParams(2, 0, (0.5, 1.5))
         tol = 1e-10
         base = build_contours(p, (0.5, 2.0), tol)
-        fine = build_contours(p, (0.5, 2.0), tol, panel_points=40)
+        monkeypatch.setattr(kernel, "_PANEL_POINTS", 40)
+        fine = build_contours(p, (0.5, 2.0), tol)
         delta = abs(kernel_eval(1.0, 1.0, base) - kernel_eval(1.0, 1.0, fine))
         assert delta < 10 * tol
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_NODE_CAP", 64)
         with pytest.raises(ConvergenceError):
-            build_contours(ProcessParams(1, 0, (0.0,)), (0.1, 10.0), 1e-12, node_cap=64)
+            build_contours(ProcessParams(1, 0, (0.0,)), (0.1, 10.0), 1e-12)
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -191,7 +194,7 @@ class TestHandles:
         mat = handle.matrix(xs)
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):
-                assert abs(mat[i, j] - handle(x, y)) < 1e-14
+                assert abs(mat[i, j] - kernel_eval(x, y, handle.cq)) < 1e-14
 
     def test_bessel_handle_matrix(self):
         handle = BesselKernel(0.0)

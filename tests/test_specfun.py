@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import jv, loggamma as scipy_loggamma
 
 from meijergap.errors import DomainError, PoleError, RangeError
@@ -16,7 +15,6 @@ from meijergap.specfun import (
     bessel_j,
     digamma,
     hurwitz_zeta_prime,
-    integral_log_gamma,
     log_barnes_g,
     log_gamma,
     zeta_prime_minus1,
@@ -209,18 +207,3 @@ class TestBesselJ:
             bessel_j(-1.0, 1.0)
         with pytest.raises(DomainError):
             bessel_j(0.5, -1.0)
-
-
-class TestIntegralLogGamma:
-    def test_empty_range(self):
-        assert abs(integral_log_gamma(1.0)) < 1e-12
-
-    def test_at_two(self):
-        # mpmath quadrature of lnGamma over [1, 2]
-        assert abs(integral_log_gamma(2.0).real - (-0.08106146679532726)) < 1e-10
-
-    @pytest.mark.parametrize("z", [2.0, 5.0])
-    def test_against_quadrature(self, z):
-        ref, err = quad(lambda t: scipy_loggamma(t), 1.0, z, epsabs=1e-13, epsrel=1e-13)
-        assert err < 1e-11
-        assert abs(integral_log_gamma(z).real - ref) < 1e-10
