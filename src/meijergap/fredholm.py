@@ -10,6 +10,7 @@ double-precision underflow remain representable in log form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,18 @@ import numpy as np
 from .errors import DomainError, SingularityError
 
 _WEIGHT_SUM_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=32)
+def _legendre_rule(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    Every caller shares the returned arrays, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -56,7 +69,7 @@ def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
     kappa = int(kappa)
     if kappa < 1:
         raise DomainError("kappa must be a positive integer")
-    t, w = np.polynomial.legendre.leggauss(m)
+    t, w = _legendre_rule(m)
     if kappa == 1:
         return FredholmGrid(s=s, m=m, nodes=s * (t + 1) / 2, weights=s * w / 2)
     edge = s ** (1.0 / kappa)

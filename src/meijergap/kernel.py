@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
+from .fredholm import _legendre_rule
 from .specfun import bessel_j, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
@@ -105,51 +106,62 @@ class ContourQuadrature:
     separable_coeffs: np.ndarray = field(repr=False)
 
 
-def _panel(z0: complex, z1: complex, points: int):
+def _panel(z0: complex, z1: complex):
     """Gauss-Legendre nodes/weights on the straight segment z0 -> z1."""
-    x, w = np.polynomial.legendre.leggauss(points)
+    x, w = _legendre_rule(_PANEL_POINTS)
     return (z0 + z1) / 2 + (z1 - z0) / 2 * x, (z1 - z0) / 2 * w
 
 
 def _build_half_contour(x_cross, angle, params, x_range, tol, invert):
     """One contour: vertical segment through x_cross for |Im| <= 1 plus rays
-    at +-angle, oriented upward.  Rays are extended panel by panel until the
-    integrand magnitude bound over x_range drops below tol."""
+    at +-angle, oriented upward.
+
+    Each ray is cut into panels of length _PANEL_LENGTH and ends at the first
+    tip k >= 2 where the integrand magnitude bound over x_range drops below
+    tol.  The bound is evaluated on doubling blocks of candidate tips, never
+    past the last tip the node budget allows."""
     x_lo, x_hi = x_range
     ln_tol = math.log(tol)
+    ln_lo, ln_hi = math.log(x_lo), math.log(x_hi)
     nodes, weights = [], []
 
     for k in range(2):  # vertical segment in two panels, bottom to top
         z0 = x_cross + 1j * (-1.0 + k)
-        zz, ww = _panel(z0, z0 + 1j, _PANEL_POINTS)
+        zz, ww = _panel(z0, z0 + 1j)
         nodes.append(zz)
         weights.append(ww)
 
     for direction, orient in ((np.exp(1j * angle), +1), (np.exp(-1j * angle), -1)):
         start = x_cross + 1j * orient
-        t = 0.0
-        n_panels = 0
-        while True:
-            zz, ww = _panel(start + direction * t, start + direction * (t + _PANEL_LENGTH), _PANEL_POINTS)
+        n_before = sum(len(n) for n in nodes)
+        # the budget admits panels 1..k_max on this ray
+        k_max = (_NODE_CAP - n_before) // _PANEL_POINTS
+        k_lo, block = 2, 8
+        while k_lo <= k_max:
+            ks = np.arange(k_lo, min(k_lo + block, k_max + 1))
+            tips = start + direction * (_PANEL_LENGTH * ks)
+            ln_f = log_big_f(tips, params).real
+            re = tips.real
+            if invert:
+                ln_bound = -ln_f + np.maximum((re - 1.0) * ln_lo, (re - 1.0) * ln_hi)
+            else:
+                ln_bound = ln_f + np.maximum(-re * ln_lo, -re * ln_hi)
+            below = np.flatnonzero(ln_bound < ln_tol)
+            if below.size:
+                n_panels = int(ks[below[0]])
+                break
+            k_lo += block
+            block *= 2
+        else:
+            raise ConvergenceError(
+                f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes"
+            )
+        ends = start + direction * (_PANEL_LENGTH * np.arange(n_panels + 1))
+        for z0, z1 in zip(ends[:-1], ends[1:]):
+            zz, ww = _panel(z0, z1)
             # lower ray is traversed from infinity toward the segment
             nodes.append(zz)
             weights.append(orient * ww)
-            t += _PANEL_LENGTH
-            n_panels += 1
-            tip = start + direction * t
-            ln_f = float(log_big_f(tip, params).real)
-            ln_mag = -ln_f if invert else ln_f
-            re = tip.real
-            if invert:
-                ln_pow = max((re - 1.0) * math.log(x_lo), (re - 1.0) * math.log(x_hi))
-            else:
-                ln_pow = max(-re * math.log(x_lo), -re * math.log(x_hi))
-            if n_panels >= 2 and ln_mag + ln_pow < ln_tol:
-                break
-            if sum(len(n) for n in nodes) + _PANEL_POINTS > _NODE_CAP:
-                raise ConvergenceError(
-                    f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes"
-                )
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -174,10 +186,12 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     u, wu = _build_half_contour(x_gamma, 2 * math.pi / 3, params, (x_lo, x_hi), tol, False)
     v, wv = _build_half_contour(x_gammatilde, math.pi / 3, params, (x_lo, x_hi), tol, True)
 
-    ln_fu = log_big_f(u, params)
-    ln_fv = log_big_f(v, params)
-    coeffs = (wu[:, None] * wv[None, :]) * np.exp(ln_fu[:, None] - ln_fv[None, :])
-    coeffs /= (v[None, :] - u[:, None]) * _TWO_PI_I_SQ
+    # F(u)/F(v) splits into one exp per node rather than one per pair;
+    # Re ln F at the nodes stays far inside exp's range (|Re ln F| < 140 on
+    # the benchmark catalogues), and the check below catches any overflow
+    gu = wu * np.exp(log_big_f(u, params)) / _TWO_PI_I_SQ
+    gv = wv * np.exp(-log_big_f(v, params))
+    coeffs = np.outer(gu, gv) / (v[None, :] - u[:, None])
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
 
@@ -333,7 +347,7 @@ def kernel_eval_series(
     if x <= 0.0 or y <= 0.0:
         raise DomainError("kernel arguments must be positive")
     kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
-    tau, w = np.polynomial.legendre.leggauss(int(n_t))
+    tau, w = _legendre_rule(int(n_t))
     tau = (tau + 1.0) / 2.0
     w = w / 2.0
     t = tau**kappa

@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from meijergap.errors import DomainError, SingularityError
-from meijergap.fredholm import FredholmGrid, gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
+from meijergap.fredholm import (
+    FredholmGrid,
+    _legendre_rule,
+    gauss_legendre_grid,
+    kappa_for_nu_min,
+    log_gap_determinant,
+)
 from meijergap.kernel import BesselKernel, MeijerKernel, ProcessParams
 
 LEFT = ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61))
@@ -64,6 +70,33 @@ class TestGrid:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             FredholmGrid(s=1.0, m=2, nodes=np.array([0.2, 0.1]), weights=np.array([0.5, 0.5]))
+
+
+class TestLegendreRule:
+    def test_shared_arrays_are_read_only(self):
+        x, w = _legendre_rule(7)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_matches_leggauss(self):
+        x, w = _legendre_rule(13)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(13)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+    @pytest.mark.parametrize("kappa", [1, 3])
+    def test_grid_unchanged_by_cache_hit(self, kappa):
+        _legendre_rule.cache_clear()
+        first = gauss_legendre_grid(5.0, 31, kappa=kappa)
+        nodes, weights = first.nodes.copy(), first.weights.copy()
+        # a caller's grid is its own: writing into it leaves the cached rule intact
+        first.nodes[:] = 0.0
+        first.weights[:] = 0.0
+        again = gauss_legendre_grid(5.0, 31, kappa=kappa)
+        assert _legendre_rule.cache_info().hits >= 1
+        assert np.array_equal(again.nodes, nodes)
+        assert np.array_equal(again.weights, weights)
 
 
 class TestGapDeterminant:

@@ -22,7 +22,7 @@ from meijergap.kernel import (
     kernel_eval_series,
     log_big_f,
 )
-from meijergap.specfun import bessel_j
+from meijergap.specfun import bessel_j, log_gamma
 
 LEFT = ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61))
 
@@ -78,6 +78,9 @@ class TestBuildContours:
         base = build_contours(p, (0.5, 2.0), tol)
         monkeypatch.setattr(kernel, "_PANEL_POINTS", 40)
         fine = build_contours(p, (0.5, 2.0), tol)
+        # same panels, twice the points on each: the rule is read at build time
+        assert fine.gamma_nodes.size == 2 * base.gamma_nodes.size
+        assert fine.gammatilde_nodes.size == 2 * base.gammatilde_nodes.size
         delta = abs(kernel_eval(1.0, 1.0, base) - kernel_eval(1.0, 1.0, fine))
         assert delta < 10 * tol
 
@@ -85,6 +88,32 @@ class TestBuildContours:
         monkeypatch.setattr(kernel, "_NODE_CAP", 64)
         with pytest.raises(ConvergenceError):
             build_contours(ProcessParams(1, 0, (0.0,)), (0.1, 10.0), 1e-12)
+
+    def test_node_cap_boundary(self, monkeypatch):
+        # the cap applies to each half contour: 480 + 480 nodes here
+        p = ProcessParams(1, 0, (0.0,))
+        cq = build_contours(p, (0.1, 10.0), 1e-12)
+        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 480)
+        monkeypatch.setattr(kernel, "_NODE_CAP", 480)
+        capped = build_contours(p, (0.1, 10.0), 1e-12)
+        assert np.array_equal(capped.gamma_nodes, cq.gamma_nodes)
+        assert np.array_equal(capped.gammatilde_nodes, cq.gammatilde_nodes)
+        monkeypatch.setattr(kernel, "_NODE_CAP", 479)
+        with pytest.raises(ConvergenceError):
+            build_contours(p, (0.1, 10.0), 1e-12)
+
+    def test_tip_evaluations_are_batched(self, monkeypatch):
+        # one log_big_f per block of candidate tips, not one per panel
+        calls = []
+
+        def counting_log_gamma(z):
+            calls.append(1)
+            return log_gamma(z)
+
+        monkeypatch.setattr(kernel, "log_gamma", counting_log_gamma)
+        cq = build_contours(LEFT, (0.01, 16.0), 1e-12)
+        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 560)
+        assert len(calls) < 100
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
