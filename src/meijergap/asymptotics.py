@@ -61,8 +61,9 @@ def compute_coeffs(params: ProcessParams) -> AsymptoticCoeffs:
     p_nu = math.fsum(nu[i] * nu[j] for i in range(len(nu)) for j in range(i + 1, len(nu)))
     p_mu = math.fsum(mu[i] * mu[j] for i in range(len(mu)) for j in range(i + 1, len(mu)))
 
-    ln_c = math.fsum(_ln_barnes(1.0 + v) for v in nu)
-    ln_c -= math.fsum(_ln_barnes(1.0 + m) for m in mu)
+    ln_g = log_barnes_g([1.0 + v for v in nu] + [1.0 + m for m in mu]).real
+    ln_c = math.fsum(ln_g[: len(nu)])
+    ln_c -= math.fsum(ln_g[len(nu) :])
     ln_c += _LN_2PI / 2.0 * (s_mu1 - s_nu1)
     ln_c += (1 - n) * zeta_prime_minus1()
 

@@ -72,17 +72,26 @@ def log_big_f(z, params: ProcessParams):
     """ln F(z) = ln Gamma(z) + sum_k ln Gamma(1+mu_k-z) - sum_j ln Gamma(1+nu_j-z),
     each term the principal branch.
 
-    The sum is analytic on C minus ((-inf, 0] union [1+nu_min, inf)); off
-    that set it is still a valid pointwise logarithm of F.  Raises PoleError
+    All 1 + q + r log-gammas come from one :func:`log_gamma` call.  The sum
+    is analytic on C minus ((-inf, 0] union [1+nu_min, inf)); off that set
+    it is still a valid pointwise logarithm of F.  Raises PoleError
     at poles of the numerator gammas (and at zeros of F, where the
     denominator gammas blow up).
     """
     z = np.asarray(z, dtype=complex)
-    out = log_gamma(z)
-    for m in params.mu:
-        out = out + log_gamma(1.0 + m - z)
-    for v in params.nu:
-        out = out - log_gamma(1.0 + v - z)
+    return _log_gamma_ratio([z] + [1.0 + m - z for m in params.mu], [1.0 + v - z for v in params.nu])
+
+
+def _log_gamma_ratio(num, den):
+    """sum ln Gamma(a) over the arrays a in ``num`` minus the same sum over
+    ``den``, added in list order, from one :func:`log_gamma` call on the
+    stacked arguments."""
+    lg = log_gamma(np.stack(num + den))
+    out = lg[0]
+    for row in lg[1 : len(num)]:
+        out = out + row
+    for row in lg[len(num) :]:
+        out = out - row
     return out
 
 
@@ -303,12 +312,7 @@ def _g_first(z, params: ProcessParams, n_terms: int):
     integrand Gamma(-t) prod_k Gamma(1+mu_k+t) / prod_j Gamma(1+nu_j+t) z^t."""
 
     def ln_num(t):
-        out = log_gamma(-t)
-        for m in params.mu:
-            out = out + log_gamma(1.0 + m + t)
-        for v in params.nu:
-            out = out - log_gamma(1.0 + v + t)
-        return out
+        return _log_gamma_ratio([-t] + [1.0 + m + t for m in params.mu], [1.0 + v + t for v in params.nu])
 
     locs, radius = _cluster_poles([0.0], n_terms)
     return _sum_residues(locs, radius, ln_num, z)
@@ -320,12 +324,7 @@ def _g_second(z, params: ProcessParams, n_terms: int):
     prod_j Gamma(nu_j - t) / (Gamma(1+t) prod_k Gamma(mu_k - t)) z^t."""
 
     def ln_num(t):
-        out = -log_gamma(1.0 + t)
-        for v in params.nu:
-            out = out + log_gamma(v - t)
-        for m in params.mu:
-            out = out - log_gamma(m - t)
-        return out
+        return _log_gamma_ratio([v - t for v in params.nu], [1.0 + t] + [m - t for m in params.mu])
 
     locs, radius = _cluster_poles(params.nu, n_terms)
     return _sum_residues(locs, radius, ln_num, z)

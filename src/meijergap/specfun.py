@@ -1,11 +1,15 @@
 """Complex-plane special functions: log-gamma, digamma, Barnes log-G,
 Hurwitz zeta derivative at -1, and Bessel J.
 
-All gamma-family routines use Stirling-type expansions after shifting the
-argument into the asymptotic regime by exact recurrences, which keeps the
-accuracy uniform on the vertical strips traversed by the kernel contours.
-Every function accepts scalars or numpy arrays and is pure; the Bernoulli
-table below is immutable.
+The gamma-family routines do a fixed amount of numpy work per point, with
+no data-dependent loop.  ``log_gamma`` and ``digamma`` apply their Stirling
+series directly where Re z >= 10 or |Im z| >= 10; inside the strip
+|Im z| < 10 they reflect Re z < 1/2 to 1 - z and shift the rest once, by at
+most 10, with an exact recurrence.  ``log_barnes_g`` shifts by its own
+recurrence and takes every log-gamma it needs from one ``log_gamma`` call.
+This keeps the accuracy uniform on the vertical strips and far rays
+traversed by the kernel contours.  Every function accepts scalars or numpy
+arrays and is pure; the Bernoulli table below is immutable.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ _BERNOULLI = (
 )
 
 _LN_2PI = math.log(2.0 * math.pi)
+_LN_PI = math.log(math.pi)
 
-# Arguments are recurrence-shifted until Re z reaches this threshold before
-# the asymptotic series is applied.
+# The asymptotic series is applied where Re z >= 10 or |Im z| >= 10; points
+# inside that square are reflected or recurrence-shifted out of it first.
 _SHIFT_THRESHOLD = 10.0
 
 _POLE_TOL = 1e-12
@@ -66,34 +71,89 @@ def _guard_finite(res):
     return res
 
 
+def _sincospi(z):
+    """sin(pi z) and cos(pi z), with Re z reduced exactly to [-1/2, 1/2].
+
+    The parts are built from real products, so a signed-zero imaginary
+    part of ``z`` keeps its sign in sin(pi z): at a half-integer the cosine
+    factor is a tiny positive number, never a zero of either sign.
+    """
+    x, y = z.real, z.imag
+    n = np.round(x)
+    sign = 1.0 - 2.0 * (n % 2.0)  # (-1)^n
+    r = np.pi * (x - n)
+    s, c = sign * np.sin(r), sign * np.cos(r)
+    ch, sh = np.cosh(np.pi * y), np.sinh(np.pi * y)
+    sin, cos = np.empty_like(z), np.empty_like(z)
+    sin.real, sin.imag = s * ch, c * sh
+    cos.real, cos.imag = c * ch, -s * sh
+    return sin, cos
+
+
+def _strip(z):
+    """Split z for the reflection-and-shift schemes.
+
+    Returns the reflected mask (Re z < 1/2 inside the strip |Im z| < 10),
+    w = 1 - z there and z elsewhere, and the shift n = ceil(10 - Re w) for
+    the w still inside the square Re w < 10, |Im w| < 10 (1 <= n <= 10,
+    since Re w >= 1/2 there) and 0 off it.
+    """
+    refl = (z.real < 0.5) & (np.abs(z.imag) < _SHIFT_THRESHOLD)
+    w = np.where(refl, 1.0 - z, z)
+    inside = (w.real < _SHIFT_THRESHOLD) & (np.abs(w.imag) < _SHIFT_THRESHOLD)
+    n = np.where(inside, np.ceil(_SHIFT_THRESHOLD - w.real), 0.0)
+    return refl, w, n
+
+
+def _shift_points(w, n):
+    """The entries with n > 0 and, for each, the row w + j for j < 10 with
+    1 in place of j >= n: the factors of the shift as one broadcast."""
+    near = n > 0
+    j = np.arange(_SHIFT_THRESHOLD)
+    return near, np.where(j < n[near][:, None], w[near][:, None] + j, 1.0)
+
+
 def log_gamma(z):
     """Principal branch of ln Gamma(z), analytic on C minus (-inf, 0].
 
-    Stirling's series with Bernoulli terms through B_30 is applied after
-    shifting Re z above 10 via ln Gamma(z) = ln Gamma(z+1) - ln z; each
-    shift uses the principal logarithm, which preserves the branch on the
-    cut plane.  Accepts complex scalars or arrays.
+    Fixed work per point, in three regions:
+
+    * Re z >= 10 or |Im z| >= 10: Stirling's series with Bernoulli terms
+      through B_30, applied directly.
+    * Re z < 1/2 inside the strip |Im z| < 10: Hare's principal-branch
+      reflection (J. Algorithms 25 (1997) 221-236),
+      ln Gamma(z) = ln pi + i copysign(2 pi, Im z) floor(Re z/2 + 1/4)
+                    - ln sin(pi z) - ln Gamma(1 - z).
+      A signed-zero imaginary part selects the side of the cut, so
+      ln Gamma(x - 0j) = conj(ln Gamma(x + 0j)).
+    * the rest of the strip: one shift by n = ceil(10 - Re z) <= 10,
+      ln Gamma(z) = ln Gamma(z + n) - sum_{j<n} ln(z + j).  The sum takes
+      one principal log per adjacent pair (z + j)(z + j + 1): both factors
+      have positive real parts, so their arguments add to less than pi and
+      the pair's log keeps the branch.
+
+    Accepts complex scalars or arrays.
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).copy()
-    _check_poles(w)
-
-    shift = np.zeros_like(w)
-    mask = w.real < _SHIFT_THRESHOLD
-    while np.any(mask):
-        shift[mask] += np.log(w[mask])
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_THRESHOLD
+    z = np.atleast_1d(arr)
+    _check_poles(z)
+    refl, w, n = _strip(z)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        res = (w - 0.5) * np.log(w) - w + 0.5 * _LN_2PI
-        winv2 = 1.0 / (w * w)
-        term = 1.0 / w
+        v = w + n
+        res = (v - 0.5) * np.log(v) - v + 0.5 * _LN_2PI
+        vinv2 = 1.0 / (v * v)
+        term = 1.0 / v
         for k, b2k in enumerate(_BERNOULLI, start=1):
             res += b2k / (2 * k * (2 * k - 1)) * term
-            term = term * winv2
-        res -= shift
+            term = term * vinv2
+        near, pts = _shift_points(w, n)
+        res[near] -= np.log(pts[:, 0::2] * pts[:, 1::2]).sum(axis=1)
+    if np.any(refl):
+        zr = z[refl]
+        turn = np.copysign(2.0 * math.pi, zr.imag) * np.floor(0.5 * zr.real + 0.25)
+        res[refl] = _LN_PI + 1j * turn - np.log(_sincospi(zr)[0]) - res[refl]
     _guard_finite(res)
     return complex(res[0]) if scalar else res
 
@@ -101,28 +161,29 @@ def log_gamma(z):
 def digamma(z):
     """Digamma psi(z) = d/dz ln Gamma(z), principal branch.
 
-    Same shift-then-Stirling strategy as :func:`log_gamma`, using
-    psi(z) = psi(z+1) - 1/z for the recurrence.
+    The regions of :func:`log_gamma`: the Stirling series for psi off the
+    strip, psi(z) = psi(1 - z) - pi cot(pi z) for Re z < 1/2 inside it, and
+    one shift psi(z) = psi(z + n) - sum_{j<n} 1/(z + j) for the rest.
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).copy()
-    _check_poles(w)
+    z = np.atleast_1d(arr)
+    _check_poles(z)
+    refl, w, n = _strip(z)
 
-    shift = np.zeros_like(w)
-    mask = w.real < _SHIFT_THRESHOLD
-    while np.any(mask):
-        shift[mask] += 1.0 / w[mask]
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_THRESHOLD
-
-    winv2 = 1.0 / (w * w)
-    res = np.log(w) - 0.5 / w
-    term = winv2.copy()
+    v = w + n
+    vinv2 = 1.0 / (v * v)
+    res = np.log(v) - 0.5 / v
+    term = vinv2.copy()
     for k, b2k in enumerate(_BERNOULLI, start=1):
         res -= b2k / (2 * k) * term
-        term = term * winv2
-    res -= shift
+        term = term * vinv2
+    near, pts = _shift_points(w, n)
+    pad = np.arange(_SHIFT_THRESHOLD) >= n[near][:, None]
+    res[near] -= np.where(pad, 0.0, 1.0 / pts).sum(axis=1)
+    if np.any(refl):
+        sin, cos = _sincospi(z[refl])
+        res[refl] -= np.pi * cos / sin
     _guard_finite(res)
     return complex(res[0]) if scalar else res
 
@@ -131,33 +192,35 @@ def log_barnes_g(z):
     """ln G(z) for the Barnes G-function, G(z+1) = Gamma(z) G(z), G(1) = 1.
 
     The argument is shifted upward through the recurrence
-    ln G(z) = ln G(z+n) - sum_{j<n} ln Gamma(z+j) until Re z + n exceeds
-    the asymptotic threshold, then the large-z expansion
+    ln G(z) = ln G(z+n) - sum_{j<n} ln Gamma(z+j), with n = ceil(11 - Re z)
+    (0 when Re z >= 11), then the large-z expansion
 
         ln G(w+1) = w^2/4 + w ln Gamma(w+1) - (w(w+1)/2 + 1/12) ln w
                     - 1/12 + zeta'(-1) + sum_k B_{2k+2}/(2k(2k+1)(2k+2) w^{2k})
 
-    is evaluated at w = z + n - 1.  The imaginary part inherits a consistent
-    branch from the principal log-gammas used in the shift; only real
-    arguments and conjugation symmetry are exercised by the accuracy
-    guarantees.
+    is evaluated at w = z + n - 1.  Every log-gamma, the sum(n) shift points
+    and the expansion's own, comes from one :func:`log_gamma` call; the
+    shift is summed per entry in order of j.  The imaginary part inherits
+    a consistent branch from the principal log-gammas used in the shift;
+    only real arguments and conjugation symmetry are exercised by the
+    accuracy guarantees.
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).copy()
+    w = np.atleast_1d(arr).ravel()
     _check_poles(w)
 
-    shift = np.zeros_like(w)
-    mask = w.real < _SHIFT_THRESHOLD + 1
-    while np.any(mask):
-        shift[mask] += log_gamma(w[mask])
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_THRESHOLD + 1
+    n = np.maximum(np.ceil(_SHIFT_THRESHOLD + 1 - w.real), 0.0).astype(np.intp)
+    entry = np.repeat(np.arange(w.size), n)
+    j = np.arange(entry.size) - np.repeat(np.cumsum(n) - n, n)
+    v = w + n - 1.0  # expansion variable: ln G(z) = ln G(v+1) - shift
+    lg = log_gamma(np.concatenate((w[entry] + j, v + 1.0)))
+    lg_shift, lg_v = lg[: entry.size], lg[entry.size :]
+    shift = np.bincount(entry, lg_shift.real, w.size) + 1j * np.bincount(entry, lg_shift.imag, w.size)
 
-    v = w - 1.0  # expansion variable: ln G(w) = ln G(v+1)
     res = (
         v * v / 4.0
-        + v * log_gamma(v + 1.0)
+        + v * lg_v
         - (v * (v + 1.0) / 2.0 + 1.0 / 12.0) * np.log(v)
         - 1.0 / 12.0
         + zeta_prime_minus1()
@@ -169,7 +232,7 @@ def log_barnes_g(z):
         term = term * vinv2
     res -= shift
     _guard_finite(res)
-    return complex(res[0]) if scalar else res
+    return complex(res[0]) if scalar else res.reshape(arr.shape)
 
 
 def hurwitz_zeta_prime(u: float) -> float:

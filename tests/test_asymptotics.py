@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from meijergap import asymptotics
 from meijergap.asymptotics import (
     AsymptoticCoeffs,
     compute_coeffs,
@@ -22,7 +23,7 @@ from meijergap.asymptotics import (
 )
 from meijergap.errors import DomainError
 from meijergap.kernel import ProcessParams
-from meijergap.specfun import zeta_prime_minus1
+from meijergap.specfun import log_barnes_g, zeta_prime_minus1
 
 LEFT = ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61))
 RIGHT = ProcessParams(4, 1, (1.31, 2.15, 2.61, 3.19), (1.87,))
@@ -40,6 +41,19 @@ class TestComputeCoeffs:
         assert abs(cc.b - 4.34) < 1e-12
         assert abs(cc.c - (-1.551425)) < 1e-12
         assert abs(cc.ln_c - LEFT_LN_C) < 1e-12
+
+    @pytest.mark.parametrize("params", [LEFT, RIGHT, ProcessParams(2, 0, (-0.5, 0.7))])
+    def test_one_barnes_call(self, monkeypatch, params):
+        # the Barnes-G values of 1 + nu and 1 + mu come from one vectorized call
+        calls = []
+
+        def counting(z):
+            calls.append(np.size(z))
+            return log_barnes_g(z)
+
+        monkeypatch.setattr(asymptotics, "log_barnes_g", counting)
+        compute_coeffs(params)
+        assert calls == [params.r + params.q]
 
     def test_left_b_is_exact_rational(self):
         # 2 * ((131 + 215 + 319) - (187 + 261)) / 100 = 217/50

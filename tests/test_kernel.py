@@ -103,17 +103,22 @@ class TestBuildContours:
             build_contours(p, (0.1, 10.0), 1e-12)
 
     def test_tip_evaluations_are_batched(self, monkeypatch):
-        # one log_big_f per block of candidate tips, not one per panel
-        calls = []
+        # one log_big_f per block of candidate tips, not one per panel, and
+        # one log_gamma call per log_big_f, not one per gamma factor
+        calls = {"log_gamma": 0, "log_big_f": 0}
 
-        def counting_log_gamma(z):
-            calls.append(1)
-            return log_gamma(z)
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(kernel, "log_gamma", counting_log_gamma)
+            return wrapped
+
+        monkeypatch.setattr(kernel, "log_gamma", counting("log_gamma", log_gamma))
+        monkeypatch.setattr(kernel, "log_big_f", counting("log_big_f", log_big_f))
         cq = build_contours(LEFT, (0.01, 16.0), 1e-12)
         assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 560)
-        assert len(calls) < 100
+        assert calls == {"log_gamma": 10, "log_big_f": 10}
 
     def test_bad_range(self):
         with pytest.raises(DomainError):

@@ -5,10 +5,11 @@ oracles use scipy where a routine exists.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import jv, loggamma as scipy_loggamma
+from scipy.special import jv, loggamma as scipy_loggamma, psi as scipy_psi
 
 from meijergap.errors import DomainError, PoleError, RangeError
 from meijergap.specfun import (
@@ -61,6 +62,56 @@ class TestLogGamma:
         z = rng.uniform(0.2, 15, 50) + 1j * rng.uniform(-15, 15, 50)
         assert np.abs(log_gamma(np.conj(z)) - np.conj(log_gamma(z))).max() == 0.0
 
+    @pytest.mark.parametrize("x", [-0.3, -0.5, -0.7, -1.5, -2.5, -10.2, -59.999, -150.3])
+    def test_conjugation_symmetry_on_the_cut(self, x):
+        # a signed-zero imaginary part picks the side of the cut (-inf, 0]
+        above, below = log_gamma(complex(x, 0.0)), log_gamma(complex(x, -0.0))
+        assert below == np.conj(above)
+        for z, val in ((complex(x, 0.0), above), (complex(x, -0.0), below)):
+            ref = scipy_loggamma(z)
+            assert abs(val - ref) < 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "region",
+        ["left strip", "rays", "near poles", "|Im| = 10 line", "Re = 0.5 line", "Re = 10 line"],
+    )
+    def test_against_scipy_by_region(self, region):
+        rng = np.random.default_rng(11)
+        if region == "left strip":
+            z = rng.uniform(-160, 0.5, 400) + 1j * rng.uniform(-10, 10, 400)
+        elif region == "rays":
+            r = rng.uniform(0.1, 320, 200)
+            z = np.concatenate([r * np.exp(2j * np.pi / 3), r * np.exp(-2j * np.pi / 3)])
+        elif region == "near poles":
+            dist = 10.0 ** rng.uniform(-8, -3, 400)
+            z = -rng.integers(0, 61, 400) + dist * np.exp(1j * rng.uniform(0, 2 * np.pi, 400))
+        else:
+            t = rng.uniform(-30, 12, 100) if region == "|Im| = 10 line" else rng.uniform(-10, 10, 100)
+            edge = 10.0 if region != "Re = 0.5 line" else 0.5
+            sides = [edge, np.nextafter(edge, 0.0)]
+            if region == "|Im| = 10 line":
+                z = np.concatenate([t + 1j * s for s in sides + [-s for s in sides]])
+            else:
+                z = np.concatenate([s + 1j * t for s in sides])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = log_gamma(z)
+        ref = scipy_loggamma(z)
+        assert np.max(np.abs(val - ref) / np.abs(ref)) < 1e-13
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(13)
+        z = np.concatenate(
+            [
+                rng.uniform(-160, 0.5, 60) + 1j * rng.uniform(-10, 10, 60),
+                rng.uniform(0.5, 30, 60) + 1j * rng.uniform(-30, 30, 60),
+                rng.uniform(-50, 0, 20) + 1j * rng.choice([-0.0, 0.0], 20),
+            ]
+        )
+        for f in (log_gamma, digamma, log_barnes_g):
+            assert np.array_equal(f(z), np.array([f(complex(v)) for v in z]))
+            assert np.array_equal(f(z.reshape(4, 35)), f(z).reshape(4, 35))
+
 
 class TestDigamma:
     def test_at_one(self):
@@ -82,6 +133,13 @@ class TestDigamma:
     def test_conjugation_symmetry(self):
         z = 3.1 - 4.2j
         assert digamma(np.conj(z)) == np.conj(digamma(z))
+
+    def test_against_scipy(self):
+        # the reflected strip, the shifted strip and the Stirling region
+        rng = np.random.default_rng(17)
+        z = rng.uniform(-60, 30, 600) + 1j * rng.uniform(-30, 30, 600)
+        z = np.concatenate([z, rng.uniform(-60, 0.5, 200) + 1j * rng.uniform(-10, 10, 200)])
+        assert np.max(np.abs(digamma(z) - scipy_psi(z)) / np.abs(scipy_psi(z))) < 1e-13
 
 
 class TestLogBarnesG:
