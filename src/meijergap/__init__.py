@@ -36,8 +36,6 @@ from .kernel import (
 )
 from .specfun import (
     bessel_j,
-    digamma,
-    hurwitz_zeta_prime,
     log_barnes_g,
     log_gamma,
     zeta_prime_minus1,
@@ -62,9 +60,7 @@ __all__ = [
     "bessel_kernel",
     "build_contours",
     "compute_coeffs",
-    "digamma",
     "gauss_legendre_grid",
-    "hurwitz_zeta_prime",
     "kappa_for_nu_min",
     "kernel_eval",
     "kernel_eval_series",

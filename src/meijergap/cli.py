@@ -59,36 +59,37 @@ def _read_config(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = {
-    "r": int,
-    "q": int,
-    "nu": _parse_float_list,
-    "mu": _parse_float_list,
-    "format": str,
-    "x": float,
-    "y": float,
-    "s": float,
-    "nodes": int,
-    "tol": float,
-    "s-min": float,
-    "s-max": float,
-    "points": int,
-    "out": str,
-    "level": str,
-}
+def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Apply config-file values for every flag the command line left unset.
 
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Apply config-file values for every flag the command line left unset."""
+    A key is the long flag name of some subcommand of ``parser``; the
+    current subcommand's own action for that flag converts the value and
+    checks its choices, exactly as on the command line.  Keys of other
+    subcommands' flags are ignored.
+    """
     if getattr(args, "config", None) is None:
         return args
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if key not in _CONFIG_KEYS:
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    own = {}
+    known = set()
+    for name, sub in commands.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag not in ("--help", "--config"):
+                    known.add(flag[2:])
+                    if name == args.command:
+                        own[flag[2:]] = action
+    for key, raw in _read_config(args.config).items():
+        if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, _CONFIG_KEYS[key](raw))
+        action = own.get(key)
+        if action is None or getattr(args, action.dest) is not None:
+            continue
+        value = action.type(raw) if action.type else raw
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise ValueError(f"config value {key} = {raw!r} is not one of {choices}")
+        setattr(args, action.dest, value)
     return args
 
 
@@ -129,11 +130,9 @@ def cmd_coeffs(args) -> int:
             "C": math.exp(cc.ln_c),
         }
         print(json.dumps(payload, indent=2))
-    elif fmt == "text":
+    else:
         for name, val in (("rho", cc.rho), ("a", cc.a), ("b", cc.b), ("c", cc.c), ("lnC", cc.ln_c), ("C", math.exp(cc.ln_c))):
             print(f"{name:>4} = {_fmt(val)}")
-    else:
-        raise ValueError("format must be 'json' or 'text'")
     return 0
 
 
@@ -285,7 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(parser, args)
         code = args.func(args)
     except (MeijerGapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -277,40 +277,44 @@ def zeta_prime_minus1() -> float:
 _BESSEL_X_MAX = 30.0
 
 
-def bessel_j(nu: float, x: float) -> float:
+def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu(x) for nu > -1, 0 <= x <= 30.
 
-    Ascending power series with Kahan-compensated summation.  The series
-    loses accuracy gradually as x grows; 30 is the documented envelope and
-    larger arguments raise RangeError rather than returning degraded values.
+    Ascending power series with Kahan-compensated summation, run over every
+    entry of ``x`` at once.  Each entry stops at its own cutoff, so an array
+    call equals element-wise scalar calls; a scalar ``x`` gives a float.
+    The series loses accuracy gradually as x grows; 30 is the documented
+    envelope and larger arguments raise RangeError rather than returning
+    degraded values.
     """
     nu = float(nu)
-    x = float(x)
+    arr = np.asarray(x, dtype=float)
     if nu <= -1.0:
         raise DomainError("bessel_j requires nu > -1")
-    if x < 0.0:
+    if np.any(arr < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    if x > _BESSEL_X_MAX:
-        raise RangeError(f"bessel_j supports x <= {_BESSEL_X_MAX}; got {x}")
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
+    if np.any(arr > _BESSEL_X_MAX):
+        raise RangeError(f"bessel_j supports x <= {_BESSEL_X_MAX}; got {arr[arr > _BESSEL_X_MAX][0]}")
+    x = arr.ravel()
+    zero = x == 0.0
+    if nu < 0.0 and np.any(zero):
         raise DomainError("J_nu(0) diverges for nu in (-1, 0)")
 
-    # leading term (x/2)^nu / Gamma(1+nu), then ratio recursion
-    term = math.exp(nu * math.log(x / 2.0) - float(log_gamma(1.0 + nu).real))
+    # leading term (x/2)^nu / Gamma(1+nu), then ratio recursion; x = 0
+    # entries hold J_nu(0) from the start and take no series step
+    x = np.where(zero, 1.0, x)
+    term = np.exp(nu * np.log(x / 2.0) - float(log_gamma(1.0 + nu).real))
     q = x * x / 4.0
-    total = 0.0
-    comp = 0.0  # Kahan carry
+    total = np.where(zero, 1.0 if nu == 0.0 else 0.0, 0.0)
+    comp = np.zeros_like(x)  # Kahan carry
+    live = ~zero
     for k in range(400):
+        if not live.any():
+            break
         y = term - comp
         t = total + y
-        comp = (t - total) - y
-        total = t
-        term *= -q / ((k + 1.0) * (k + 1.0 + nu))
-        if abs(term) < 1e-17 * (abs(total) + 1e-300):
-            break
-    return total
-
+        comp = np.where(live, (t - total) - y, comp)
+        total = np.where(live, t, total)
+        term = term * (-q / ((k + 1.0) * (k + 1.0 + nu)))
+        live &= ~(np.abs(term) < 1e-17 * (np.abs(total) + 1e-300))
+    return float(total[0]) if arr.ndim == 0 else total.reshape(arr.shape)

@@ -146,6 +146,12 @@ class TestConfig:
         cfg.write_text("bogus = 1\n")
         assert cli.main(["coeffs", "--config", str(cfg), "--r", "1", "--q", "0", "--nu", "0"]) == 2
 
+    def test_config_value_outside_choices_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "xml.cfg"
+        cfg.write_text("format = xml\n")
+        assert cli.main(["det", "--config", str(cfg), "--r", "1", "--q", "0", "--nu", "0", "--s", "1"]) == 2
+        assert "format" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fast_level_passes(self, capsys):

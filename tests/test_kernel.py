@@ -10,6 +10,7 @@ import pytest
 
 from meijergap import kernel
 from meijergap.errors import AccuracyError, ConvergenceError, DomainError
+from meijergap.fredholm import gauss_legendre_grid
 from meijergap.kernel import (
     BesselKernel,
     MeijerKernel,
@@ -162,8 +163,8 @@ class TestKernelSeries:
         p = ProcessParams(1, 0, (0.5,))
         z = 0.25
         ref = z ** (-0.25) * bessel_j(0.5, 2.0 * math.sqrt(z))
-        got = _g_first(np.array([z]), p, 40)[0]
-        assert abs(got - ref) < 1e-13
+        got, _ = _g_first(np.array([z]), p, 40)
+        assert abs(got[0] - ref) < 1e-13
 
     def test_factors_against_mpmath(self):
         mp.mp.dps = 30
@@ -171,15 +172,18 @@ class TestKernelSeries:
         z = 0.35
         g1_ref = complex(mp.meijerg([[-0.7], []], [[0], [-0.5, -1.2]], z))
         g2_ref = complex(mp.meijerg([[], [0.7]], [[0.5, 1.2], [0]], z))
-        assert abs(_g_first(np.array([z]), p, 48)[0] - g1_ref) < 1e-12
-        assert abs(_g_second(np.array([z]), p, 48)[0] - g2_ref) < 1e-12
+        g1, _ = _g_first(np.array([z]), p, 48)
+        g2, _ = _g_second(np.array([z]), p, 48)
+        assert abs(g1[0] - g1_ref) < 1e-12
+        assert abs(g2[0] - g2_ref) < 1e-12
 
     def test_double_pole_case_against_mpmath(self):
         mp.mp.dps = 30
         p = ProcessParams(2, 0, (0.0, 0.0))
         z = 0.5
         g2_ref = complex(mp.meijerg([[], []], [[0.0, 0.0], [0]], z))
-        assert abs(_g_second(np.array([z]), p, 48)[0] - g2_ref) < 1e-12
+        g2, _ = _g_second(np.array([z]), p, 48)
+        assert abs(g2[0] - g2_ref) < 1e-12
 
     def test_agrees_with_contour(self):
         p = ProcessParams(2, 0, (0.0, 0.0))
@@ -195,6 +199,16 @@ class TestKernelSeries:
     def test_positive_arguments_required(self):
         with pytest.raises(DomainError):
             kernel_eval_series(-1.0, 0.5, LEFT)
+
+    def test_unresolved_rings_raise(self):
+        # at nu_min <= -0.6 the graded t-nodes send t x far below 1e-40,
+        # where the residue rings no longer resolve z^t
+        for nu in (-0.6, -0.7, -0.95):
+            with pytest.raises(ConvergenceError, match="rings unresolved"):
+                kernel_eval_series(0.5, 0.7, ProcessParams(1, 0, (nu,)))
+        nu = -0.5
+        reduction = 4.0 * (0.7 / 0.5) ** (nu / 2.0) * bessel_kernel(2.0, 2.8, nu)
+        assert abs(kernel_eval_series(0.5, 0.7, ProcessParams(1, 0, (nu,))) - reduction) < 1e-12
 
 
 class TestBesselKernel:
@@ -219,6 +233,37 @@ class TestBesselKernel:
         inside = bessel_kernel(2.0, 2.0 + 9.9e-7, nu)
         outside = bessel_kernel(2.0, 2.0 + 1.1e-6, nu)
         assert abs(inside - outside) < 1e-8
+
+    def test_near_diagonal_limit_against_mpmath(self):
+        mp.mp.dps = 30
+        x, y = 2.0, 2.0 + 5e-7
+        sx, sy = mp.sqrt(x), mp.sqrt(y)
+        for nu in (0.0, 0.7, 2.0):
+            tjp = lambda t: nu * mp.besselj(nu, t) - t * mp.besselj(nu + 1, t)
+            ref = (mp.besselj(nu, sx) * tjp(sy) - tjp(sx) * mp.besselj(nu, sy)) / (2 * (mp.mpf(x) - y))
+            assert abs(bessel_kernel(x, y, nu) - float(ref)) < 1e-12
+
+    def test_matrix_fill_evaluates_bessel_per_node(self, monkeypatch):
+        calls = []
+
+        def counted(nu, x):
+            calls.append(nu)
+            return bessel_j(nu, x)
+
+        monkeypatch.setattr(kernel, "bessel_j", counted)
+        grid = gauss_legendre_grid(4.0, 100, kappa=2)
+        BesselKernel(0.5).matrix(grid.nodes)
+        assert len(calls) <= 4
+
+    def test_matrix_matches_pointwise(self):
+        # every pair of the s = 1e-8 grid is near-diagonal; on the kappa=4
+        # grid six off-diagonal pairs next to 0 fall inside the 1e-6 switch
+        for s, m, kappa, nus in ((1e-8, 4, 1, (0.0, 0.5, 2.0)), (4.0, 30, 4, (0.5,))):
+            xs = gauss_legendre_grid(s, m, kappa=kappa).nodes
+            for nu in nus:
+                mat = BesselKernel(nu).matrix(xs)
+                ref = np.array([[bessel_kernel(x, y, nu) for y in xs] for x in xs])
+                assert np.array_equal(mat, ref)
 
 
 class TestHandles:

@@ -265,3 +265,24 @@ class TestBesselJ:
             bessel_j(-1.0, 1.0)
         with pytest.raises(DomainError):
             bessel_j(0.5, -1.0)
+        with pytest.raises(DomainError):
+            bessel_j(-0.5, 0.0)
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate(([0.0, 0.0], rng.uniform(0.0, 20.0, 38)))
+        for nu in (0.0, 0.5, 2.7):
+            ref = np.array([bessel_j(nu, xi) for xi in x])
+            assert np.array_equal(bessel_j(nu, x), ref)
+            assert np.array_equal(bessel_j(nu, x.reshape(5, 8).T), ref.reshape(5, 8).T)
+        assert isinstance(bessel_j(0.5, 2.0), float)
+
+    def test_array_errors(self):
+        with pytest.raises(DomainError):
+            bessel_j(-1.0, np.array([1.0, 2.0]))
+        with pytest.raises(DomainError):
+            bessel_j(0.5, np.array([1.0, -1.0]))
+        with pytest.raises(RangeError):
+            bessel_j(0.5, np.array([[1.0, 30.5]]))
+        with pytest.raises(DomainError):
+            bessel_j(-0.5, np.array([1.0, 0.0]))
