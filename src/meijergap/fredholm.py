@@ -70,8 +70,6 @@ def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
     if kappa < 1:
         raise DomainError("kappa must be a positive integer")
     t, w = _legendre_rule(m)
-    if kappa == 1:
-        return FredholmGrid(s=s, m=m, nodes=s * (t + 1) / 2, weights=s * w / 2)
     edge = s ** (1.0 / kappa)
     eta = edge * (t + 1) / 2
     w_eta = edge * w / 2

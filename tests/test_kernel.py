@@ -2,6 +2,7 @@
 double-contour evaluation against the residue-series oracle, mpmath's
 independent Meijer-G evaluator, and the Bessel specialization."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -26,6 +27,8 @@ from meijergap.kernel import (
 from meijergap.specfun import bessel_j, log_gamma
 
 LEFT = ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61))
+NEG = ProcessParams(2, 0, (-0.5, 0.7))
+BES = ProcessParams(1, 0, (0.5,))
 
 
 class TestProcessParams:
@@ -91,7 +94,7 @@ class TestBuildContours:
             build_contours(ProcessParams(1, 0, (0.0,)), (0.1, 10.0), 1e-12)
 
     def test_node_cap_boundary(self, monkeypatch):
-        # the cap applies to each half contour: 480 + 480 nodes here
+        # the cap applies to each contour: 480 + 480 nodes here
         p = ProcessParams(1, 0, (0.0,))
         cq = build_contours(p, (0.1, 10.0), 1e-12)
         assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 480)
@@ -119,7 +122,20 @@ class TestBuildContours:
         monkeypatch.setattr(kernel, "log_big_f", counting("log_big_f", log_big_f))
         cq = build_contours(LEFT, (0.01, 16.0), 1e-12)
         assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 560)
-        assert calls == {"log_gamma": 10, "log_big_f": 10}
+        # per contour, two doubling blocks of tips and one call at the nodes,
+        # all on its upper half
+        assert calls == {"log_gamma": 6, "log_big_f": 6}
+
+    @pytest.mark.parametrize("params", [LEFT, NEG, BES], ids=["LEFT", "NEG", "BES"])
+    def test_lower_half_mirrors_upper(self, params):
+        cq = build_contours(params, (0.01, 16.0), 1e-12)
+        n = kernel._PANEL_POINTS
+        for z in (cq.gamma_nodes, cq.gammatilde_nodes):
+            # segment: lower panel then upper panel; rays: upper then lower
+            assert np.array_equal(z[:n], np.conj(z[n : 2 * n])[::-1])
+            ray = z[2 * n :]
+            half = ray.size // 2
+            assert np.array_equal(ray[half:], np.conj(ray[:half]))
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -150,11 +166,12 @@ class TestKernelEval:
             kernel_eval(5.0, 1.0, cq)
 
     def test_imaginary_residual_guard(self):
-        # starve the contours, then push the arguments to the envelope edge
-        p = ProcessParams(1, 0, (0.0,))
-        cq = build_contours(p, (0.9, 1.1), 1e-4)
-        with pytest.raises((AccuracyError, DomainError)):
-            kernel_eval(0.05, 18.0, cq)
+        # coefficients that are not conjugate-symmetric leave an imaginary
+        # part far above rounding, which the guard must reject
+        cq = build_contours(ProcessParams(1, 0, (0.0,)), (0.9, 1.1), 1e-4)
+        broken = dataclasses.replace(cq, separable_coeffs=1j * cq.separable_coeffs)
+        with pytest.raises(AccuracyError, match="imaginary residual"):
+            kernel_eval(1.0, 1.0, broken)
 
 
 class TestKernelSeries:
