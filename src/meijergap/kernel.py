@@ -105,12 +105,17 @@ def _log_gamma_ratio(num, den):
 class ContourQuadrature:
     """Discretized contours and precomputed separable kernel coefficients.
 
-    With w_i, wt_j the quadrature weights of the nodes u_i on gamma and v_j
-    on gammatilde, each carrying the complex direction factor dz,
-    ``separable_coeffs[i, j]`` equals
-    w_i wt_j F(u_i) / (F(v_j) (v_j - u_i) (2 pi i)^2), making
+    Each node array holds a contour's upper half followed by that half's
+    conjugate, so with h = size/2 node i + h is conj(node i).  With w_i,
+    wt_j the quadrature weights of the nodes u_i on gamma and v_j on
+    gammatilde, each carrying the complex direction factor dz, the
+    coefficients c_ij = w_i wt_j F(u_i) / (F(v_j) (v_j - u_i) (2 pi i)^2) give
 
-        K(x, y) = Re sum_ij separable_coeffs[i, j] x^-u_i y^(v_j - 1).
+        K(x, y) = Re sum_ij c_ij x^-u_i y^(v_j - 1).
+
+    ``separable_coeffs`` stores the upper rows of gamma only, shape
+    (Nu/2, Nv): the lower rows are their conjugate mirror,
+    c_(i + Nu/2, j) = conj(c_(i, (j + Nv/2) mod Nv)).
     """
 
     gamma_nodes: np.ndarray
@@ -163,13 +168,6 @@ def _upper_half(x_cross, angle, params, x_range, tol, invert):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _whole(upper, mirror):
-    """Values on a whole contour from those on its upper half and their
-    mirror image, in upward order: the segment panel's mirror reversed, the
-    upper half, then the ray's mirror (traversed from infinity inward)."""
-    return np.concatenate((mirror[_PANEL_POINTS - 1 :: -1], upper, mirror[_PANEL_POINTS:]))
-
-
 def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> ContourQuadrature:
     """Discretize the two kernel contours for arguments inside ``x_range``.
 
@@ -183,7 +181,9 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     The parameters are real, so F(conj z) = conj F(z) and both contours are
     symmetric about the real axis: each is built, and ln F evaluated, on its
     upper half only.  The lower half maps nodes by conj, and weights and
-    F-factors (which carry the upward direction dz) by -conj.
+    F-factors (which carry the upward direction dz) by -conj; it is stored
+    after the upper half, and the coefficients only for the upper half of
+    gamma (see :class:`ContourQuadrature`).
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi) or not math.isfinite(x_hi):
@@ -201,14 +201,13 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     # the benchmark catalogues), and the check below catches any overflow
     gu = wu * np.exp(log_big_f(u, params)) / _TWO_PI_I_SQ
     gv = wv * np.exp(-log_big_f(v, params))
-    u, gu = _whole(u, np.conj(u)), _whole(gu, -np.conj(gu))
-    v, gv = _whole(v, np.conj(v)), _whole(gv, -np.conj(gv))
+    v, gv = np.concatenate((v, np.conj(v))), np.concatenate((gv, -np.conj(gv)))
     coeffs = np.outer(gu, gv) / (v[None, :] - u[:, None])
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
 
     return ContourQuadrature(
-        gamma_nodes=u,
+        gamma_nodes=np.concatenate((u, np.conj(u))),
         gammatilde_nodes=v,
         crossing_points=(x_gamma, x_gammatilde),
         x_range=(x_lo, x_hi),
@@ -217,31 +216,47 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     )
 
 
-def _check_range(x, cq: ContourQuadrature):
+def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
+    """ln x for kernel arguments, which must lie in the contours' x_range."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     x_lo, x_hi = cq.x_range
     if np.any(x < 0.999 * x_lo) or np.any(x > 1.001 * x_hi):
         raise DomainError(f"argument outside the x_range {cq.x_range} the contours were built for")
+    return np.log(x)
 
 
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
-    """K(x_i, y_j) on the grid xs x ys via the separable bilinear form."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    _check_range(xs, cq)
-    _check_range(ys, cq)
-    px = np.exp(-np.outer(np.log(xs), cq.gamma_nodes))
-    py = np.exp(np.outer(np.log(ys), cq.gammatilde_nodes - 1.0))
-    vals = px @ cq.separable_coeffs @ py.T
-    # the contours and coefficients are conjugate-symmetric, so the imaginary
-    # part is the rounding error of the sum, not a truncation estimate; it
-    # may scale with the value where the kernel exceeds 1 (x -> 0 with
+    """K(x_i, y_j) on the grid xs x ys via the separable bilinear form.
+
+    The sum is folded over the contours' conjugate symmetry: only the upper
+    half of x^-u enters the first product, P_h C_h with the stored rows C_h,
+    and the lower rows' share of P C is the conjugate mirror of that
+    product.  y^(v-1) is exponentiated on the upper half of gammatilde and
+    mirrored by conj, which equals the direct exp bit for bit.  Passing the
+    same array as ``xs`` and ``ys`` takes the logarithms once.
+    """
+    ln_x = _log_args(xs, cq)
+    ln_y = ln_x if ys is xs else _log_args(ys, cq)
+    hu, nv = cq.separable_coeffs.shape
+    hv = nv // 2
+    px = np.exp(-np.outer(ln_x, cq.gamma_nodes[:hu]))
+    qy = np.exp(np.outer(ln_y, cq.gammatilde_nodes[:hv] - 1.0))
+    # P C = d + conj(d rolled by hv columns), so column j + hv of P C is the
+    # conjugate of column j; it is formed in place in d
+    d = px @ cq.separable_coeffs
+    d[:, :hv] += np.conj(d[:, hv:])
+    np.conj(d[:, :hv], out=d[:, hv:])
+    vals = d @ np.concatenate((qy, np.conj(qy)), axis=1).T
+    # P C and y^(v-1) are exact conjugate mirrors, so the imaginary part is
+    # the rounding error of the second product, not a truncation estimate;
+    # it may scale with the value where the kernel exceeds 1 (x -> 0 with
     # nu_min < 0) and is an absolute check everywhere else
     threshold = 100.0 * cq.truncation_bound * np.maximum(1.0, np.abs(vals.real))
     bad = np.abs(vals.imag) > threshold
     if np.any(bad):
         resid = float(np.abs(vals.imag).max())
         raise AccuracyError(
-            f"imaginary residual {resid:.3e} exceeds 100*tol*max(1, |K|): cancellation or asymmetric coefficients"
+            f"imaginary residual {resid:.3e} exceeds 100*tol*max(1, |K|): cancellation in the bilinear sum"
         )
     return vals.real
 
@@ -249,10 +264,10 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
 def kernel_eval(x: float, y: float, cq: ContourQuadrature) -> float:
     """K(x, y) from the precomputed double-contour discretization.
 
-    The imaginary part of the bilinear sum is rounding error, not a
-    truncation estimate; AccuracyError is raised when it exceeds
-    100*tol*max(1, |K|): cancellation, or coefficients that are not
-    conjugate-symmetric.
+    The imaginary part of the bilinear sum is the rounding error of its
+    second product (the first is folded to an exact conjugate mirror), not
+    a truncation estimate; AccuracyError is raised when it exceeds
+    100*tol*max(1, |K|), i.e. on cancellation in the sum.
     """
     return float(kernel_matrix([x], [y], cq)[0, 0])
 
@@ -384,17 +399,18 @@ def _bessel_matrix(xs, ys, nu: float) -> np.ndarray:
         (J_nu(sqrt x) sqrt y J'_nu(sqrt y) - sqrt x J'_nu(sqrt x) J_nu(sqrt y)) / (2(x-y)).
 
     J_nu and t J'_nu(t) = nu J_nu(t) - t J_{nu+1}(t) are evaluated once per
-    distinct argument.  Where |x - y| < 1e-6 the quotient is replaced by its
-    analytic limit at the midpoint c,
+    distinct argument.  Where |x - y| <= 1e-6 max(x, y) the quotient is
+    replaced by its analytic limit at the midpoint c,
     ((c - nu^2) J_nu(sqrt c)^2 + (sqrt c J'_nu(sqrt c))^2) / (4c),
-    which agrees with the off-diagonal formula to O((x-y)^2).
+    which agrees with the off-diagonal formula to O((x-y)^2).  The switch is
+    relative because near 0 the kernel varies on the scale of x itself.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(xs < 0.0) or np.any(ys < 0.0):
         raise DomainError("bessel_kernel requires x, y >= 0")
     diff = xs[:, None] - ys[None, :]
-    near = np.abs(diff) < 1e-6
+    near = np.abs(diff) <= 1e-6 * np.maximum(xs[:, None], ys[None, :])
     mid = 0.5 * (xs[:, None] + ys[None, :])[near]
     args, where = np.unique(np.concatenate((xs, ys, mid)), return_inverse=True)
     t = np.sqrt(args)
@@ -413,7 +429,7 @@ def _bessel_matrix(xs, ys, nu: float) -> np.ndarray:
 def bessel_kernel(x: float, y: float, nu: float) -> float:
     """Bessel hard-edge kernel
     (J_nu(sqrt x) sqrt y J'_nu(sqrt y) - sqrt x J'_nu(sqrt x) J_nu(sqrt y)) / (2(x-y)),
-    with its midpoint limit where |x - y| < 1e-6: the 1x1 view of the
+    with its midpoint limit where |x - y| <= 1e-6 max(x, y): the 1x1 view of the
     matrix fill behind :meth:`BesselKernel.matrix`."""
     return float(_bessel_matrix([x], [y], nu)[0, 0])
 

@@ -22,6 +22,7 @@ from meijergap.kernel import (
     build_contours,
     kernel_eval,
     kernel_eval_series,
+    kernel_matrix,
     log_big_f,
 )
 from meijergap.specfun import bessel_j, log_gamma
@@ -29,6 +30,7 @@ from meijergap.specfun import bessel_j, log_gamma
 LEFT = ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61))
 NEG = ProcessParams(2, 0, (-0.5, 0.7))
 BES = ProcessParams(1, 0, (0.5,))
+GIN2 = ProcessParams(2, 0, (0.0, 1.0))
 
 
 class TestProcessParams:
@@ -129,13 +131,12 @@ class TestBuildContours:
     @pytest.mark.parametrize("params", [LEFT, NEG, BES], ids=["LEFT", "NEG", "BES"])
     def test_lower_half_mirrors_upper(self, params):
         cq = build_contours(params, (0.01, 16.0), 1e-12)
-        n = kernel._PANEL_POINTS
         for z in (cq.gamma_nodes, cq.gammatilde_nodes):
-            # segment: lower panel then upper panel; rays: upper then lower
-            assert np.array_equal(z[:n], np.conj(z[n : 2 * n])[::-1])
-            ray = z[2 * n :]
-            half = ray.size // 2
-            assert np.array_equal(ray[half:], np.conj(ray[:half]))
+            h = z.size // 2
+            assert np.all(z[:h].imag > 0.0)
+            assert np.array_equal(z[h:], np.conj(z[:h]))
+        # only the upper rows of gamma are stored
+        assert cq.separable_coeffs.shape == (cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size)
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -165,13 +166,33 @@ class TestKernelEval:
         with pytest.raises(DomainError):
             kernel_eval(5.0, 1.0, cq)
 
+    @pytest.mark.parametrize(
+        "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
+    )
+    def test_fold_matches_unfolded_sum(self, params, x_lo):
+        # Re(P C Q^T) over whole contours, with the lower rows of C
+        # completed as the conjugate mirror of the stored upper rows
+        cq = build_contours(params, (x_lo, 16.0), 1e-12)
+        hv = cq.gammatilde_nodes.size // 2
+        c_full = np.vstack((cq.separable_coeffs, np.conj(np.roll(cq.separable_coeffs, hv, axis=1))))
+        xs = np.geomspace(x_lo, 16.0, 40)
+        p = np.exp(-np.outer(np.log(xs), cq.gamma_nodes))
+        q = np.exp(np.outer(np.log(xs), cq.gammatilde_nodes - 1.0))
+        ref = (p @ c_full @ q.T).real
+        k = kernel_matrix(xs, xs, cq)
+        assert np.all(np.abs(k - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        # the shared-logarithm shortcut for ys is xs changes no bit
+        assert np.array_equal(kernel_matrix(xs, xs.copy(), cq), k)
+
     def test_imaginary_residual_guard(self):
-        # coefficients that are not conjugate-symmetric leave an imaginary
-        # part far above rounding, which the guard must reject
-        cq = build_contours(ProcessParams(1, 0, (0.0,)), (0.9, 1.1), 1e-4)
-        broken = dataclasses.replace(cq, separable_coeffs=1j * cq.separable_coeffs)
+        # near x = 0 with nu_min < 0 the rounding of the second product
+        # (about 6e-14 here) is far above a threshold of 1e-18 |K|
+        cq = build_contours(NEG, (1e-6, 16.0), 1e-12)
+        xs = np.geomspace(1e-6, 1e-3, 8)
+        kernel_matrix(xs, xs, cq)
+        strict = dataclasses.replace(cq, truncation_bound=1e-20)
         with pytest.raises(AccuracyError, match="imaginary residual"):
-            kernel_eval(1.0, 1.0, broken)
+            kernel_matrix(xs, xs, strict)
 
 
 class TestKernelSeries:
@@ -246,10 +267,22 @@ class TestBesselKernel:
         assert abs(ref - 0.09678735647946624) < 1e-12
 
     def test_near_diagonal_switch_is_continuous(self):
+        # the switch sits at |x - y| = 1e-6 max(x, y), about 2e-6 here
         nu = 0.7
-        inside = bessel_kernel(2.0, 2.0 + 9.9e-7, nu)
-        outside = bessel_kernel(2.0, 2.0 + 1.1e-6, nu)
+        inside = bessel_kernel(2.0, 2.0 + 1.98e-6, nu)
+        outside = bessel_kernel(2.0, 2.0 + 2.02e-6, nu)
         assert abs(inside - outside) < 1e-8
+
+    def test_small_arguments_against_mpmath(self):
+        # near 0 the kernel varies on the scale of x itself, so pairs closer
+        # than 1e-6 in absolute terms still need the quotient
+        mp.mp.dps = 30
+        nu = 0.7
+        for x, y in ((1e-7, 3e-7), (1e-4, 1e-4 + 9e-7)):
+            sx, sy = mp.sqrt(mp.mpf(x)), mp.sqrt(mp.mpf(y))
+            tjp = lambda t: nu * mp.besselj(nu, t) - t * mp.besselj(nu + 1, t)
+            ref = float((mp.besselj(nu, sx) * tjp(sy) - tjp(sx) * mp.besselj(nu, sy)) / (2 * (mp.mpf(x) - mp.mpf(y))))
+            assert abs(bessel_kernel(x, y, nu) - ref) < 1e-8 * abs(ref)
 
     def test_near_diagonal_limit_against_mpmath(self):
         mp.mp.dps = 30
@@ -273,10 +306,12 @@ class TestBesselKernel:
         assert len(calls) <= 4
 
     def test_matrix_matches_pointwise(self):
-        # every pair of the s = 1e-8 grid is near-diagonal; on the kappa=4
-        # grid six off-diagonal pairs next to 0 fall inside the 1e-6 switch
-        for s, m, kappa, nus in ((1e-8, 4, 1, (0.0, 0.5, 2.0)), (4.0, 30, 4, (0.5,))):
-            xs = gauss_legendre_grid(s, m, kappa=kappa).nodes
+        # the grids put the near-diagonal switch on the diagonal only; the
+        # clustered nodes add off-diagonal pairs inside it, near 0 and away,
+        # and the limit at x = y = 0
+        clustered = np.array([0.0, 1e-7, 1e-7 * (1 + 5e-7), 1.0, 1.0 + 5e-7, 3.0])
+        grids = [gauss_legendre_grid(s, m, kappa=kappa).nodes for s, m, kappa in ((1e-8, 4, 1), (4.0, 30, 4))]
+        for xs, nus in ((grids[0], (0.0, 0.5, 2.0)), (grids[1], (0.5,)), (clustered, (0.0, 0.5))):
             for nu in nus:
                 mat = BesselKernel(nu).matrix(xs)
                 ref = np.array([[bessel_kernel(x, y, nu) for y in xs] for x in xs])
