@@ -232,11 +232,9 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     half of x^-u enters the first product, P_h C_h with the stored rows C_h,
     and the lower rows' share of P C is the conjugate mirror of that
     product.  y^(v-1) is exponentiated on the upper half of gammatilde and
-    mirrored by conj, which equals the direct exp bit for bit.  Passing the
-    same array as ``xs`` and ``ys`` takes the logarithms once.
+    mirrored by conj, which equals the direct exp bit for bit.
     """
-    ln_x = _log_args(xs, cq)
-    ln_y = ln_x if ys is xs else _log_args(ys, cq)
+    ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
     hu, nv = cq.separable_coeffs.shape
     hv = nv // 2
     px = np.exp(-np.outer(ln_x, cq.gamma_nodes[:hu]))
