@@ -113,9 +113,18 @@ class ContourQuadrature:
 
         K(x, y) = Re sum_ij c_ij x^-u_i y^(v_j - 1).
 
-    ``separable_coeffs`` stores the upper rows of gamma only, shape
-    (Nu/2, Nv): the lower rows are their conjugate mirror,
-    c_(i + Nu/2, j) = conj(c_(i, (j + Nv/2) mod Nv)).
+    ``gamma_panels`` and ``gammatilde_panels`` factor each upper half by
+    panel: a pair (mids, offsets) with the panel midpoints, shape (n,), and
+    the two offset rows, shape (2, points), so that the upper-half nodes are
+    mids[0] + offsets[0] on the crossing panel followed by
+    mids[p] + offsets[1] on each ray panel p >= 1.
+
+    With h = Nv/2, A = c_(i, j) and B = c_(i, j + h) for the upper rows
+    i < Nu/2 of gamma and j < h (the lower rows are their conjugate mirror,
+    c_(i + Nu/2, j) = conj(c_(i, (j + h) mod Nv))), S = A + B and D = A - B,
+    ``separable_coeffs`` stores the real block [[Re S, Im D], [-Im S, Re D]],
+    shape (Nu, Nv), with its rows and columns interleaved: entry
+    (2i + r, 2j + k) is block entry (r Nu/2 + i, k h + j).
     """
 
     gamma_nodes: np.ndarray
@@ -124,12 +133,8 @@ class ContourQuadrature:
     x_range: tuple
     truncation_bound: float
     separable_coeffs: np.ndarray = field(repr=False)
-
-
-def _panel(z0: complex, z1: complex):
-    """Gauss-Legendre nodes/weights on the straight segment z0 -> z1."""
-    x, w = _legendre_rule(_PANEL_POINTS)
-    return (z0 + z1) / 2 + (z1 - z0) / 2 * x, (z1 - z0) / 2 * w
+    gamma_panels: tuple = field(repr=False)
+    gammatilde_panels: tuple = field(repr=False)
 
 
 def _upper_half(x_cross, angle, params, x_range, tol, invert):
@@ -139,7 +144,9 @@ def _upper_half(x_cross, angle, params, x_range, tol, invert):
     The ray is cut into panels of length _PANEL_LENGTH and ends at the first
     tip k >= 2 where the integrand magnitude bound over x_range drops below
     tol.  The bound is evaluated on doubling blocks of candidate tips, never
-    past the last tip the node budget of the whole contour allows."""
+    past the last tip the node budget of the whole contour allows.  Returns
+    the nodes, the weights and the panel factorization (mids, offsets) of
+    :class:`ContourQuadrature`."""
     ln_tol = math.log(tol)
     ln_lo, ln_hi = math.log(x_range[0]), math.log(x_range[1])
     start, direction = x_cross + 1j, np.exp(1j * angle)
@@ -164,8 +171,15 @@ def _upper_half(x_cross, angle, params, x_range, tol, invert):
     else:
         raise ConvergenceError(f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes")
     ends = np.concatenate(([x_cross], start + direction * (_PANEL_LENGTH * np.arange(n_panels + 1))))
-    nodes, weights = zip(*(_panel(z0, z1) for z0, z1 in zip(ends[:-1], ends[1:])))
-    return np.concatenate(nodes), np.concatenate(weights)
+    mids = (ends[:-1] + ends[1:]) / 2
+    # Gauss-Legendre on each straight panel: the crossing panel has half
+    # length i/2 and every ray panel direction * _PANEL_LENGTH / 2
+    x, w = _legendre_rule(_PANEL_POINTS)
+    halves = np.array([0.5j, direction * (_PANEL_LENGTH / 2)])
+    offsets = np.outer(halves, x)
+    nodes = np.concatenate((mids[0] + offsets[0], (mids[1:, None] + offsets[1]).ravel()))
+    weights = np.concatenate((halves[0] * w, np.tile(halves[1] * w, n_panels)))
+    return nodes, weights, (mids, offsets)
 
 
 def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> ContourQuadrature:
@@ -182,8 +196,12 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     symmetric about the real axis: each is built, and ln F evaluated, on its
     upper half only.  The lower half maps nodes by conj, and weights and
     F-factors (which carry the upward direction dz) by -conj; it is stored
-    after the upper half, and the coefficients only for the upper half of
-    gamma (see :class:`ContourQuadrature`).
+    after the upper half.  Every upper-half node is a panel midpoint plus
+    one of two offset rows (the crossing panel's or the rays'), and both are
+    kept with the nodes so that the fill can factor its powers per panel.
+    The coefficients are stored only for the upper rows of gamma, as the
+    real block of their conjugate-symmetric sums and differences (see
+    :class:`ContourQuadrature`), in the bytes of the complex rows.
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi) or not math.isfinite(x_hi):
@@ -193,26 +211,44 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
 
     span = 1.0 + params.nu_min
     x_gamma, x_gammatilde = span / 3.0, 2.0 * span / 3.0
-    u, wu = _upper_half(x_gamma, 2 * math.pi / 3, params, (x_lo, x_hi), tol, False)
-    v, wv = _upper_half(x_gammatilde, math.pi / 3, params, (x_lo, x_hi), tol, True)
+    u, wu, u_panels = _upper_half(x_gamma, 2 * math.pi / 3, params, (x_lo, x_hi), tol, False)
+    v, wv, v_panels = _upper_half(x_gammatilde, math.pi / 3, params, (x_lo, x_hi), tol, True)
 
     # F(u)/F(v) splits into one exp per node rather than one per pair;
     # Re ln F at the nodes stays far inside exp's range (|Re ln F| < 140 on
     # the benchmark catalogues), and the check below catches any overflow
     gu = wu * np.exp(log_big_f(u, params)) / _TWO_PI_I_SQ
     gv = wv * np.exp(-log_big_f(v, params))
-    v, gv = np.concatenate((v, np.conj(v))), np.concatenate((gv, -np.conj(gv)))
-    coeffs = np.outer(gu, gv) / (v[None, :] - u[:, None])
+    # the stored block from A = c_(i, j) and B = c_(i, j + h), each formed as
+    # (g_u g_v) / (v - u) on the upper rows in turn and written in place, so
+    # that at most two complex (Nu/2, h) temporaries are alive at once
+    coeffs = np.empty((u.size, 2, v.size, 2))
+    c = np.multiply.outer(gu, gv)
+    c /= v[None, :] - u[:, None]
+    coeffs[:, 0, :, 0] = c.real
+    np.negative(c.imag, out=coeffs[:, 1, :, 0])
+    coeffs[:, 0, :, 1] = c.imag
+    coeffs[:, 1, :, 1] = c.real
+    c = np.multiply.outer(gu, -np.conj(gv))
+    c /= np.conj(v)[None, :] - u[:, None]
+    coeffs[:, 0, :, 0] += c.real
+    coeffs[:, 1, :, 0] -= c.imag
+    coeffs[:, 0, :, 1] -= c.imag
+    coeffs[:, 1, :, 1] -= c.real
+    del c
+    coeffs = coeffs.reshape(2 * u.size, 2 * v.size)
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
 
     return ContourQuadrature(
         gamma_nodes=np.concatenate((u, np.conj(u))),
-        gammatilde_nodes=v,
+        gammatilde_nodes=np.concatenate((v, np.conj(v))),
         crossing_points=(x_gamma, x_gammatilde),
         x_range=(x_lo, x_hi),
         truncation_bound=float(tol),
         separable_coeffs=coeffs,
+        gamma_panels=u_panels,
+        gammatilde_panels=v_panels,
     )
 
 
@@ -225,25 +261,41 @@ def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
     return np.log(x)
 
 
+def _half_powers(scale, panels) -> np.ndarray:
+    """exp(scale_i z_j) over the upper-half nodes z_j = mid + offset of one
+    contour, factored per panel as exp(scale_i mid) exp(scale_i offset): one
+    exp per (argument, panel) and per (argument, offset), then one product
+    per node."""
+    mids, offsets = panels
+    e_mid = np.exp(np.outer(scale, mids))
+    e_off = np.exp(scale[:, None, None] * offsets)
+    out = np.empty((scale.size, mids.size, offsets.shape[1]), dtype=complex)
+    np.multiply(e_mid[:, :1, None], e_off[:, None, 0], out=out[:, :1])
+    np.multiply(e_mid[:, 1:, None], e_off[:, None, 1], out=out[:, 1:])
+    return out.reshape(scale.size, -1)
+
+
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     """K(x_i, y_j) on the grid xs x ys via the separable bilinear form.
 
-    The sum is folded over the contours' conjugate symmetry: only the upper
-    half of x^-u enters the first product, P_h C_h with the stored rows C_h,
-    and the lower rows' share of P C is the conjugate mirror of that
-    product.  y^(v-1) is exponentiated on the upper half of gammatilde and
-    mirrored by conj, which equals the direct exp bit for bit.
+    The sum is folded over the contours' conjugate symmetry.  Only the upper
+    halves of x^-u and y^(v-1) are exponentiated, each factored over the
+    panels of :class:`ContourQuadrature`, and the lower halves are their
+    conjugates.  The first product over the upper rows of gamma is
+    E1 = P_h A + conj(P_h B), a real bilinear form: [Re E1 | Im E1] is
+    [Re P_h | Im P_h] times the stored real block, one real matrix product
+    on the interleaved (real, imaginary) view of P_h.  P C = [E1, conj E1]
+    then enters the complex second product with y^(v-1).
     """
     ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
-    hu, nv = cq.separable_coeffs.shape
-    hv = nv // 2
-    px = np.exp(-np.outer(ln_x, cq.gamma_nodes[:hu]))
-    qy = np.exp(np.outer(ln_y, cq.gammatilde_nodes[:hv] - 1.0))
-    # P C = d + conj(d rolled by hv columns), so column j + hv of P C is the
-    # conjugate of column j; it is formed in place in d
-    d = px @ cq.separable_coeffs
-    d[:, :hv] += np.conj(d[:, hv:])
+    hv = cq.gammatilde_nodes.size // 2
+    # E1 is written straight into the left half of d, viewed as
+    # (real, imaginary) pairs; x^-u is freed before y^(v-1) is formed
+    d = np.empty((ln_x.size, 2 * hv), dtype=complex)
+    np.matmul(_half_powers(-ln_x, cq.gamma_panels).view(float), cq.separable_coeffs, out=d[:, :hv].view(float))
     np.conj(d[:, :hv], out=d[:, hv:])
+    mids, offsets = cq.gammatilde_panels
+    qy = _half_powers(ln_y, (mids - 1.0, offsets))
     vals = d @ np.concatenate((qy, np.conj(qy)), axis=1).T
     # P C and y^(v-1) are exact conjugate mirrors, so the imaginary part is
     # the rounding error of the second product, not a truncation estimate;
@@ -394,11 +446,14 @@ def kernel_eval_series(
 def _bessel_matrix(xs, ys, nu: float) -> np.ndarray:
     """Bessel hard-edge kernel K(x_i, y_j) on the grid xs x ys,
 
-        (J_nu(sqrt x) sqrt y J'_nu(sqrt y) - sqrt x J'_nu(sqrt x) J_nu(sqrt y)) / (2(x-y)).
+        (sqrt x J_{nu+1}(sqrt x) J_nu(sqrt y) - sqrt y J_nu(sqrt x) J_{nu+1}(sqrt y)) / (2(x-y)),
 
-    J_nu and t J'_nu(t) = nu J_nu(t) - t J_{nu+1}(t) are evaluated once per
-    distinct argument.  Where |x - y| <= 1e-6 max(x, y) the quotient is
-    replaced by its analytic limit at the midpoint c,
+    the usual J_nu(sqrt x) sqrt y J'_nu(sqrt y) - sqrt x J'_nu(sqrt x) J_nu(sqrt y)
+    numerator with t J'_nu(t) = nu J_nu(t) - t J_{nu+1}(t) and its two
+    nu J_nu(sqrt x) J_nu(sqrt y) terms cancelled analytically, so that they
+    add no rounding where x and y are close.  J_nu and t J_{nu+1}(t) are
+    evaluated once per distinct argument.  Where |x - y| <= 1e-6 max(x, y)
+    the quotient is replaced by its analytic limit at the midpoint c,
     ((c - nu^2) J_nu(sqrt c)^2 + (sqrt c J'_nu(sqrt c))^2) / (4c),
     which agrees with the off-diagonal formula to O((x-y)^2).  The switch is
     relative because near 0 the kernel varies on the scale of x itself.
@@ -413,20 +468,21 @@ def _bessel_matrix(xs, ys, nu: float) -> np.ndarray:
     args, where = np.unique(np.concatenate((xs, ys, mid)), return_inverse=True)
     t = np.sqrt(args)
     j = bessel_j(nu, t)
-    tjp = nu * j - t * bessel_j(nu + 1.0, t)
+    tj1 = t * bessel_j(nu + 1.0, t)
     jx, jy, jm = np.split(j[where], [xs.size, xs.size + ys.size])
-    tx, ty, tm = np.split(tjp[where], [xs.size, xs.size + ys.size])
-    out = (jx[:, None] * ty[None, :] - tx[:, None] * jy[None, :]) / (2.0 * np.where(near, 1.0, diff))
+    tx, ty, tm = np.split(tj1[where], [xs.size, xs.size + ys.size])
+    out = (tx[:, None] * jy[None, :] - jx[:, None] * ty[None, :]) / (2.0 * np.where(near, 1.0, diff))
     # at c = 0 (nu >= 0; J_nu(0) diverges for nu < 0) the limit is 1/4 for nu = 0, else 0
     origin = mid == 0.0
     c = np.where(origin, 1.0, mid)
-    out[near] = np.where(origin, 0.25 if nu == 0.0 else 0.0, ((c - nu * nu) * jm * jm + tm * tm) / (4.0 * c))
+    tjp = nu * jm - tm
+    out[near] = np.where(origin, 0.25 if nu == 0.0 else 0.0, ((c - nu * nu) * jm * jm + tjp * tjp) / (4.0 * c))
     return out
 
 
 def bessel_kernel(x: float, y: float, nu: float) -> float:
     """Bessel hard-edge kernel
-    (J_nu(sqrt x) sqrt y J'_nu(sqrt y) - sqrt x J'_nu(sqrt x) J_nu(sqrt y)) / (2(x-y)),
+    (sqrt x J_{nu+1}(sqrt x) J_nu(sqrt y) - sqrt y J_nu(sqrt x) J_{nu+1}(sqrt y)) / (2(x-y)),
     with its midpoint limit where |x - y| <= 1e-6 max(x, y): the 1x1 view of the
     matrix fill behind :meth:`BesselKernel.matrix`."""
     return float(_bessel_matrix([x], [y], nu)[0, 0])

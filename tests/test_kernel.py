@@ -131,12 +131,17 @@ class TestBuildContours:
     @pytest.mark.parametrize("params", [LEFT, NEG, BES], ids=["LEFT", "NEG", "BES"])
     def test_lower_half_mirrors_upper(self, params):
         cq = build_contours(params, (0.01, 16.0), 1e-12)
-        for z in (cq.gamma_nodes, cq.gammatilde_nodes):
+        for z, (mids, offsets) in ((cq.gamma_nodes, cq.gamma_panels), (cq.gammatilde_nodes, cq.gammatilde_panels)):
             h = z.size // 2
             assert np.all(z[:h].imag > 0.0)
             assert np.array_equal(z[h:], np.conj(z[:h]))
-        # only the upper rows of gamma are stored
-        assert cq.separable_coeffs.shape == (cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size)
+            # the upper half is the crossing panel, then the ray panels
+            assert offsets.shape == (2, kernel._PANEL_POINTS)
+            assert np.array_equal(z[:h], np.concatenate((mids[0] + offsets[0], (mids[1:, None] + offsets[1]).ravel())))
+        # the real block of the upper rows of gamma takes the bytes of the
+        # complex upper rows
+        assert cq.separable_coeffs.dtype == np.float64
+        assert cq.separable_coeffs.shape == (cq.gamma_nodes.size, cq.gammatilde_nodes.size)
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -170,17 +175,34 @@ class TestKernelEval:
         "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
     )
     def test_fold_matches_unfolded_sum(self, params, x_lo):
-        # Re(P C Q^T) over whole contours, with the lower rows of C
-        # completed as the conjugate mirror of the stored upper rows
+        # Re(P C Q^T) over whole contours: the upper rows [A | B] of C
+        # rebuilt from the stored block of S = A + B and D = A - B, and the
+        # lower rows completed as their conjugate mirror
         cq = build_contours(params, (x_lo, 16.0), 1e-12)
-        hv = cq.gammatilde_nodes.size // 2
-        c_full = np.vstack((cq.separable_coeffs, np.conj(np.roll(cq.separable_coeffs, hv, axis=1))))
+        hu, hv = cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2
+        w = cq.separable_coeffs.reshape(hu, 2, hv, 2)
+        s, d = w[:, 0, :, 0] - 1j * w[:, 1, :, 0], w[:, 1, :, 1] + 1j * w[:, 0, :, 1]
+        c_upper = np.hstack(((s + d) / 2, (s - d) / 2))
+        c_full = np.vstack((c_upper, np.conj(np.roll(c_upper, hv, axis=1))))
         xs = np.geomspace(x_lo, 16.0, 40)
         p = np.exp(-np.outer(np.log(xs), cq.gamma_nodes))
         q = np.exp(np.outer(np.log(xs), cq.gammatilde_nodes - 1.0))
         ref = (p @ c_full @ q.T).real
         k = kernel_matrix(xs, xs, cq)
         assert np.all(np.abs(k - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
+    )
+    def test_factored_powers_match_direct_exp(self, params, x_lo):
+        # x^-u and y^(v-1) factored per panel against one exp per node
+        cq = build_contours(params, (x_lo, 256.0), 1e-12)
+        ln_x = np.log(np.geomspace(x_lo, 256.0, 60))
+        contours = ((cq.gamma_nodes, cq.gamma_panels, -ln_x, 0.0), (cq.gammatilde_nodes, cq.gammatilde_panels, ln_x, 1.0))
+        for z, (mids, offsets), scale, shift in contours:
+            ref = np.exp(np.outer(scale, z[: z.size // 2] - shift))
+            got = kernel._half_powers(scale, (mids - shift, offsets))
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     def test_imaginary_residual_guard(self):
         # near x = 0 with nu_min < 0 the rounding of the second product
@@ -273,11 +295,13 @@ class TestBesselKernel:
 
     def test_near_diagonal_limit_against_mpmath(self):
         # (x, y, nu, absolute tolerance, relative tolerance) against a
-        # 30-digit quotient; near 0 the kernel varies on the scale of x
-        # itself, so pairs closer than 1e-6 in absolute terms still need it
+        # 40-digit quotient; near 0 the kernel varies on the scale of x
+        # itself, so pairs closer than 1e-6 in absolute terms still need it,
+        # and with the nu terms of the numerator cancelled analytically the
+        # quotient keeps its digits there
         cases = [(2.0, 2.0 + 5e-7, nu, 1e-12, 0.0) for nu in (0.0, 0.7, 2.0)]
-        cases += [(1e-7, 3e-7, 0.7, 0.0, 1e-8), (1e-4, 1e-4 + 9e-7, 0.7, 0.0, 1e-8)]
-        mp.mp.dps = 30
+        cases += [(1e-7, 3e-7, 0.7, 0.0, 1e-12), (1e-4, 1e-4 + 9e-7, 0.7, 0.0, 1e-12)]
+        mp.mp.dps = 40
         for x, y, nu, atol, rtol in cases:
             sx, sy = mp.sqrt(mp.mpf(x)), mp.sqrt(mp.mpf(y))
             tjp = lambda t: nu * mp.besselj(nu, t) - t * mp.besselj(nu + 1, t)
