@@ -219,24 +219,21 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     # the benchmark catalogues), and the check below catches any overflow
     gu = wu * np.exp(log_big_f(u, params)) / _TWO_PI_I_SQ
     gv = wv * np.exp(-log_big_f(v, params))
-    # the stored block from A = c_(i, j) and B = c_(i, j + h), each formed as
-    # (g_u g_v) / (v - u) on the upper rows in turn and written in place, so
-    # that at most two complex (Nu/2, h) temporaries are alive at once
-    coeffs = np.empty((u.size, 2, v.size, 2))
-    c = np.multiply.outer(gu, gv)
-    c /= v[None, :] - u[:, None]
-    coeffs[:, 0, :, 0] = c.real
-    np.negative(c.imag, out=coeffs[:, 1, :, 0])
-    coeffs[:, 0, :, 1] = c.imag
-    coeffs[:, 1, :, 1] = c.real
-    c = np.multiply.outer(gu, -np.conj(gv))
-    c /= np.conj(v)[None, :] - u[:, None]
-    coeffs[:, 0, :, 0] += c.real
-    coeffs[:, 1, :, 0] -= c.imag
-    coeffs[:, 0, :, 1] -= c.imag
-    coeffs[:, 1, :, 1] -= c.real
-    del c
-    coeffs = coeffs.reshape(2 * u.size, 2 * v.size)
+    # as complex numbers, row pair (2i, 2i + 1) of the stored block holds
+    # A + conj B and i (A - conj B).  A is formed in place as
+    # (g_u g_v) / (v - u) and conj B as (conj g_u)(-g_v) / (v - conj u), which
+    # equals the conjugate of B's (g_u)(-conj g_v) / (conj v - u) bit for bit;
+    # no complex temporary larger than (Nu/2, h) is alive besides the block
+    coeffs = np.empty((u.size, 2, v.size), dtype=complex)
+    a = coeffs[:, 0]
+    np.multiply.outer(gu, gv, out=a)
+    a /= v[None, :] - u[:, None]
+    conj_b = np.multiply.outer(np.conj(gu), -gv)
+    conj_b /= v[None, :] - np.conj(u)[:, None]
+    np.subtract(a, conj_b, out=coeffs[:, 1])
+    coeffs[:, 1] *= 1j
+    a += conj_b
+    coeffs = coeffs.view(float).reshape(2 * u.size, 2 * v.size)
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
 
