@@ -220,19 +220,17 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     gu = wu * np.exp(log_big_f(u, params)) / _TWO_PI_I_SQ
     gv = wv * np.exp(-log_big_f(v, params))
     # as complex numbers, row pair (2i, 2i + 1) of the stored block holds
-    # A + conj B and i (A - conj B).  A is formed in place as
-    # (g_u g_v) / (v - u) and conj B as (conj g_u)(-g_v) / (v - conj u), which
-    # equals the conjugate of B's (g_u)(-conj g_v) / (conj v - u) bit for bit;
-    # no complex temporary larger than (Nu/2, h) is alive besides the block
+    # A + conj B and i (A - conj B), with A = (g_u g_v) / (v - u) and
+    # conj B = (conj g_u)(-g_v) / (v - conj u), the conjugate of B's
+    # (g_u)(-conj g_v) / (conj v - u) bit for bit; the block is allocated
+    # after its two (Nu/2, h) factors, as the complex rows were
+    a = np.outer(gu, gv) / (v[None, :] - u[:, None])
+    conj_b = np.outer(np.conj(gu), -gv) / (v[None, :] - np.conj(u)[:, None])
     coeffs = np.empty((u.size, 2, v.size), dtype=complex)
-    a = coeffs[:, 0]
-    np.multiply.outer(gu, gv, out=a)
-    a /= v[None, :] - u[:, None]
-    conj_b = np.multiply.outer(np.conj(gu), -gv)
-    conj_b /= v[None, :] - np.conj(u)[:, None]
+    np.add(a, conj_b, out=coeffs[:, 0])
     np.subtract(a, conj_b, out=coeffs[:, 1])
     coeffs[:, 1] *= 1j
-    a += conj_b
+    del a, conj_b
     coeffs = coeffs.view(float).reshape(2 * u.size, 2 * v.size)
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
