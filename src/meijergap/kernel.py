@@ -222,8 +222,9 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     # as complex numbers, row pair (2i, 2i + 1) of the stored block holds
     # A + conj B and i (A - conj B), with A = (g_u g_v) / (v - u) and
     # conj B = (conj g_u)(-g_v) / (v - conj u), the conjugate of B's
-    # (g_u)(-conj g_v) / (conj v - u) bit for bit; the block is allocated
-    # after its two (Nu/2, h) factors, as the complex rows were
+    # (g_u)(-conj g_v) / (conj v - u) bit for bit.  The block is allocated
+    # after its two (Nu/2, h) factors, so that the build's peak memory and
+    # heap layout stay those of one complex (Nu/2, Nv) outer product
     a = np.outer(gu, gv) / (v[None, :] - u[:, None])
     conj_b = np.outer(np.conj(gu), -gv) / (v[None, :] - np.conj(u)[:, None])
     coeffs = np.empty((u.size, 2, v.size), dtype=complex)
