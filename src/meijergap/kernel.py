@@ -34,6 +34,12 @@ _PANEL_POINTS = 20
 _PANEL_LENGTH = 1.5
 _NODE_CAP = 4096
 
+# Residue-series oracle: Gauss-Legendre points of the t-integral, residue
+# clusters per pole family, and trapezoidal points on each residue ring.
+_SERIES_T_POINTS = 80
+_SERIES_TERMS = 48
+_RING_POINTS = 40
+
 # Bound on the residue-series ring-resolution estimate: it reads at most
 # 1.7e-6 on the verify and benchmark families over x, y in [0.05, 2], and
 # at least 2.7e-2 at (0.5, 0.7) for r = 1, nu <= -0.6, where the series is
@@ -85,18 +91,11 @@ def log_big_f(z, params: ProcessParams):
     denominator gammas blow up).
     """
     z = np.asarray(z, dtype=complex)
-    return _log_gamma_ratio([z] + [1.0 + m - z for m in params.mu], [1.0 + v - z for v in params.nu])
-
-
-def _log_gamma_ratio(num, den):
-    """sum ln Gamma(a) over the arrays a in ``num`` minus the same sum over
-    ``den``, added in list order, from one :func:`log_gamma` call on the
-    stacked arguments."""
-    lg = log_gamma(np.stack(num + den))
+    lg = log_gamma(np.stack([z] + [1.0 + m - z for m in params.mu] + [1.0 + v - z for v in params.nu]))
     out = lg[0]
-    for row in lg[1 : len(num)]:
+    for row in lg[1 : 1 + params.q]:
         out = out + row
-    for row in lg[len(num) :]:
+    for row in lg[1 + params.q :]:
         out = out - row
     return out
 
@@ -333,10 +332,10 @@ class MeijerKernel:
 # Residue-series oracle
 # ---------------------------------------------------------------------------
 
-def _cluster_poles(bases, n_terms: int):
-    """Pole positions {b + k : b in bases, 0 <= k < n_terms} grouped into
+def _cluster_poles(bases):
+    """Pole positions {b + k : b in bases, 0 <= k < _SERIES_TERMS} grouped into
     coincidence clusters, plus a safe circle radius for residue extraction."""
-    pts = np.sort(np.concatenate([np.asarray(bases, dtype=float) + k for k in range(n_terms)]))
+    pts = np.sort(np.concatenate([np.asarray(bases, dtype=float) + k for k in range(_SERIES_TERMS)]))
     locs = [pts[0]]
     for p in pts[1:]:
         if abs(p - locs[-1]) >= 1e-9:
@@ -349,7 +348,7 @@ def _cluster_poles(bases, n_terms: int):
     return locs, radius
 
 
-def _sum_residues(locs, radius, ln_num, z, circle_points: int = 40):
+def _sum_residues(locs, radius, ln_num, z):
     """-(sum of residues) of exp(ln_num(t)) * z^t over the listed pole
     clusters, each extracted by trapezoidal integration on a small circle.
     ``z`` may be a vector; returns one value per z, and per z the gap
@@ -360,13 +359,13 @@ def _sum_residues(locs, radius, ln_num, z, circle_points: int = 40):
     ring to resolve.  The leading minus sign matches the orientation of the
     defining loop contour.
     """
-    theta = 2 * math.pi * np.arange(circle_points) / circle_points
+    theta = 2 * math.pi * np.arange(_RING_POINTS) / _RING_POINTS
     ring = radius * np.exp(1j * theta)
     t = (locs[:, None] + ring[None, :]).ravel()
     ln_z = np.log(np.asarray(z, dtype=float))
     vals = np.exp(ln_num(t)[:, None] + np.outer(t, ln_z))  # (n_locs*M, nz)
     vals *= np.tile(ring, locs.size)[:, None]
-    rings = vals.reshape(locs.size, circle_points, -1)
+    rings = vals.reshape(locs.size, _RING_POINTS, -1)
     per_cluster = rings.mean(axis=1)
     totals = -per_cluster.sum(axis=0)
     gap = np.abs(totals + rings[:, ::2].mean(axis=1).sum(axis=0))
@@ -377,40 +376,33 @@ def _sum_residues(locs, radius, ln_num, z, circle_points: int = 40):
     return totals, gap
 
 
-def _g_first(z, params: ProcessParams, n_terms: int):
+def _g_first(z, params: ProcessParams):
     """Series value of the first kernel factor: pole family at 0, 1, 2, ...,
-    integrand Gamma(-t) prod_k Gamma(1+mu_k+t) / prod_j Gamma(1+nu_j+t) z^t."""
-
-    def ln_num(t):
-        return _log_gamma_ratio([-t] + [1.0 + m + t for m in params.mu], [1.0 + v + t for v in params.nu])
-
-    locs, radius = _cluster_poles([0.0], n_terms)
-    return _sum_residues(locs, radius, ln_num, z)
+    integrand Gamma(-t) prod_k Gamma(1+mu_k+t) / prod_j Gamma(1+nu_j+t) z^t,
+    which is F(-t) z^t."""
+    locs, radius = _cluster_poles([0.0])
+    return _sum_residues(locs, radius, lambda t: log_big_f(-t, params), z)
 
 
-def _g_second(z, params: ProcessParams, n_terms: int):
+def _g_second(z, params: ProcessParams):
     """Series value of the second kernel factor: pole families at
     nu_j, nu_j + 1, ..., integrand
-    prod_j Gamma(nu_j - t) / (Gamma(1+t) prod_k Gamma(mu_k - t)) z^t."""
-
-    def ln_num(t):
-        return _log_gamma_ratio([v - t for v in params.nu], [1.0 + t] + [m - t for m in params.mu])
-
-    locs, radius = _cluster_poles(params.nu, n_terms)
-    return _sum_residues(locs, radius, ln_num, z)
+    prod_j Gamma(nu_j - t) / (Gamma(1+t) prod_k Gamma(mu_k - t)) z^t,
+    which is z^t / F(1+t)."""
+    locs, radius = _cluster_poles(params.nu)
+    return _sum_residues(locs, radius, lambda t: -log_big_f(1.0 + t, params), z)
 
 
-def kernel_eval_series(
-    x: float, y: float, params: ProcessParams, n_t: int = 80, n_terms: int = 48
-) -> float:
+def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     """Independent oracle for :func:`kernel_eval`.
 
     Evaluates K(x, y) = int_0^1 G_1(t x) G_2(t y) dt where each factor is the
-    single-contour series of a Meijer G-function, summed over ``n_terms``
-    residue clusters per pole family.  The t-integrand behaves like
-    t^nu_min near 0, so the integral is computed by ``n_t``-point
-    Gauss-Legendre quadrature after the regularizing substitution
-    t = tau^kappa with kappa = max(4, ceil(4 / (1 + nu_min))).
+    single-contour series of a Meijer G-function, summed over _SERIES_TERMS
+    residue clusters per pole family, with both integrands taken from
+    :func:`log_big_f`.  The t-integrand behaves like t^nu_min near 0, so the
+    integral is computed by _SERIES_T_POINTS-point Gauss-Legendre quadrature
+    after the regularizing substitution t = tau^kappa with
+    kappa = max(4, ceil(4 / (1 + nu_min))).
 
     The ring-resolution gaps of the two factors, weighted by the quadrature
     weights and the other factor, bound the error the residue rings add to
@@ -422,11 +414,11 @@ def kernel_eval_series(
     if x <= 0.0 or y <= 0.0:
         raise DomainError("kernel arguments must be positive")
     kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
-    grid = gauss_legendre_grid(1.0, n_t, kappa)
+    grid = gauss_legendre_grid(1.0, _SERIES_T_POINTS, kappa)
     t, dt = grid.nodes, grid.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        g1, gap1 = _g_first(t * x, params, n_terms)
-        g2, gap2 = _g_second(t * y, params, n_terms)
+        g1, gap1 = _g_first(t * x, params)
+        g2, gap2 = _g_second(t * y, params)
         ring_err = float(np.sum(dt * (gap1 * np.abs(g2) + np.abs(g1) * gap2)))
     if not ring_err <= _SERIES_RING_TOL:  # unresolved rings overflow: inf and NaN included
         raise ConvergenceError(

@@ -14,6 +14,7 @@ arrays and is pure; the Bernoulli table below is immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -263,15 +264,10 @@ def hurwitz_zeta_prime(u: float) -> float:
     return math.fsum(parts)
 
 
-_ZETA_PRIME_M1: float | None = None
-
-
+@functools.cache
 def zeta_prime_minus1() -> float:
     """The constant zeta'(-1) = -0.16542114370045..., cached after first use."""
-    global _ZETA_PRIME_M1
-    if _ZETA_PRIME_M1 is None:
-        _ZETA_PRIME_M1 = hurwitz_zeta_prime(1.0)
-    return _ZETA_PRIME_M1
+    return hurwitz_zeta_prime(1.0)
 
 
 _BESSEL_X_MAX = 30.0

@@ -132,11 +132,6 @@ class TestLogConstantKr:
         ref = -2.0 * zeta_prime_minus1() + (16.0 / 96.0) * math.log(3.0) - (4.0 / 24.0) * math.log(4.0)
         assert abs(log_constant_kr(3.0, 0.0) - ref) < 1e-13
 
-    @pytest.mark.parametrize("n,nu", [(1, 0.5), (2, 0.0), (3, 1.0)])
-    def test_equal_parameter_endpoint(self, n, nu):
-        cc = compute_coeffs(ProcessParams(n, 0, (nu,) * n))
-        assert abs(cc.ln_c - log_constant_kr(n, nu)) < 1e-11
-
     def test_real_r_accepted(self):
         # interpolation path is continuous in r
         vals = [log_constant_kr(r, 0.5) for r in (1.0, 1.5, 2.0)]
@@ -150,12 +145,6 @@ class TestLogConstantKr:
 class TestLogConstantMb:
     def test_identity_point(self):
         assert log_constant_mb(1, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("r,alpha", [(2, 0.5), (3, 0.0), (3, 1.2)])
-    def test_relation_to_main_constant(self, r, alpha):
-        nus = tuple(alpha + j / r for j in range(r))
-        cc = compute_coeffs(ProcessParams(r, 0, nus))
-        assert abs(r * cc.c * math.log(r) + log_constant_mb(r, alpha) - cc.ln_c) < 1e-10
 
     def test_domain(self):
         with pytest.raises(DomainError):

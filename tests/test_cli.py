@@ -57,6 +57,13 @@ class TestDetCmd:
 
     def test_zero_nodes_exit_2(self, capsys):
         assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "0", "--s", "1", "--nodes", "0"]) == 2
+        assert "node count m must be at least 2" in capsys.readouterr().err
+
+    def test_zero_s_exit_2(self, capsys):
+        assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "0", "--s", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "s must be positive" in captured.err
 
 
 class TestConverge:
@@ -100,6 +107,13 @@ class TestConverge:
              "--s-max", "4", "--points", "1", "--nodes", "20", "--out", str(out)]
         )
         assert code == 2
+
+    def test_single_node_exit_2(self, tmp_path, capsys):
+        # the later --nodes overrides the 40 of _run
+        code, out = self._run(tmp_path, extra=("--nodes", "1"))
+        assert code == 2
+        assert not out.exists()
+        assert "node count m must be at least 2" in capsys.readouterr().err
 
     def test_bessel_case_f_bounded_and_grid_stable(self, tmp_path):
         # the nu=0 process has an all-zero expansion beyond -s', so the
