@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 # Evaluating the hard-edge Meijer-G kernel two independent ways.
 #
-# Route 1 (production): discretize the two Mellin-Barnes contours once,
-# precompute the separable coefficients, and evaluate K(x, y) as a bilinear
-# form.  Route 2 (oracle): sum the residue series of the two Meijer
-# G-function factors and integrate their product over t in [0, 1].
-# For r=1, q=0 both must also reduce to the classical Bessel kernel.
+# Both routes integrate G1(t x) G2(t y) over t in [0, 1], the integrable
+# form of the kernel, each with its own graded t-rule.  Route 1
+# (production): discretize the two Mellin-Barnes contours once, so that
+# G1 and G2 are contour sums, and precompute their products with the
+# t-powers; a matrix of K(x, y) is then three real matrix products.
+# Route 2 (oracle): sum the residue series of the two Meijer G-function
+# factors.  The routes share no contour, so their agreement checks the
+# G-sums and the t-rules.  For r=1, q=0 both must also reduce to the
+# classical Bessel kernel.
 
 import numpy as np
 

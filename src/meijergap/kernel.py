@@ -10,9 +10,11 @@ with F(z) = Gamma(z) prod_k Gamma(1+mu_k-z) / prod_j Gamma(1+nu_j-z).
 Both contours run upward between the two pole families, gamma bending into
 the left half-plane past the poles of Gamma(z) and gammatilde into the
 right half-plane short of the poles at 1+nu_min, 2+nu_min, ...
-Discretizing both contours once turns every kernel evaluation into a
-bilinear form in precomputed separable coefficients, which is what makes
-the Fredholm matrix fill cheap.
+On the contours Re(v - u) > 0, so 1/(v - u) = int_0^1 t^(v-u-1) dt and the
+kernel is integrable: K(x, y) = int_0^1 G1(t x) G2(t y) dt with single-
+contour sums G1, G2.  Discretizing both contours and the t-integral once
+turns the Fredholm matrix fill into three real matrix products on
+precomputed factors.
 """
 
 from __future__ import annotations
@@ -33,6 +35,28 @@ _TWO_PI_I_SQ = (2j * math.pi) ** 2
 _PANEL_POINTS = 20
 _PANEL_LENGTH = 1.5
 _NODE_CAP = 4096
+
+# Factored fill: Gauss-Legendre points of the t-integral
+# 1/(v - u) = int_0^1 t^(v-u-1) dt and the numerator of its grading
+# exponent kappa = ceil(_T_GRADING / (1 + nu_min)).
+_T_POINTS = 80
+_T_GRADING = 9.0
+
+# Rounding guard of the fill: the largest admitted ratio of an entry's
+# rounding bound E to max(1, |K|).  E / max(1, |K|) peaks at 2.3e-9 over
+# every fill of the benchmark catalogues (NEG, sweep) and at 5e-9 for
+# r = 1 down to nu = -0.88, so the limit has a margin of 20 or more.
+_ROUNDING_LIMIT = 1e-7
+_EPS = float(np.finfo(float).eps)
+
+# Subnormal numbers slow every product they enter.  Stored factors below
+# the smallest normal number are set to 0, and so is a panel-midpoint
+# factor of x^-u, y^(v-1) or a t-power below e^_MIN_EXPONENT: offset
+# factors stay within e^+-60 on the benchmark builds, so the products of
+# the factors that remain are normal, and the terms cut are far below
+# rounding in any kernel value.
+_TINY = float(np.finfo(float).tiny)
+_MIN_EXPONENT = -600.0
 
 # Residue-series oracle: Gauss-Legendre points of the t-integral, residue
 # clusters per pole family, and trapezoidal points on each residue ring.
@@ -102,28 +126,33 @@ def log_big_f(z, params: ProcessParams):
 
 @dataclass(frozen=True)
 class ContourQuadrature:
-    """Discretized contours and precomputed separable kernel coefficients.
+    """Discretized contours and the precomputed factors of the kernel fill.
 
     Each node array holds a contour's upper half followed by that half's
     conjugate, so with h = size/2 node i + h is conj(node i).  With w_i,
     wt_j the quadrature weights of the nodes u_i on gamma and v_j on
-    gammatilde, each carrying the complex direction factor dz, the
-    coefficients c_ij = w_i wt_j F(u_i) / (F(v_j) (v_j - u_i) (2 pi i)^2) give
+    gammatilde, each carrying the complex direction factor dz, put
+    g_u = w_u F(u) / (2 pi i)^2 and g_v = wt_v / F(v).  On the contours
+    Re(v - u) >= span/3 > 0, so 1/(v - u) = int_0^1 t^(v-u-1) dt and
 
-        K(x, y) = Re sum_ij c_ij x^-u_i y^(v_j - 1).
+        K(x, y) = int_0^1 G1(t x) G2(t y) dt,
+        G1(z) = sum_u g_u z^-u,  G2(z) = sum_v g_v z^(v-1).
+
+    The lower halves carry -conj g, so each sum is 2i Im of its upper-half
+    part.  With t_k, W_k the n_t-point t-rule, T_u = g_u t_k^-u and
+    T_v = -4 W_k g_v t_k^(v-1) over the upper halves (shapes (Nu/2, n_t) and
+    (Nv/2, n_t)) give K = Im(P_h T_u) Im(Q_h T_v)^T, where P_h = x^-u and
+    Q_h = y^(v-1) on the upper halves.  ``separable_coeffs`` stores T_u and
+    then T_v as real rows, shape (Nu + Nv, n_t): row 2i is Im T_i and row
+    2i + 1 is Re T_i, so that the interleaved (real, imaginary) view of P_h
+    times the first Nu rows is Im(P_h T_u).
 
     ``gamma_panels`` and ``gammatilde_panels`` factor each upper half by
-    panel: a pair (mids, offsets) with the panel midpoints, shape (n,), and
-    the two offset rows, shape (2, points), so that the upper-half nodes are
-    mids[0] + offsets[0] on the crossing panel followed by
-    mids[p] + offsets[1] on each ray panel p >= 1.
-
-    With h = Nv/2, A = c_(i, j) and B = c_(i, j + h) for the upper rows
-    i < Nu/2 of gamma and j < h (the lower rows are their conjugate mirror,
-    c_(i + Nu/2, j) = conj(c_(i, (j + h) mod Nv))), S = A + B and D = A - B,
-    ``separable_coeffs`` stores the real block [[Re S, Im D], [-Im S, Re D]],
-    shape (Nu, Nv), with its rows and columns interleaved: entry
-    (2i + r, 2j + k) is block entry (r Nu/2 + i, k h + j).
+    panel: a triple (mids, offsets, n_cross) with the panel midpoints, shape
+    (n,), the two offset rows, shape (2, points), and the number of panels
+    that cut the crossing segment, so that the upper-half nodes are
+    mids[p] + offsets[0] on the crossing panels p < n_cross followed by
+    mids[p] + offsets[1] on each ray panel.
     """
 
     gamma_nodes: np.ndarray
@@ -136,21 +165,22 @@ class ContourQuadrature:
     gammatilde_panels: tuple = field(repr=False)
 
 
-def _upper_half(x_cross, angle, params, x_range, tol, invert):
-    """Upper half of one contour, oriented upward: the panel x_cross ->
-    x_cross + i, then the ray at ``angle`` from x_cross + i.
+def _upper_half(x_cross, angle, n_cross, params, x_range, tol, invert):
+    """Upper half of one contour, oriented upward: the segment x_cross ->
+    x_cross + i in n_cross equal panels, then the ray at ``angle`` from
+    x_cross + i.
 
     The ray is cut into panels of length _PANEL_LENGTH and ends at the first
     tip k >= 2 where the integrand magnitude bound over x_range drops below
     tol.  The bound is evaluated on doubling blocks of candidate tips, never
     past the last tip the node budget of the whole contour allows.  Returns
-    the nodes, the weights and the panel factorization (mids, offsets) of
-    :class:`ContourQuadrature`."""
+    the nodes, the weights and the panel factorization (mids, offsets,
+    n_cross) of :class:`ContourQuadrature`."""
     ln_tol = math.log(tol)
     ln_lo, ln_hi = math.log(x_range[0]), math.log(x_range[1])
     start, direction = x_cross + 1j, np.exp(1j * angle)
     # the budget admits panels 1..k_max on the ray and as many on its mirror
-    k_max = _NODE_CAP // (2 * _PANEL_POINTS) - 1
+    k_max = _NODE_CAP // (2 * _PANEL_POINTS) - n_cross
     k_lo, block = 2, 8
     while k_lo <= k_max:
         ks = np.arange(k_lo, min(k_lo + block, k_max + 1))
@@ -169,16 +199,17 @@ def _upper_half(x_cross, angle, params, x_range, tol, invert):
         block *= 2
     else:
         raise ConvergenceError(f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes")
-    ends = np.concatenate(([x_cross], start + direction * (_PANEL_LENGTH * np.arange(n_panels + 1))))
+    crossing = x_cross + 1j * np.arange(n_cross) / n_cross
+    ends = np.concatenate((crossing, start + direction * (_PANEL_LENGTH * np.arange(n_panels + 1))))
     mids = (ends[:-1] + ends[1:]) / 2
-    # Gauss-Legendre on each straight panel: the crossing panel has half
-    # length i/2 and every ray panel direction * _PANEL_LENGTH / 2
+    # Gauss-Legendre on each straight panel: a crossing panel has half
+    # length i/(2 n_cross) and every ray panel direction * _PANEL_LENGTH / 2
     x, w = _legendre_rule(_PANEL_POINTS)
-    halves = np.array([0.5j, direction * (_PANEL_LENGTH / 2)])
+    halves = np.array([0.5j / n_cross, direction * (_PANEL_LENGTH / 2)])
     offsets = np.outer(halves, x)
-    nodes = np.concatenate((mids[0] + offsets[0], (mids[1:, None] + offsets[1]).ravel()))
-    weights = np.concatenate((halves[0] * w, np.tile(halves[1] * w, n_panels)))
-    return nodes, weights, (mids, offsets)
+    nodes = (mids[:, None] + offsets[np.where(np.arange(mids.size) < n_cross, 0, 1)]).ravel()
+    weights = np.concatenate((np.tile(halves[0] * w, n_cross), np.tile(halves[1] * w, n_panels)))
+    return nodes, weights, (mids, offsets, n_cross)
 
 
 def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> ContourQuadrature:
@@ -189,18 +220,23 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     rays at +-pi/3 into the right half-plane.  The integrand factors
     |F(u) x^-u| and |y^(v-1) / F(v)| decay super-exponentially along these
     rays, so fixed-length composite Gauss-Legendre panels are extended until
-    their magnitude bound over ``x_range`` falls below ``tol``.
+    their magnitude bound over ``x_range`` falls below ``tol``.  The
+    segments from the crossings up to height 1 lie span/3 from the nearest
+    pole and from each other (span = 1 + nu_min), so they are cut into
+    ceil(1 / min(1, 2 span/3)) panels: one from span = 1.5 up, and panels
+    no longer than twice that distance below it.
 
     The parameters are real, so F(conj z) = conj F(z) and both contours are
     symmetric about the real axis: each is built, and ln F evaluated, on its
     upper half only.  The lower half maps nodes by conj, and weights and
     F-factors (which carry the upward direction dz) by -conj; it is stored
     after the upper half.  Every upper-half node is a panel midpoint plus
-    one of two offset rows (the crossing panel's or the rays'), and both are
+    one of two offset rows (the crossing panels' or the rays'), and both are
     kept with the nodes so that the fill can factor its powers per panel.
-    The coefficients are stored only for the upper rows of gamma, as the
-    real block of their conjugate-symmetric sums and differences (see
-    :class:`ContourQuadrature`), in the bytes of the complex rows.
+    The t-integral of the factored kernel (see :class:`ContourQuadrature`)
+    is a _T_POINTS-point Gauss-Legendre rule graded as t = tau^kappa with
+    kappa = ceil(_T_GRADING / span): the t-integrand behaves like
+    t^(Re(v - u) - 1) near 0, and Re(v - u) >= span/3.
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi) or not math.isfinite(x_hi):
@@ -210,28 +246,28 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
 
     span = 1.0 + params.nu_min
     x_gamma, x_gammatilde = span / 3.0, 2.0 * span / 3.0
-    u, wu, u_panels = _upper_half(x_gamma, 2 * math.pi / 3, params, (x_lo, x_hi), tol, False)
-    v, wv, v_panels = _upper_half(x_gammatilde, math.pi / 3, params, (x_lo, x_hi), tol, True)
+    n_cross = math.ceil(1.0 / min(1.0, 2.0 * span / 3.0))
+    u, wu, u_panels = _upper_half(x_gamma, 2 * math.pi / 3, n_cross, params, (x_lo, x_hi), tol, False)
+    v, wv, v_panels = _upper_half(x_gammatilde, math.pi / 3, n_cross, params, (x_lo, x_hi), tol, True)
 
     # F(u)/F(v) splits into one exp per node rather than one per pair;
     # Re ln F at the nodes stays far inside exp's range (|Re ln F| < 140 on
     # the benchmark catalogues), and the check below catches any overflow
     gu = wu * np.exp(log_big_f(u, params)) / _TWO_PI_I_SQ
     gv = wv * np.exp(-log_big_f(v, params))
-    # as complex numbers, row pair (2i, 2i + 1) of the stored block holds
-    # A + conj B and i (A - conj B), with A = (g_u g_v) / (v - u) and
-    # conj B = (conj g_u)(-g_v) / (v - conj u), the conjugate of B's
-    # (g_u)(-conj g_v) / (conj v - u) bit for bit.  The block is allocated
-    # after its two (Nu/2, h) factors, so that the build's peak memory and
-    # heap layout stay those of one complex (Nu/2, Nv) outer product
-    a = np.outer(gu, gv) / (v[None, :] - u[:, None])
-    conj_b = np.outer(np.conj(gu), -gv) / (v[None, :] - np.conj(u)[:, None])
-    coeffs = np.empty((u.size, 2, v.size), dtype=complex)
-    np.add(a, conj_b, out=coeffs[:, 0])
-    np.subtract(a, conj_b, out=coeffs[:, 1])
-    coeffs[:, 1] *= 1j
-    del a, conj_b
-    coeffs = coeffs.view(float).reshape(2 * u.size, 2 * v.size)
+    kappa = math.ceil(_T_GRADING / span)
+    try:
+        rule = gauss_legendre_grid(1.0, _T_POINTS, kappa)
+    except DomainError:
+        raise DomainError(f"nu_min = {params.nu_min} is too close to -1: the graded t-rule underflows") from None
+    ln_t = np.log(rule.nodes)
+    mids, offsets, _ = v_panels
+    t_u = _half_powers(-ln_t, u_panels).T * gu[:, None]
+    t_v = _half_powers(ln_t, (mids - 1.0, offsets, n_cross)).T * (-4.0 * gv[:, None] * rule.weights)
+    coeffs = np.empty((2 * (u.size + v.size), _T_POINTS))
+    for rows, t in ((coeffs[: 2 * u.size], t_u), (coeffs[2 * u.size :], t_v)):
+        rows[0::2], rows[1::2] = t.imag, t.real
+    coeffs[np.abs(coeffs) < _TINY] = 0.0
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
 
@@ -261,59 +297,63 @@ def _half_powers(scale, panels) -> np.ndarray:
     contour, factored per panel as exp(scale_i mid) exp(scale_i offset): one
     exp per (argument, panel) and per (argument, offset), then one product
     per node."""
-    mids, offsets = panels
-    e_mid = np.exp(np.outer(scale, mids))
+    mids, offsets, n_cross = panels
+    arg = np.outer(scale, mids)
+    arg.real[arg.real < _MIN_EXPONENT] = -np.inf  # exp gives 0
+    e_mid = np.exp(arg)
     e_off = np.exp(scale[:, None, None] * offsets)
     out = np.empty((scale.size, mids.size, offsets.shape[1]), dtype=complex)
-    np.multiply(e_mid[:, :1, None], e_off[:, None, 0], out=out[:, :1])
-    np.multiply(e_mid[:, 1:, None], e_off[:, None, 1], out=out[:, 1:])
+    np.multiply(e_mid[:, :n_cross, None], e_off[:, None, 0], out=out[:, :n_cross])
+    np.multiply(e_mid[:, n_cross:, None], e_off[:, None, 1], out=out[:, n_cross:])
     return out.reshape(scale.size, -1)
 
 
-def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
-    """K(x_i, y_j) on the grid xs x ys via the separable bilinear form.
+def _pair_norms(re, im) -> np.ndarray:
+    """|re| + |im|: the 1-norm of each complex entry, an upper bound on its
+    magnitude that needs no square root."""
+    return np.abs(re) + np.abs(im)
 
-    The sum is folded over the contours' conjugate symmetry.  Only the upper
-    halves of x^-u and y^(v-1) are exponentiated, each factored over the
-    panels of :class:`ContourQuadrature`, and the lower halves are their
-    conjugates.  The first product over the upper rows of gamma is
-    E1 = P_h A + conj(P_h B), a real bilinear form: [Re E1 | Im E1] is
-    [Re P_h | Im P_h] times the stored real block, one real matrix product
-    on the interleaved (real, imaginary) view of P_h.  P C = [E1, conj E1]
-    then enters the complex second product with y^(v-1).
+
+def _contour_sums(scale, panels, rows):
+    """Im(P T) for the upper-half powers P = exp(scale z) of one contour and
+    its stored rows T, and the magnitude sum |P| |T| in 1-norms, which bounds
+    the terms of the real product that computes it."""
+    p = _half_powers(scale, panels)
+    return p.view(float) @ rows, _pair_norms(p.real, p.imag) @ _pair_norms(rows[0::2], rows[1::2])
+
+
+def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
+    """K(x_i, y_j) on the grid xs x ys via the factored integrable form.
+
+    Only the upper halves of x^-u and y^(v-1) are exponentiated, each
+    factored over the panels of :class:`ContourQuadrature`.  The fill is
+    three real matrix products: G1 = Im(P_h T_u) and G2 = Im(Q_h T_v), each
+    the interleaved (real, imaginary) view of the powers times the stored
+    rows, and K = G1 G2^T.
+
+    Every entry is checked against its rounding bound
+    E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, the magnitude sum of its terms with
+    |.| the 1-norm |Re| + |Im| of each complex entry (|T_v| carries the
+    factor 4 W).  AccuracyError is raised where E exceeds
+    _ROUNDING_LIMIT max(1, |K|): cancellation in the contour sums.
     """
     ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
-    hv = cq.gammatilde_nodes.size // 2
-    # E1 is written straight into the left half of d, viewed as
-    # (real, imaginary) pairs; x^-u is freed before y^(v-1) is formed
-    d = np.empty((ln_x.size, 2 * hv), dtype=complex)
-    np.matmul(_half_powers(-ln_x, cq.gamma_panels).view(float), cq.separable_coeffs, out=d[:, :hv].view(float))
-    np.conj(d[:, :hv], out=d[:, hv:])
-    mids, offsets = cq.gammatilde_panels
-    qy = _half_powers(ln_y, (mids - 1.0, offsets))
-    vals = d @ np.concatenate((qy, np.conj(qy)), axis=1).T
-    # P C and y^(v-1) are exact conjugate mirrors, so the imaginary part is
-    # the rounding error of the second product, not a truncation estimate;
-    # it may scale with the value where the kernel exceeds 1 (x -> 0 with
-    # nu_min < 0) and is an absolute check everywhere else
-    threshold = 100.0 * cq.truncation_bound * np.maximum(1.0, np.abs(vals.real))
-    bad = np.abs(vals.imag) > threshold
-    if np.any(bad):
-        resid = float(np.abs(vals.imag).max())
+    n_u = cq.gamma_nodes.size
+    mids, offsets, n_cross = cq.gammatilde_panels
+    g1, mag_u = _contour_sums(-ln_x, cq.gamma_panels, cq.separable_coeffs[:n_u])
+    g2, mag_v = _contour_sums(ln_y, (mids - 1.0, offsets, n_cross), cq.separable_coeffs[n_u:])
+    vals = g1 @ g2.T
+    ratio = _EPS * (mag_u @ mag_v.T) / np.maximum(1.0, np.abs(vals))
+    if np.any(ratio > _ROUNDING_LIMIT):
         raise AccuracyError(
-            f"imaginary residual {resid:.3e} exceeds 100*tol*max(1, |K|): cancellation in the bilinear sum"
+            f"rounding bound {ratio.max():.3e} of max(1, |K|) exceeds {_ROUNDING_LIMIT:.0e}: cancellation in the contour sums"
         )
-    return vals.real
+    return vals
 
 
 def kernel_eval(x: float, y: float, cq: ContourQuadrature) -> float:
-    """K(x, y) from the precomputed double-contour discretization.
-
-    The imaginary part of the bilinear sum is the rounding error of its
-    second product (the first is folded to an exact conjugate mirror), not
-    a truncation estimate; AccuracyError is raised when it exceeds
-    100*tol*max(1, |K|), i.e. on cancellation in the sum.
-    """
+    """K(x, y) from the precomputed double-contour discretization: the 1x1
+    view of :func:`kernel_matrix`, with its rounding guard."""
     return float(kernel_matrix([x], [y], cq)[0, 0])
 
 

@@ -138,6 +138,8 @@ def check_kr_endpoint() -> CheckResult:
 
 
 def check_bessel_reduction() -> CheckResult:
+    """The contour kernel at r=1, q=0 against the closed-form Bessel matrix,
+    which involves no contour and no t-rule."""
     resid = 0.0
     grid = np.linspace(0.1, 5.0, 5)
     for nu in (0.0, 0.5, 2.0):
@@ -149,6 +151,16 @@ def check_bessel_reduction() -> CheckResult:
 
 
 def check_kernel_oracle() -> CheckResult:
+    """The contour kernel against the residue-series oracle.
+
+    Both routes integrate G1(t x) G2(t y) over t in [0, 1]: the contour fill
+    with its own graded t-rule and the contour sums G1, G2, the oracle with
+    a differently graded t-rule and the residue series of the same factors.
+    The check therefore covers the two G-sums and two t-rules.  It does not
+    cover the Cauchy factor 1/(v - u) of the double contour integral, which
+    neither route forms; the kernel tests check the factored fill against
+    the double sum with that factor.
+    """
     cases = (
         kernel.ProcessParams(2, 0, (0.3, 0.8)),
         kernel.ProcessParams(2, 1, (0.5, 1.2), (0.7,)),

@@ -2,7 +2,6 @@
 double-contour evaluation against the residue-series oracle, mpmath's
 independent Meijer-G evaluator, and the Bessel specialization."""
 
-import dataclasses
 import math
 
 import mpmath as mp
@@ -11,7 +10,7 @@ import pytest
 
 from meijergap import kernel
 from meijergap.errors import AccuracyError, ConvergenceError, DomainError
-from meijergap.fredholm import gauss_legendre_grid
+from meijergap.fredholm import gauss_legendre_grid, log_gap_determinant
 from meijergap.kernel import (
     BesselKernel,
     MeijerKernel,
@@ -28,6 +27,7 @@ from meijergap.kernel import (
 from meijergap.specfun import bessel_j, log_gamma
 
 LEFT = ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61))
+RIGHT = ProcessParams(4, 1, (1.31, 2.15, 2.61, 3.19), (1.87,))
 NEG = ProcessParams(2, 0, (-0.5, 0.7))
 BES = ProcessParams(1, 0, (0.5,))
 GIN2 = ProcessParams(2, 0, (0.0, 1.0))
@@ -96,15 +96,16 @@ class TestBuildContours:
             build_contours(ProcessParams(1, 0, (0.0,)), (0.1, 10.0), 1e-12)
 
     def test_node_cap_boundary(self, monkeypatch):
-        # the cap applies to each contour: 480 + 480 nodes here
+        # the cap applies to each contour: 520 + 520 nodes here, with two
+        # crossing panels (span = 1) and eleven ray panels on each half
         p = ProcessParams(1, 0, (0.0,))
         cq = build_contours(p, (0.1, 10.0), 1e-12)
-        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 480)
-        monkeypatch.setattr(kernel, "_NODE_CAP", 480)
+        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (520, 520)
+        monkeypatch.setattr(kernel, "_NODE_CAP", 520)
         capped = build_contours(p, (0.1, 10.0), 1e-12)
         assert np.array_equal(capped.gamma_nodes, cq.gamma_nodes)
         assert np.array_equal(capped.gammatilde_nodes, cq.gammatilde_nodes)
-        monkeypatch.setattr(kernel, "_NODE_CAP", 479)
+        monkeypatch.setattr(kernel, "_NODE_CAP", 519)
         with pytest.raises(ConvergenceError):
             build_contours(p, (0.1, 10.0), 1e-12)
 
@@ -128,20 +129,30 @@ class TestBuildContours:
         # all on its upper half
         assert calls == {"log_gamma": 6, "log_big_f": 6}
 
-    @pytest.mark.parametrize("params", [LEFT, NEG, BES], ids=["LEFT", "NEG", "BES"])
-    def test_lower_half_mirrors_upper(self, params):
+    @pytest.mark.parametrize(
+        "params, n_cross", [(LEFT, 1), (NEG, 3), (BES, 1), (GIN2, 2)], ids=["LEFT", "NEG", "BES", "GIN2"]
+    )
+    def test_lower_half_mirrors_upper(self, params, n_cross):
         cq = build_contours(params, (0.01, 16.0), 1e-12)
-        for z, (mids, offsets) in ((cq.gamma_nodes, cq.gamma_panels), (cq.gammatilde_nodes, cq.gammatilde_panels)):
+        for z, (mids, offsets, n) in ((cq.gamma_nodes, cq.gamma_panels), (cq.gammatilde_nodes, cq.gammatilde_panels)):
             h = z.size // 2
             assert np.all(z[:h].imag > 0.0)
             assert np.array_equal(z[h:], np.conj(z[:h]))
-            # the upper half is the crossing panel, then the ray panels
+            # the upper half is the crossing panels, then the ray panels
+            assert n == n_cross
             assert offsets.shape == (2, kernel._PANEL_POINTS)
-            assert np.array_equal(z[:h], np.concatenate((mids[0] + offsets[0], (mids[1:, None] + offsets[1]).ravel())))
-        # the real block of the upper rows of gamma takes the bytes of the
-        # complex upper rows
+            crossing, ray = (mids[:n, None] + offsets[0]).ravel(), (mids[n:, None] + offsets[1]).ravel()
+            assert np.array_equal(z[:h], np.concatenate((crossing, ray)))
+            assert np.allclose(z[: n * kernel._PANEL_POINTS].real, z[0].real, rtol=0.0, atol=1e-15)
+        # one (Im T, Re T) row pair per upper-half node, one column per t-node
         assert cq.separable_coeffs.dtype == np.float64
-        assert cq.separable_coeffs.shape == (cq.gamma_nodes.size, cq.gammatilde_nodes.size)
+        assert cq.separable_coeffs.shape == (cq.gamma_nodes.size + cq.gammatilde_nodes.size, kernel._T_POINTS)
+
+    def test_t_rule_underflow_raises(self):
+        # kappa = ceil(9 / (1 + nu_min)) = 91 sends the first t-node below
+        # the smallest double
+        with pytest.raises(DomainError, match="too close to -1"):
+            build_contours(ProcessParams(1, 0, (-0.9,)), (0.1, 1.0), 1e-12)
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -167,24 +178,48 @@ class TestKernelEval:
             kernel_eval(5.0, 1.0, cq)
 
     @pytest.mark.parametrize(
-        "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
+        "params, x_lo, rtol",
+        [(LEFT, 0.01, 1e-14), (RIGHT, 0.01, 1e-14), (NEG, 1e-6, 3e-11), (BES, 0.01, 1e-14), (GIN2, 0.01, 1e-14)],
+        ids=["LEFT", "RIGHT", "NEG", "BES", "GIN2"],
     )
-    def test_fold_matches_unfolded_sum(self, params, x_lo):
-        # Re(P C Q^T) over whole contours: the upper rows [A | B] of C
-        # rebuilt from the stored block of S = A + B and D = A - B, and the
-        # lower rows completed as their conjugate mirror
-        cq = build_contours(params, (x_lo, 16.0), 1e-12)
-        hu, hv = cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2
-        w = cq.separable_coeffs.reshape(hu, 2, hv, 2)
-        s, d = w[:, 0, :, 0] - 1j * w[:, 1, :, 0], w[:, 1, :, 1] + 1j * w[:, 0, :, 1]
-        c_upper = np.hstack(((s + d) / 2, (s - d) / 2))
-        c_full = np.vstack((c_upper, np.conj(np.roll(c_upper, hv, axis=1))))
+    def test_fold_matches_unfolded_sum(self, params, x_lo, rtol):
+        # the folded, factored fill against Re(P C Q^T) over whole contours
+        # with the exact Cauchy factor c_ij = g_i g_j / (v_j - u_i), on the
+        # same nodes; the lower halves carry -conj g.  Measured: 1.2e-15 of
+        # max(1, |K|), and 5.7e-12 for NEG, whose kernel near x = 1e-6 is a
+        # sum of terms up to e^25 times larger
+        x_range, span = (x_lo, 16.0), 1.0 + params.nu_min
+        cq = build_contours(params, x_range, 1e-12)
+        n_cross = cq.gamma_panels[2]
+        halves = []
+        for x_cross, angle, invert in ((span / 3, 2 * math.pi / 3, False), (2 * span / 3, math.pi / 3, True)):
+            z, w, _ = kernel._upper_half(x_cross, angle, n_cross, params, x_range, 1e-12, invert)
+            g = w * np.exp((-1.0 if invert else 1.0) * log_big_f(z, params))
+            halves.append((np.concatenate((z, np.conj(z))), np.concatenate((g, -np.conj(g)))))
+        (u, gu), (v, gv) = halves
+        assert np.array_equal(u, cq.gamma_nodes) and np.array_equal(v, cq.gammatilde_nodes)
+        c = np.outer(gu, gv) / (v[None, :] - u[:, None]) / (2j * math.pi) ** 2
+        ln_x = np.log(np.geomspace(x_lo, 16.0, 40))
+        ref = (np.exp(-np.outer(ln_x, u)) @ c @ np.exp(np.outer(ln_x, v - 1.0)).T).real
+        k = kernel_matrix(np.exp(ln_x), np.exp(ln_x), cq)
+        assert np.all(np.abs(k - ref) <= rtol * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "params, x_lo, rtol",
+        [(LEFT, 0.01, 1e-13), (RIGHT, 0.01, 1e-13), (NEG, 1e-6, 5e-11), (BES, 0.01, 1e-13), (GIN2, 0.01, 1e-13)],
+        ids=["LEFT", "RIGHT", "NEG", "BES", "GIN2"],
+    )
+    def test_t_rule_convergence(self, params, x_lo, rtol, monkeypatch):
+        # the t-rule against one with twice the points and twice the grading
+        # exponent; measured at most 3.8e-14 of max(1, |K|), 6.4e-12 for NEG
         xs = np.geomspace(x_lo, 16.0, 40)
-        p = np.exp(-np.outer(np.log(xs), cq.gamma_nodes))
-        q = np.exp(np.outer(np.log(xs), cq.gammatilde_nodes - 1.0))
-        ref = (p @ c_full @ q.T).real
-        k = kernel_matrix(xs, xs, cq)
-        assert np.all(np.abs(k - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        k = kernel_matrix(xs, xs, build_contours(params, (x_lo, 16.0), 1e-12))
+        monkeypatch.setattr(kernel, "_T_POINTS", 2 * kernel._T_POINTS)
+        monkeypatch.setattr(kernel, "_T_GRADING", 2 * kernel._T_GRADING)
+        fine = build_contours(params, (x_lo, 16.0), 1e-12)
+        assert fine.separable_coeffs.shape[1] == 160
+        k_fine = kernel_matrix(xs, xs, fine)
+        assert np.all(np.abs(k - k_fine) <= rtol * np.maximum(1.0, np.abs(k_fine)))
 
     @pytest.mark.parametrize(
         "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
@@ -194,20 +229,30 @@ class TestKernelEval:
         cq = build_contours(params, (x_lo, 256.0), 1e-12)
         ln_x = np.log(np.geomspace(x_lo, 256.0, 60))
         contours = ((cq.gamma_nodes, cq.gamma_panels, -ln_x, 0.0), (cq.gammatilde_nodes, cq.gammatilde_panels, ln_x, 1.0))
-        for z, (mids, offsets), scale, shift in contours:
+        for z, (mids, offsets, n_cross), scale, shift in contours:
             ref = np.exp(np.outer(scale, z[: z.size // 2] - shift))
-            got = kernel._half_powers(scale, (mids - shift, offsets))
+            got = kernel._half_powers(scale, (mids - shift, offsets, n_cross))
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
-    def test_imaginary_residual_guard(self):
-        # near x = 0 with nu_min < 0 the rounding of the second product
-        # (about 6e-14 here) is far above a threshold of 1e-18 |K|
+    def test_rounding_guard(self, monkeypatch):
+        # near x = 0 with nu_min < 0 the contour sums cancel: the rounding
+        # bound reads 1.1e-13 of max(1, |K|) here, above a limit of 1e-14
+        # and far below the shipped one
         cq = build_contours(NEG, (1e-6, 16.0), 1e-12)
         xs = np.geomspace(1e-6, 1e-3, 8)
         kernel_matrix(xs, xs, cq)
-        strict = dataclasses.replace(cq, truncation_bound=1e-20)
-        with pytest.raises(AccuracyError, match="imaginary residual"):
-            kernel_matrix(xs, xs, strict)
+        monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e-14)
+        with pytest.raises(AccuracyError, match="rounding bound"):
+            kernel_matrix(xs, xs, cq)
+
+    def test_neg_crossing_determinants(self):
+        # ln det(1 - K|[0,s]) for NEG, settled to 13 digits on contours with
+        # crossing and first-ray panels of length 1/4 or less; one crossing
+        # panel of length 1 left the library 6.5e-6 and 2.0e-5 off
+        for s, ref in ((1.0, -1.8651766711303), (4.0, -4.4845830616002)):
+            grid = gauss_legendre_grid(s, 100, kappa=4)
+            handle = MeijerKernel(NEG, (0.999 * grid.nodes[0], s))
+            assert abs(log_gap_determinant(s, grid, handle) - ref) < 1e-11
 
 
 class TestKernelSeries:
