@@ -165,41 +165,14 @@ class ContourQuadrature:
     gammatilde_panels: tuple = field(repr=False)
 
 
-def _upper_half(x_cross, angle, n_cross, params, x_range, tol, invert):
-    """Upper half of one contour, oriented upward: the segment x_cross ->
-    x_cross + i in n_cross equal panels, then the ray at ``angle`` from
-    x_cross + i.
-
-    The ray is cut into panels of length _PANEL_LENGTH and ends at the first
-    tip k >= 2 where the integrand magnitude bound over x_range drops below
-    tol.  The bound is evaluated on doubling blocks of candidate tips, never
-    past the last tip the node budget of the whole contour allows.  Returns
-    the nodes, the weights and the panel factorization (mids, offsets,
-    n_cross) of :class:`ContourQuadrature`."""
-    ln_tol = math.log(tol)
-    ln_lo, ln_hi = math.log(x_range[0]), math.log(x_range[1])
-    start, direction = x_cross + 1j, np.exp(1j * angle)
-    # the budget admits panels 1..k_max on the ray and as many on its mirror
-    k_max = _NODE_CAP // (2 * _PANEL_POINTS) - n_cross
-    k_lo, block = 2, 8
-    while k_lo <= k_max:
-        ks = np.arange(k_lo, min(k_lo + block, k_max + 1))
-        tips = start + direction * (_PANEL_LENGTH * ks)
-        ln_f = log_big_f(tips, params).real
-        re = tips.real
-        if invert:
-            ln_bound = -ln_f + np.maximum((re - 1.0) * ln_lo, (re - 1.0) * ln_hi)
-        else:
-            ln_bound = ln_f + np.maximum(-re * ln_lo, -re * ln_hi)
-        below = np.flatnonzero(ln_bound < ln_tol)
-        if below.size:
-            n_panels = int(ks[below[0]])
-            break
-        k_lo += block
-        block *= 2
-    else:
-        raise ConvergenceError(f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes")
-    crossing = x_cross + 1j * np.arange(n_cross) / n_cross
+def _upper_half(start, direction, n_cross, n_panels):
+    """Upper half of one contour, oriented upward: the segment from the real
+    axis up to ``start`` = x_cross + i in n_cross equal panels, then
+    n_panels panels of length _PANEL_LENGTH on the ray from ``start`` along
+    the unit ``direction``.  Geometry only: returns the nodes, the weights
+    and the panel factorization (mids, offsets, n_cross) of
+    :class:`ContourQuadrature`."""
+    crossing = start.real + 1j * np.arange(n_cross) / n_cross
     ends = np.concatenate((crossing, start + direction * (_PANEL_LENGTH * np.arange(n_panels + 1))))
     mids = (ends[:-1] + ends[1:]) / 2
     # Gauss-Legendre on each straight panel: a crossing panel has half
@@ -217,14 +190,22 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
 
     gamma crosses the real axis at (1+nu_min)/3 with rays into the left
     half-plane at angles +-2 pi/3; gammatilde crosses at 2(1+nu_min)/3 with
-    rays at +-pi/3 into the right half-plane.  The integrand factors
-    |F(u) x^-u| and |y^(v-1) / F(v)| decay super-exponentially along these
-    rays, so fixed-length composite Gauss-Legendre panels are extended until
-    their magnitude bound over ``x_range`` falls below ``tol``.  The
-    segments from the crossings up to height 1 lie span/3 from the nearest
-    pole and from each other (span = 1 + nu_min), so they are cut into
-    ceil(1 / min(1, 2 span/3)) panels: one from span = 1.5 up, and panels
-    no longer than twice that distance below it.
+    rays at +-pi/3 into the right half-plane.  The segments from the
+    crossings up to height 1 lie span/3 from the nearest pole and from each
+    other (span = 1 + nu_min), so they are cut into ceil(1 / min(1, 2 span/3))
+    panels: one from span = 1.5 up, and panels no longer than twice that
+    distance below it.  The rays are cut into panels of length _PANEL_LENGTH.
+
+    The build has two fixed phases, with one :func:`log_big_f` call each:
+
+    * Truncation.  The integrand factors |F(u) x^-u| and |y^(v-1) / F(v)|
+      decay super-exponentially along the rays.  Each ray ends at its first
+      tip k >= 2 where the factor's largest value over ``x_range`` is below
+      ``tol``, searched up to the tip k_max = _NODE_CAP // (2 _PANEL_POINTS)
+      - n_cross that the node budget admits (the ray's panels and as many on
+      its mirror); every candidate tip of both rays is evaluated at once.
+      If a ray has no such tip, ConvergenceError is raised.
+    * Nodes.  ln F at the nodes of both contours, in one call.
 
     The parameters are real, so F(conj z) = conj F(z) and both contours are
     symmetric about the real axis: each is built, and ln F evaluated, on its
@@ -247,14 +228,30 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     span = 1.0 + params.nu_min
     x_gamma, x_gammatilde = span / 3.0, 2.0 * span / 3.0
     n_cross = math.ceil(1.0 / min(1.0, 2.0 * span / 3.0))
-    u, wu, u_panels = _upper_half(x_gamma, 2 * math.pi / 3, n_cross, params, (x_lo, x_hi), tol, False)
-    v, wv, v_panels = _upper_half(x_gammatilde, math.pi / 3, n_cross, params, (x_lo, x_hi), tol, True)
+    starts = (x_gamma + 1j, x_gammatilde + 1j)
+    directions = (np.exp(1j * (2 * math.pi / 3)), np.exp(1j * (math.pi / 3)))
+
+    # truncation: the tips k = 2..k_max of both rays, then each ray's first
+    # tip where ln |F(u) x^-u| (gamma) or ln |y^(v-1) / F(v)| (gammatilde),
+    # at its largest over x_range, is below ln tol
+    k = np.arange(2, _NODE_CAP // (2 * _PANEL_POINTS) - n_cross + 1)
+    tips = np.array([start + direction * (_PANEL_LENGTH * k) for start, direction in zip(starts, directions)])
+    power = np.stack((-tips[0].real, tips[1].real - 1.0))
+    ln_tip = np.array([[1.0], [-1.0]]) * log_big_f(tips, params).real
+    below = ln_tip + np.maximum(power * math.log(x_lo), power * math.log(x_hi)) < math.log(tol)
+    if not np.all(below.any(axis=1)):
+        raise ConvergenceError(f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes")
+    (u, wu, u_panels), (v, wv, v_panels) = (
+        _upper_half(start, direction, n_cross, n_panels)
+        for start, direction, n_panels in zip(starts, directions, k[below.argmax(axis=1)])
+    )
 
     # F(u)/F(v) splits into one exp per node rather than one per pair;
     # Re ln F at the nodes stays far inside exp's range (|Re ln F| < 140 on
     # the benchmark catalogues), and the check below catches any overflow
-    gu = wu * np.exp(log_big_f(u, params)) / _TWO_PI_I_SQ
-    gv = wv * np.exp(-log_big_f(v, params))
+    ln_f = log_big_f(np.concatenate((u, v)), params)
+    gu = wu * np.exp(ln_f[: u.size]) / _TWO_PI_I_SQ
+    gv = wv * np.exp(-ln_f[u.size :])
     kappa = math.ceil(_T_GRADING / span)
     try:
         rule = gauss_legendre_grid(1.0, _T_POINTS, kappa)

@@ -2,7 +2,9 @@
 
 Each demo runs in a fresh interpreter inside a temporary directory, so any
 plot it saves lands there; the subprocess imports the same meijergap
-sources as the test suite.
+sources as the test suite.  RuntimeWarnings are errors there, so a numpy
+overflow or invalid-value warning fails the demo; other warnings (from an
+optional plotting library, say) do not.
 """
 
 import os
@@ -22,7 +24,7 @@ SRC = str(Path(meijergap.__file__).resolve().parent.parent)
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,

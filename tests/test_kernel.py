@@ -110,8 +110,8 @@ class TestBuildContours:
             build_contours(p, (0.1, 10.0), 1e-12)
 
     def test_tip_evaluations_are_batched(self, monkeypatch):
-        # one log_big_f per block of candidate tips, not one per panel, and
-        # one log_gamma call per log_big_f, not one per gamma factor
+        # one log_big_f for every candidate tip of both rays and one for the
+        # nodes of both contours, each one log_gamma call, not one per factor
         calls = {"log_gamma": 0, "log_big_f": 0}
 
         def counting(name, fn):
@@ -125,9 +125,29 @@ class TestBuildContours:
         monkeypatch.setattr(kernel, "log_big_f", counting("log_big_f", log_big_f))
         cq = build_contours(LEFT, (0.01, 16.0), 1e-12)
         assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 560)
-        # per contour, two doubling blocks of tips and one call at the nodes,
-        # all on its upper half
-        assert calls == {"log_gamma": 6, "log_big_f": 6}
+        assert calls == {"log_gamma": 2, "log_big_f": 2}
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12])
+    @pytest.mark.parametrize("x_range", [(1e-6, 256.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("params", [LEFT, NEG, ProcessParams(1, 0, (4.0,))], ids=["LEFT", "NEG", "NU4"])
+    def test_tip_is_first_below_tol(self, params, x_range, tol):
+        # each ray ends at its first tip k >= 2 where ln |F(u) x^-u| on gamma,
+        # or ln |y^(v-1) / F(v)| on gammatilde, at its largest over x_range,
+        # is below ln tol; checked tip by tip with scalar log_big_f calls.  For
+        # NU4 the k = 2 tip of gamma has Re u = 1/6 > 0, so there the x_lo
+        # side of the bound is the larger one, and at tol = 1e-3 it decides
+        # that the ray goes on to k = 3
+        cq = build_contours(params, x_range, tol)
+        span = 1.0 + params.nu_min
+        rays = ((cq.gamma_panels, span / 3, 2 * math.pi / 3, 1.0), (cq.gammatilde_panels, 2 * span / 3, math.pi / 3, -1.0))
+        for (mids, _, n_cross), x_cross, angle, sign in rays:
+            for k in range(2, 200):
+                tip = x_cross + 1j + kernel._PANEL_LENGTH * k * complex(math.cos(angle), math.sin(angle))
+                power = -tip.real if sign > 0 else tip.real - 1.0
+                ln_bound = sign * log_big_f(tip, params).real + max(power * math.log(x) for x in x_range)
+                if ln_bound < math.log(tol):
+                    break
+            assert mids.size - n_cross == k
 
     @pytest.mark.parametrize(
         "params, n_cross", [(LEFT, 1), (NEG, 3), (BES, 1), (GIN2, 2)], ids=["LEFT", "NEG", "BES", "GIN2"]
@@ -190,11 +210,11 @@ class TestKernelEval:
         # sum of terms up to e^25 times larger
         x_range, span = (x_lo, 16.0), 1.0 + params.nu_min
         cq = build_contours(params, x_range, 1e-12)
-        n_cross = cq.gamma_panels[2]
         halves = []
-        for x_cross, angle, invert in ((span / 3, 2 * math.pi / 3, False), (2 * span / 3, math.pi / 3, True)):
-            z, w, _ = kernel._upper_half(x_cross, angle, n_cross, params, x_range, 1e-12, invert)
-            g = w * np.exp((-1.0 if invert else 1.0) * log_big_f(z, params))
+        contours = ((cq.gamma_panels, span / 3, 2 * math.pi / 3, 1.0), (cq.gammatilde_panels, 2 * span / 3, math.pi / 3, -1.0))
+        for (mids, _, n_cross), x_cross, angle, sign in contours:
+            z, w, _ = kernel._upper_half(x_cross + 1j, np.exp(1j * angle), n_cross, mids.size - n_cross)
+            g = w * np.exp(sign * log_big_f(z, params))
             halves.append((np.concatenate((z, np.conj(z))), np.concatenate((g, -np.conj(g)))))
         (u, gu), (v, gv) = halves
         assert np.array_equal(u, cq.gamma_nodes) and np.array_equal(v, cq.gammatilde_nodes)
