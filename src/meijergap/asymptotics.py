@@ -45,8 +45,7 @@ def compute_coeffs(params: ProcessParams) -> AsymptoticCoeffs:
         c   = (n-1)/(12(n+1)) - S2/(2(n+1)),
 
     and ln C is assembled from the Barnes-G/2pi prefactor, the zeta'(-1)
-    term, and the ln(n) and ln(1+n) blocks.  The ln(n) block is skipped
-    when ln(n) = 0 (n = 1), so no 0*inf products can arise.
+    term, and the ln(n) and ln(1+n) blocks.
     """
     nu, mu = params.nu, params.mu
     n = params.r - params.q
@@ -67,17 +66,15 @@ def compute_coeffs(params: ProcessParams) -> AsymptoticCoeffs:
     ln_c += _LN_2PI / 2.0 * (s_mu1 - s_nu1)
     ln_c += (1 - n) * zeta_prime_minus1()
 
-    ln_n = math.log(n)
-    if ln_n != 0.0:
-        coef = (
-            (1.0 + n - n * n) / (2.0 * (1 + n)) * (s_nu2 - s_mu2)
-            + (-2.0 + n * n * (n - 1)) / (24.0 * (1 + n))
-            + p_nu
-            + p_mu
-            - s_nu1 * s_mu1
-            + s_mu2
-        )
-        ln_c += coef * ln_n
+    coef = (
+        (1.0 + n - n * n) / (2.0 * (1 + n)) * (s_nu2 - s_mu2)
+        + (-2.0 + n * n * (n - 1)) / (24.0 * (1 + n))
+        + p_nu
+        + p_mu
+        - s_nu1 * s_mu1
+        + s_mu2
+    )
+    ln_c += coef * math.log(n)
     coef = (
         -(2.0 - n) / 2.0 * (s_nu2 - s_mu2)
         - (n - 1.0) ** 2 / 24.0

@@ -8,7 +8,8 @@ Subcommands:
   verify    built-in consistency checks (fast/full)
 
 Flags override config-file values, which override defaults.  The config file
-is a flat ``key = value`` text format whose keys mirror the long flag names.
+is a flat ``key = value`` text format whose keys mirror the long flag names;
+its entries are parsed as ``--key=value`` flags placed before the typed ones.
 Data goes to stdout or the ``--out`` file; progress and warnings go to
 stderr, keeping the CSV machine-consumable.  Exit codes: 0 success,
 1 verification failure, 2 usage or invariant error, 3 converge run with
@@ -32,6 +33,7 @@ from .kernel import MeijerKernel, ProcessParams, build_contours, kernel_eval
 from .verify import run_checks
 
 _FMT = "{:.15g}"
+_TOL = 1e-12  # contour truncation tolerance: kernel's and det's --tol default, converge's fixed value
 
 
 def _fmt(x: float) -> str:
@@ -59,64 +61,65 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
-    """Apply config-file values for every flag the command line left unset.
+def _add_config_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="flat key = value config file; flags take precedence")
 
-    A key is the long flag name of some subcommand of ``parser``; the
-    current subcommand's own action for that flag converts the value and
-    checks its choices, exactly as on the command line.  Keys of other
-    subcommands' flags are ignored.
+
+def _config_argv(parser: argparse.ArgumentParser, argv: list) -> list:
+    """``argv`` with the ``--config`` file's entries inserted right after the
+    subcommand, each as one ``--key=value`` token.
+
+    argparse then converts, choice-checks and requires config values exactly
+    as it does flags, and a flag on the command line, coming later, wins.
+    The ``=`` form keeps a value that begins with ``-`` in one piece.  A key
+    is the long flag name of some subcommand of ``parser``; keys of other
+    subcommands' flags are dropped.
     """
-    if getattr(args, "config", None) is None:
-        return args
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is left for ``parser`` to report
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
     commands = next(a.choices for a in parser._actions if a.dest == "command")
-    own = {}
-    known = set()
-    for name, sub in commands.items():
-        for action in sub._actions:
-            for flag in action.option_strings:
-                if flag.startswith("--") and flag not in ("--help", "--config"):
-                    known.add(flag[2:])
-                    if name == args.command:
-                        own[flag[2:]] = action
-    for key, raw in _read_config(args.config).items():
-        if key not in known:
+    keys = {
+        name: {f[2:] for f in sub._option_string_actions if f[:2] == "--"} - {"help", "config"}
+        for name, sub in commands.items()
+    }
+    own = keys.get(argv[0], set())
+    entries = []
+    for key, value in _read_config(path).items():
+        if not any(key in k for k in keys.values()):
             raise ValueError(f"unknown config key {key!r}")
-        action = own.get(key)
-        if action is None or getattr(args, action.dest) is not None:
-            continue
-        value = action.type(raw) if action.type else raw
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise ValueError(f"config value {key} = {raw!r} is not one of {choices}")
-        setattr(args, action.dest, value)
-    return args
-
-
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise ValueError(f"missing required option --{name}")
+        if key in own:
+            entries.append(f"--{key}={value}")
+    return [argv[0], *entries, *argv[1:]]
 
 
 def _params_from(args) -> ProcessParams:
-    _require(args, ["r", "q", "nu"])
-    return ProcessParams(args.r, args.q, args.nu, args.mu if args.mu is not None else ())
+    return ProcessParams(args.r, args.q, args.nu, args.mu)
 
 
 def _add_param_flags(sub):
-    sub.add_argument("--r", type=int, default=None, help="number of nu parameters")
-    sub.add_argument("--q", type=int, default=None, help="number of mu parameters")
-    sub.add_argument("--nu", type=_parse_float_list, default=None, help="comma-separated nu values")
-    sub.add_argument("--mu", type=_parse_float_list, default=None, help="comma-separated mu values")
-    sub.add_argument("--config", default=None, help="flat key=value config file; flags take precedence")
+    list_help = "comma-separated {0} values; give a list that begins with '-' as --{0}=-0.5,0.7"
+    sub.add_argument("--r", type=int, required=True, help="number of nu parameters")
+    sub.add_argument("--q", type=int, required=True, help="number of mu parameters")
+    sub.add_argument("--nu", type=_parse_float_list, required=True, help=list_help.format("nu"))
+    sub.add_argument("--mu", type=_parse_float_list, default=(), help=list_help.format("mu"))
+    _add_config_flag(sub)
+
+
+def _add_tol_flag(sub):
+    sub.add_argument("--tol", type=float, default=_TOL, help="contour truncation tolerance (default %(default)s)")
+
+
+def _add_format_flag(sub):
+    sub.add_argument("--format", choices=("json", "text"), default="text", help="output format (default %(default)s)")
 
 
 def cmd_coeffs(args) -> int:
     params = _params_from(args)
     cc = compute_coeffs(params)
-    fmt = args.format or "text"
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "r": params.r,
             "q": params.q,
@@ -137,7 +140,7 @@ def cmd_coeffs(args) -> int:
 
 
 def _emit_scalar(args, name: str, value: float) -> None:
-    if (args.format or "text") == "json":
+    if args.format == "json":
         print(json.dumps({name: value}))
     else:
         print(_fmt(value))
@@ -145,12 +148,10 @@ def _emit_scalar(args, name: str, value: float) -> None:
 
 def cmd_kernel(args) -> int:
     params = _params_from(args)
-    _require(args, ["x", "y"])
-    x, y = float(args.x), float(args.y)
+    x, y = args.x, args.y
     if x <= 0 or y <= 0:
         raise ValueError("x and y must be positive")
-    tol = args.tol if args.tol is not None else 1e-12
-    cq = build_contours(params, (0.9 * min(x, y), 1.1 * max(x, y)), tol)
+    cq = build_contours(params, (0.9 * min(x, y), 1.1 * max(x, y)), args.tol)
     _emit_scalar(args, "K", kernel_eval(x, y, cq))
     return 0
 
@@ -167,29 +168,22 @@ def _grid_and_handle(params: ProcessParams, s_lo: float, s_hi: float, m: int, to
 
 def cmd_det(args) -> int:
     params = _params_from(args)
-    _require(args, ["s"])
-    s = float(args.s)
-    m = args.nodes if args.nodes is not None else 80
-    tol = args.tol if args.tol is not None else 1e-12
-    _, grid, handle = _grid_and_handle(params, s, s, int(m), tol)
-    _emit_scalar(args, "det", math.exp(log_gap_determinant(s, grid, handle)))
+    _, grid, handle = _grid_and_handle(params, args.s, args.s, args.nodes, args.tol)
+    _emit_scalar(args, "det", math.exp(log_gap_determinant(args.s, grid, handle)))
     return 0
 
 
 def cmd_converge(args) -> int:
     params = _params_from(args)
-    _require(args, ["s-min", "s-max", "out"])
-    s_min, s_max = float(args.s_min), float(args.s_max)
-    n_points = args.points if args.points is not None else 9
-    m = args.nodes if args.nodes is not None else 100
-    if not 0 < s_min < s_max:
-        raise ValueError("requires 0 < s-min < s-max")
-    if n_points < 2:
+    s_min, s_max, m = args.s_min, args.s_max, args.nodes
+    if not 0 < s_min < s_max < math.inf:
+        raise ValueError("requires 0 < s-min < s-max < inf")
+    if args.points < 2:
         raise ValueError("requires points >= 2")
 
     cc = compute_coeffs(params)
-    svals = np.geomspace(s_min, s_max, int(n_points))
-    kappa, _, handle = _grid_and_handle(params, s_min, s_max, int(m), 1e-12)
+    svals = np.geomspace(s_min, s_max, args.points)
+    kappa, _, handle = _grid_and_handle(params, s_min, s_max, m, _TOL)
 
     rows = []
     n_ok = 0
@@ -197,7 +191,7 @@ def cmd_converge(args) -> int:
         s = float(s)
         asym = truncated_log_expansion(s, cc)
         try:
-            grid = gauss_legendre_grid(s, int(m), kappa=kappa)
+            grid = gauss_legendre_grid(s, m, kappa=kappa)
             log_det = log_gap_determinant(s, grid, handle)
         except MeijerGapError as exc:
             print(f"warning: s={_fmt(s)}: {exc}", file=sys.stderr)
@@ -216,8 +210,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    level = args.level or "fast"
-    results = run_checks(level)
+    results = run_checks(args.level)
     for res in results:
         print(res.line())
     failures = [r for r in results if not r.passed]
@@ -238,37 +231,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("coeffs", help="expansion coefficients for given parameters")
     _add_param_flags(p)
-    p.add_argument("--format", choices=("json", "text"), default=None)
+    _add_format_flag(p)
     p.set_defaults(func=cmd_coeffs)
 
     p = subs.add_parser("kernel", help="evaluate K(x, y)")
     _add_param_flags(p)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None, help="contour truncation tolerance")
-    p.add_argument("--format", choices=("json", "text"), default=None)
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--y", type=float, required=True)
+    _add_tol_flag(p)
+    _add_format_flag(p)
     p.set_defaults(func=cmd_kernel)
 
     p = subs.add_parser("det", help="gap determinant det(1 - K|[0,s])")
     _add_param_flags(p)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=None, help="Nystrom node count (default 80)")
-    p.add_argument("--tol", type=float, default=None, help="contour truncation tolerance")
-    p.add_argument("--format", choices=("json", "text"), default=None)
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--nodes", type=int, default=80, help="Nystrom node count (default %(default)s)")
+    _add_tol_flag(p)
+    _add_format_flag(p)
     p.set_defaults(func=cmd_det)
 
     p = subs.add_parser("converge", help="compensated-convergence experiment (CSV)")
     _add_param_flags(p)
-    p.add_argument("--s-min", dest="s_min", type=float, default=None)
-    p.add_argument("--s-max", dest="s_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None, help="number of geometric s values (default 9)")
-    p.add_argument("--nodes", type=int, default=None, help="Nystrom node count (default 100)")
-    p.add_argument("--out", default=None, help="output CSV path")
+    p.add_argument("--s-min", type=float, required=True)
+    p.add_argument("--s-max", type=float, required=True)
+    p.add_argument("--points", type=int, default=9, help="number of geometric s values (default %(default)s)")
+    p.add_argument("--nodes", type=int, default=100, help="Nystrom node count (default %(default)s)")
+    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_converge)
 
     p = subs.add_parser("verify", help="run the consistency-check suites")
-    p.add_argument("--level", choices=("fast", "full"), default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--level", choices=("fast", "full"), default="fast", help="check suite (default %(default)s)")
+    _add_config_flag(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -276,14 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _merge_config(parser, args)
-        code = args.func(args)
+        args = parser.parse_args(_config_argv(parser, argv))
+        return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors, --help and --version
+        return exc.code
     except (MeijerGapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

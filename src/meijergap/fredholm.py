@@ -61,8 +61,8 @@ def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
     density has an integrable x^nu_min singularity there (nu_min in (-1,0)).
     """
     s = float(s)
-    if s <= 0.0:
-        raise DomainError("s must be positive")
+    if not 0.0 < s < math.inf:  # NaN fails too
+        raise DomainError("s must be positive and finite")
     m = int(m)
     if m < 2:
         raise DomainError("node count m must be at least 2")

@@ -1,14 +1,25 @@
-"""CLI tests, run in-process through meijergap.cli.main."""
+"""CLI tests, run in-process through meijergap.cli.main (and once through a
+fresh interpreter, for the ``argv=None`` path)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import meijergap
 from meijergap import cli
+from meijergap.asymptotics import compute_coeffs
 from meijergap.errors import SingularityError
-from meijergap.kernel import bessel_kernel
+from meijergap.kernel import ProcessParams, bessel_kernel
 
 LEFT_FLAGS = ["--r", "3", "--q", "2", "--nu", "1.31,2.15,3.19", "--mu", "1.87,2.61"]
+BESSEL_FLAGS = ["--r", "1", "--q", "0", "--nu", "0"]
+NEG_LN_C = compute_coeffs(ProcessParams(2, 0, (-0.5, 0.7))).ln_c
 
 
 class TestCoeffs:
@@ -32,7 +43,14 @@ class TestCoeffs:
 
     def test_missing_params_exit_2(self, capsys):
         assert cli.main(["coeffs", "--r", "2"]) == 2
-        assert "missing required option" in capsys.readouterr().err
+        assert "required: --q, --nu" in capsys.readouterr().err
+
+    def test_negative_list_in_equals_form(self, capsys):
+        # "--nu -0.5,0.7" reads -0.5,0.7 as an option; the = form keeps it a value
+        assert cli.main(["coeffs", "--r", "2", "--q", "0", "--nu=-0.5,0.7", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["nu"] == [-0.5, 0.7]
+        assert payload["lnC"] == NEG_LN_C
 
 
 class TestKernelCmd:
@@ -64,6 +82,11 @@ class TestDetCmd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "s must be positive" in captured.err
+
+    @pytest.mark.parametrize("s", ["inf", "1e400"])
+    def test_infinite_s_exit_2(self, s, capsys):
+        assert cli.main(["det", *BESSEL_FLAGS, "--s", s]) == 2
+        assert "s must be positive and finite" in capsys.readouterr().err
 
 
 class TestConverge:
@@ -115,6 +138,12 @@ class TestConverge:
         assert not out.exists()
         assert "node count m must be at least 2" in capsys.readouterr().err
 
+    def test_infinite_s_max_exit_2(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, extra=("--s-max", "inf"))
+        assert code == 2
+        assert not out.exists()
+        assert "requires 0 < s-min < s-max < inf" in capsys.readouterr().err
+
     def test_bessel_case_f_bounded_and_grid_stable(self, tmp_path):
         # the nu=0 process has an all-zero expansion beyond -s', so the
         # compensated column must stay bounded and be insensitive to the
@@ -164,7 +193,47 @@ class TestConfig:
         cfg = tmp_path / "xml.cfg"
         cfg.write_text("format = xml\n")
         assert cli.main(["det", "--config", str(cfg), "--r", "1", "--q", "0", "--nu", "0", "--s", "1"]) == 2
-        assert "format" in capsys.readouterr().err
+        assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_negative_list_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("r = 2\nq = 0\nnu = -0.5,0.7\nformat = json\n")
+        assert cli.main(["coeffs", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["lnC"] == NEG_LN_C
+
+    def test_shared_file_and_flag_override(self, tmp_path, capsys):
+        # one file serves coeffs and det: keys of other subcommands are dropped
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("r = 1\nq = 0\nnu = 0\ns = 4\nnodes = 60\ns-min = 1\nout = x.csv\n")
+
+        def det(*argv):
+            assert cli.main(["det", *argv]) == 0
+            return capsys.readouterr().out
+
+        assert cli.main(["coeffs", "--config", str(cfg)]) == 0
+        assert "rho = 0.5" in capsys.readouterr().out
+        from_file = det("--config", str(cfg))
+        assert from_file == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "60")
+        assert from_file != det(*BESSEL_FLAGS, "--s", "4")
+        assert det("--config", str(cfg), "--nodes", "80") == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "80")
+
+
+def test_console_entry_point():
+    """``python -m meijergap.cli`` reads its flags from sys.argv."""
+    src = str(Path(meijergap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "meijergap.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = run("--version")
+    assert (proc.returncode, proc.stdout.strip()) == (0, f"meijergap {meijergap.__version__}")
+    proc = run("coeffs", *BESSEL_FLAGS)
+    assert proc.returncode == 0, proc.stderr
+    assert "rho = 0.5" in proc.stdout
 
 
 class TestVerify:

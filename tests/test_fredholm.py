@@ -62,7 +62,7 @@ class TestGrid:
         assert kappa_for_nu_min(0.5) == 1
         assert kappa_for_nu_min(-0.5) == 4
 
-    @pytest.mark.parametrize("bad", [(0.0, 10), (-1.0, 10), (2.0, 1)])
+    @pytest.mark.parametrize("bad", [(0.0, 10), (-1.0, 10), (2.0, 1), (math.inf, 10)])
     def test_invalid_inputs(self, bad):
         with pytest.raises(DomainError):
             gauss_legendre_grid(*bad)
