@@ -13,7 +13,8 @@ its entries are parsed as ``--key=value`` flags placed before the typed ones.
 Data goes to stdout or the ``--out`` file; progress and warnings go to
 stderr, keeping the CSV machine-consumable.  Exit codes: 0 success,
 1 verification failure, 2 usage or invariant error, 3 converge run with
-fewer than half its rows usable.
+fewer than half its rows usable, 141 (128 + SIGPIPE) stdout closed by its
+reader, with nothing printed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -272,9 +274,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_config_argv(parser, argv))
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+        return status
     except SystemExit as exc:  # argparse's usage errors, --help and --version
         return exc.code
+    except BrokenPipeError:
+        # the reader of stdout is gone: stop as a tool killed by SIGPIPE
+        # would, and point stdout at devnull so the flush at shutdown is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (MeijerGapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

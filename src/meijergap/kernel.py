@@ -59,7 +59,8 @@ _TINY = float(np.finfo(float).tiny)
 _MIN_EXPONENT = -600.0
 
 # Residue-series oracle: Gauss-Legendre points of the t-integral, residue
-# clusters per pole family, and trapezoidal points on each residue ring.
+# clusters per pole family, and trapezoidal points on each residue ring
+# (even: the ring sums fold each ring over its conjugate symmetry).
 _SERIES_T_POINTS = 80
 _SERIES_TERMS = 48
 _RING_POINTS = 40
@@ -395,17 +396,30 @@ def _sum_residues(locs, radius, ln_num, z):
     slowly around the ring; the gap grows where |ln z| is too large for the
     ring to resolve.  The leading minus sign matches the orientation of the
     defining loop contour.
+
+    The powers separate, z^t = z^loc z^(t - loc), so each cluster's ring
+    mean is one complex matrix product, amplitudes exp(ln_num(t)) (t - loc)
+    over (cluster, ring point) times the ring powers z^(t - loc) over
+    (ring point, z), scaled by the real z^loc: one exp per (cluster, z) and
+    one per (ring point, z).  The parameters and pole locations are real and
+    z > 0, so the term at conj(t) is the conjugate of the term at t
+    (log_gamma is conjugation-symmetric to the bit).  ln_num is therefore
+    evaluated on the upper half k = 0..M/2 of each M-point ring only, and a
+    ring sum is the real part of the half sum with weights 1 at the real
+    points k = 0, M/2 and 2 in between; the every-other-point sum keeps the
+    weights of even k only.  This needs M = _RING_POINTS even, so that
+    k = M/2 is the second real point of the ring.
     """
-    theta = 2 * math.pi * np.arange(_RING_POINTS) / _RING_POINTS
-    ring = radius * np.exp(1j * theta)
-    t = (locs[:, None] + ring[None, :]).ravel()
+    k = np.arange(_RING_POINTS // 2 + 1)
+    ring = radius * np.exp(2j * math.pi * k / _RING_POINTS)
+    full = np.where((k == 0) | (k == k[-1]), 1.0, 2.0) / _RING_POINTS
+    weights = np.stack((full, np.where(k % 2 == 0, 2.0 * full, 0.0)))
+    amps = np.exp(ln_num((locs[:, None] + ring).ravel())).reshape(locs.size, -1) * ring
     ln_z = np.log(np.asarray(z, dtype=float))
-    vals = np.exp(ln_num(t)[:, None] + np.outer(t, ln_z))  # (n_locs*M, nz)
-    vals *= np.tile(ring, locs.size)[:, None]
-    rings = vals.reshape(locs.size, _RING_POINTS, -1)
-    per_cluster = rings.mean(axis=1)
+    means = ((amps * weights[:, None]) @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs, ln_z))
+    per_cluster, per_cluster_even = means  # (n_locs, nz) each: full ring, every other point
     totals = -per_cluster.sum(axis=0)
-    gap = np.abs(totals + rings[:, ::2].mean(axis=1).sum(axis=0))
+    gap = np.abs(totals + per_cluster_even.sum(axis=0))
     tail = np.abs(per_cluster[-1])
     scale = np.abs(totals) + 1e-16 * np.abs(per_cluster).max(axis=0)
     if np.any(tail > 1e-14 * scale):
@@ -439,7 +453,11 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     :func:`log_big_f`.  The t-integrand behaves like t^nu_min near 0, so the
     integral is computed by _SERIES_T_POINTS-point Gauss-Legendre quadrature
     after the regularizing substitution t = tau^kappa with
-    kappa = max(4, ceil(4 / (1 + nu_min))).
+    kappa = max(4, ceil(4 / (1 + nu_min))).  Both factors are evaluated at
+    all t-nodes at once: ln F on the upper half of each cluster's
+    _RING_POINTS-point ring, folded over its conjugate symmetry, and one
+    exp per (cluster, node) and per (ring point, node) (see
+    :func:`_sum_residues`).
 
     The ring-resolution gaps of the two factors, weighted by the quadrature
     weights and the other factor, bound the error the residue rings add to

@@ -1,5 +1,5 @@
-"""CLI tests, run in-process through meijergap.cli.main (and once through a
-fresh interpreter, for the ``argv=None`` path)."""
+"""CLI tests, run in-process through meijergap.cli.main (and through a
+fresh interpreter for the ``argv=None`` path and a closed stdout)."""
 
 import json
 import math
@@ -218,22 +218,37 @@ class TestConfig:
         assert det("--config", str(cfg), "--nodes", "80") == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "80")
 
 
-def test_console_entry_point():
-    """``python -m meijergap.cli`` reads its flags from sys.argv."""
+def _run_module(*argv, stdout=subprocess.PIPE):
+    """``python -W error -m meijergap.cli ARGV`` in a subprocess that imports
+    the package under test."""
     src = str(Path(meijergap.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "meijergap.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
 
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-W", "error", "-m", "meijergap.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
 
-    proc = run("--version")
+def test_console_entry_point():
+    """``python -m meijergap.cli`` reads its flags from sys.argv."""
+    proc = _run_module("--version")
     assert (proc.returncode, proc.stdout.strip()) == (0, f"meijergap {meijergap.__version__}")
-    proc = run("coeffs", *BESSEL_FLAGS)
+    proc = _run_module("coeffs", *BESSEL_FLAGS)
     assert proc.returncode == 0, proc.stderr
     assert "rho = 0.5" in proc.stdout
+
+
+def test_closed_stdout_exits_141():
+    """A stdout whose reader is gone ends the run with 128 + SIGPIPE and
+    prints nothing, not a usage error: the pipe's read end is closed before
+    the run starts, so the first write fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module("coeffs", "--r", "2", "--q", "0", "--nu", "0.5,0.7", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 class TestVerify:

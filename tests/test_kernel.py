@@ -31,6 +31,24 @@ RIGHT = ProcessParams(4, 1, (1.31, 2.15, 2.61, 3.19), (1.87,))
 NEG = ProcessParams(2, 0, (-0.5, 0.7))
 BES = ProcessParams(1, 0, (0.5,))
 GIN2 = ProcessParams(2, 0, (0.0, 1.0))
+NEAR = ProcessParams(2, 0, (0.5, 0.5005))
+
+
+def _sum_residues_full_ring(locs, radius, ln_num, z):
+    """Reference ring sums: one exp(ln_num(t) + t ln z) per (ring point, z)
+    over all _RING_POINTS points of each ring.  Returns the totals, the
+    every-other-point gaps and, per z, the magnitude sum of the ring terms,
+    the scale of the sums' rounding."""
+    theta = 2 * math.pi * np.arange(kernel._RING_POINTS) / kernel._RING_POINTS
+    ring = radius * np.exp(1j * theta)
+    t = (locs[:, None] + ring[None, :]).ravel()
+    ln_z = np.log(np.asarray(z, dtype=float))
+    vals = np.exp(ln_num(t)[:, None] + np.outer(t, ln_z))
+    vals *= np.tile(ring, locs.size)[:, None]
+    rings = vals.reshape(locs.size, kernel._RING_POINTS, -1)
+    totals = -rings.mean(axis=1).sum(axis=0)
+    gap = np.abs(totals + rings[:, ::2].mean(axis=1).sum(axis=0))
+    return totals, gap, np.abs(rings).mean(axis=1).sum(axis=0)
 
 
 class TestProcessParams:
@@ -274,6 +292,17 @@ class TestKernelEval:
             handle = MeijerKernel(NEG, (0.999 * grid.nodes[0], s))
             assert abs(log_gap_determinant(s, grid, handle) - ref) < 1e-11
 
+    def test_neg_t_rule_near_zero_leaves_det(self, monkeypatch):
+        # det's kappa = 4 grid puts NEG's first node at x = 1.7e-18, where the
+        # 80-point t-rule is 4.3e-6 of max(1, |K|) (|K| = 5e8) off a 320-point
+        # one; ln det moves by 8.8e-14 with points and grading doubled
+        grid = gauss_legendre_grid(1.0, 200, kappa=4)
+        x_range = (0.999 * grid.nodes[0], 1.0)
+        ref = log_gap_determinant(1.0, grid, MeijerKernel(NEG, x_range))
+        monkeypatch.setattr(kernel, "_T_POINTS", 2 * kernel._T_POINTS)
+        monkeypatch.setattr(kernel, "_T_GRADING", 2 * kernel._T_GRADING)
+        assert abs(log_gap_determinant(1.0, grid, MeijerKernel(NEG, x_range)) - ref) < 1e-11
+
 
 class TestKernelSeries:
     def test_first_factor_is_bessel_series(self):
@@ -321,6 +350,35 @@ class TestKernelSeries:
     def test_positive_arguments_required(self):
         with pytest.raises(DomainError):
             kernel_eval_series(-1.0, 0.5, LEFT)
+
+    @pytest.mark.parametrize("x", [0.05, 2.0])
+    @pytest.mark.parametrize("params", [GIN2, LEFT, RIGHT, NEAR], ids=["GIN2", "LEFT", "RIGHT", "NEAR"])
+    def test_folded_rings_match_full_rings(self, params, x, monkeypatch):
+        # the separable, conjugate-folded ring sums against one exp per
+        # (ring point, z) over every point of each ring, over the oracle's
+        # t-rule; near z = 0 (and for NEAR's ring radius 1.75e-4) the ring
+        # terms exceed the value by up to 1e7, so the differences, at most
+        # 2.7e-15 of the magnitude sum, are measured on that sum
+        kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
+        z = x * gauss_legendre_grid(1.0, kernel._SERIES_T_POINTS, kappa).nodes
+        got = (_g_first(z, params), _g_second(z, params))
+        monkeypatch.setattr(kernel, "_sum_residues", _sum_residues_full_ring)
+        for (total, gap), (ref_total, ref_gap, magnitude) in zip(got, (_g_first(z, params), _g_second(z, params))):
+            assert np.all(np.abs(total - ref_total) <= 1e-14 * magnitude)
+            assert np.all(np.abs(gap - ref_gap) <= 1e-14 * magnitude)
+
+    def test_ring_points_are_folded(self, monkeypatch):
+        # LEFT has 48 clusters at 0, 1, ... and 3 x 48 at nu_j + k; each ring
+        # is evaluated on its upper half, 21 of its 40 points
+        points = []
+
+        def counting(z, params):
+            points.append(np.size(z))
+            return log_big_f(z, params)
+
+        monkeypatch.setattr(kernel, "log_big_f", counting)
+        kernel_eval_series(0.5, 0.7, LEFT)
+        assert points == [48 * 21, 144 * 21]
 
     def test_unresolved_rings_raise(self):
         # at nu_min <= -0.6 the graded t-nodes send t x far below 1e-40,
