@@ -31,11 +31,10 @@ from . import __version__
 from .asymptotics import compute_coeffs, truncated_log_expansion
 from .errors import MeijerGapError
 from .fredholm import gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
-from .kernel import MeijerKernel, ProcessParams, build_contours, kernel_eval
+from .kernel import CONTOUR_TOL, MeijerKernel, ProcessParams, build_contours, kernel_eval
 from .verify import run_checks
 
 _FMT = "{:.15g}"
-_TOL = 1e-12  # contour truncation tolerance: kernel's and det's --tol default, converge's fixed value
 
 
 def _fmt(x: float) -> str:
@@ -111,7 +110,7 @@ def _add_param_flags(sub):
 
 
 def _add_tol_flag(sub):
-    sub.add_argument("--tol", type=float, default=_TOL, help="contour truncation tolerance (default %(default)s)")
+    sub.add_argument("--tol", type=float, default=CONTOUR_TOL, help="contour truncation tolerance (default %(default)s)")
 
 
 def _add_format_flag(sub):
@@ -121,22 +120,18 @@ def _add_format_flag(sub):
 def cmd_coeffs(args) -> int:
     params = _params_from(args)
     cc = compute_coeffs(params)
+    try:
+        c_value = math.exp(cc.ln_c)
+    except OverflowError:  # ln C above ln(DBL_MAX) = 709.78
+        c_value = math.inf
+    values = {"rho": cc.rho, "a": cc.a, "b": cc.b, "c": cc.c, "lnC": cc.ln_c, "C": c_value}
     if args.format == "json":
-        payload = {
-            "r": params.r,
-            "q": params.q,
-            "nu": list(params.nu),
-            "mu": list(params.mu),
-            "rho": cc.rho,
-            "a": cc.a,
-            "b": cc.b,
-            "c": cc.c,
-            "lnC": cc.ln_c,
-            "C": math.exp(cc.ln_c),
-        }
+        # JSON has no infinity: a value that overflows is written as null
+        payload = {"r": params.r, "q": params.q, "nu": list(params.nu), "mu": list(params.mu)}
+        payload.update((name, val if math.isfinite(val) else None) for name, val in values.items())
         print(json.dumps(payload, indent=2))
     else:
-        for name, val in (("rho", cc.rho), ("a", cc.a), ("b", cc.b), ("c", cc.c), ("lnC", cc.ln_c), ("C", math.exp(cc.ln_c))):
+        for name, val in values.items():
             print(f"{name:>4} = {_fmt(val)}")
     return 0
 
@@ -158,7 +153,7 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _grid_and_handle(params: ProcessParams, s_lo: float, s_hi: float, m: int, tol: float):
+def _grid_and_handle(params: ProcessParams, s_lo: float, s_hi: float, m: int, tol: float = CONTOUR_TOL):
     """The grading exponent kappa, the m-point graded grid on (0, s_lo), and a
     kernel handle whose x_range covers the nodes of every such grid on
     (0, s) for s_lo <= s <= s_hi."""
@@ -185,7 +180,7 @@ def cmd_converge(args) -> int:
 
     cc = compute_coeffs(params)
     svals = np.geomspace(s_min, s_max, args.points)
-    kappa, _, handle = _grid_and_handle(params, s_min, s_max, m, _TOL)
+    kappa, _, handle = _grid_and_handle(params, s_min, s_max, m)
 
     rows = []
     n_ok = 0

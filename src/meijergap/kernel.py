@@ -31,10 +31,12 @@ from .specfun import bessel_j, log_gamma
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
 
 # Contour discretization: Gauss-Legendre points per panel, panel length
-# along each ray, and the node budget per contour before the build gives up.
+# along each ray, the node budget per contour before the build gives up,
+# and the default truncation tolerance of build_contours.
 _PANEL_POINTS = 20
 _PANEL_LENGTH = 1.5
 _NODE_CAP = 4096
+CONTOUR_TOL = 1e-12
 
 # Factored fill: Gauss-Legendre points of the t-integral
 # 1/(v - u) = int_0^1 t^(v-u-1) dt and the numerator of its grading
@@ -76,7 +78,7 @@ _SERIES_RING_TOL = 1e-5
 class ProcessParams:
     """Model parameters (r, q, nu_1..nu_r, mu_1..mu_q) of the point process.
 
-    Requires r > q >= 0 and every nu_j, mu_k > -1.
+    Requires r > q >= 0 and every nu_j, mu_k finite and > -1.
     """
 
     r: int
@@ -97,8 +99,8 @@ class ProcessParams:
             raise DomainError(f"nu must have length r = {self.r}")
         if len(self.mu) != self.q:
             raise DomainError(f"mu must have length q = {self.q}")
-        if any(v <= -1.0 for v in self.nu) or any(m <= -1.0 for m in self.mu):
-            raise DomainError("requires every nu_j > -1 and mu_k > -1")
+        if not all(-1.0 < v < math.inf for v in self.nu + self.mu):  # NaN fails too
+            raise DomainError("requires every nu_j and mu_k finite and > -1")
 
     @property
     def nu_min(self) -> float:
@@ -148,19 +150,20 @@ class ContourQuadrature:
     2i + 1 is Re T_i, so that the interleaved (real, imaginary) view of P_h
     times the first Nu rows is Im(P_h T_u).
 
-    ``gamma_panels`` and ``gammatilde_panels`` factor each upper half by
-    panel: a triple (mids, offsets, n_cross) with the panel midpoints, shape
-    (n,), the two offset rows, shape (2, points), and the number of panels
-    that cut the crossing segment, so that the upper-half nodes are
-    mids[p] + offsets[0] on the crossing panels p < n_cross followed by
-    mids[p] + offsets[1] on each ray panel.
+    ``gamma_panels`` and ``gammatilde_panels`` hold the exponents of the
+    powers on each upper half, e = -u on gamma and e = v - 1 on gammatilde,
+    factored by panel: a triple (mids, offsets, n_cross) with the panel
+    midpoints, shape (n,), the two offset rows, shape (2, points), and the
+    number of panels that cut the crossing segment, so that the exponents
+    are mids[p] + offsets[0] on the crossing panels p < n_cross followed by
+    mids[p] + offsets[1] on each ray panel.  Every power of the build and
+    the fill is arg^e over these exponents: t^-u and t^(v-1) in T_u and T_v,
+    x^-u in P_h and y^(v-1) in Q_h.
     """
 
     gamma_nodes: np.ndarray
     gammatilde_nodes: np.ndarray
-    crossing_points: tuple
     x_range: tuple
-    truncation_bound: float
     separable_coeffs: np.ndarray = field(repr=False)
     gamma_panels: tuple = field(repr=False)
     gammatilde_panels: tuple = field(repr=False)
@@ -171,7 +174,8 @@ def _upper_half(start, direction, n_cross, n_panels):
     axis up to ``start`` = x_cross + i in n_cross equal panels, then
     n_panels panels of length _PANEL_LENGTH on the ray from ``start`` along
     the unit ``direction``.  Geometry only: returns the nodes, the weights
-    and the panel factorization (mids, offsets, n_cross) of
+    and their panel factorization (mids, offsets, n_cross), which
+    :func:`build_contours` maps to the exponent panels of
     :class:`ContourQuadrature`."""
     crossing = start.real + 1j * np.arange(n_cross) / n_cross
     ends = np.concatenate((crossing, start + direction * (_PANEL_LENGTH * np.arange(n_panels + 1))))
@@ -186,7 +190,7 @@ def _upper_half(start, direction, n_cross, n_panels):
     return nodes, weights, (mids, offsets, n_cross)
 
 
-def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> ContourQuadrature:
+def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_TOL) -> ContourQuadrature:
     """Discretize the two kernel contours for arguments inside ``x_range``.
 
     gamma crosses the real axis at (1+nu_min)/3 with rays into the left
@@ -213,8 +217,9 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     upper half only.  The lower half maps nodes by conj, and weights and
     F-factors (which carry the upward direction dz) by -conj; it is stored
     after the upper half.  Every upper-half node is a panel midpoint plus
-    one of two offset rows (the crossing panels' or the rays'), and both are
-    kept with the nodes so that the fill can factor its powers per panel.
+    one of two offset rows (the crossing panels' or the rays'); the same
+    panels, mapped to the exponents -u and v - 1, are kept with the nodes so
+    that the build and the fill factor their powers per panel.
     The t-integral of the factored kernel (see :class:`ContourQuadrature`)
     is a _T_POINTS-point Gauss-Legendre rule graded as t = tau^kappa with
     kappa = ceil(_T_GRADING / span): the t-integrand behaves like
@@ -227,9 +232,8 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
         raise DomainError("tol must be positive")
 
     span = 1.0 + params.nu_min
-    x_gamma, x_gammatilde = span / 3.0, 2.0 * span / 3.0
     n_cross = math.ceil(1.0 / min(1.0, 2.0 * span / 3.0))
-    starts = (x_gamma + 1j, x_gammatilde + 1j)
+    starts = (span / 3.0 + 1j, 2.0 * span / 3.0 + 1j)
     directions = (np.exp(1j * (2 * math.pi / 3)), np.exp(1j * (math.pi / 3)))
 
     # truncation: the tips k = 2..k_max of both rays, then each ray's first
@@ -242,10 +246,12 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     below = ln_tip + np.maximum(power * math.log(x_lo), power * math.log(x_hi)) < math.log(tol)
     if not np.all(below.any(axis=1)):
         raise ConvergenceError(f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes")
-    (u, wu, u_panels), (v, wv, v_panels) = (
+    (u, wu, (u_mids, u_offsets, _)), (v, wv, (v_mids, v_offsets, _)) = (
         _upper_half(start, direction, n_cross, n_panels)
         for start, direction, n_panels in zip(starts, directions, k[below.argmax(axis=1)])
     )
+    u_panels = (-u_mids, -u_offsets, n_cross)  # exponent -u
+    v_panels = (v_mids - 1.0, v_offsets, n_cross)  # exponent v - 1
 
     # F(u)/F(v) splits into one exp per node rather than one per pair;
     # Re ln F at the nodes stays far inside exp's range (|Re ln F| < 140 on
@@ -259,9 +265,8 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     except DomainError:
         raise DomainError(f"nu_min = {params.nu_min} is too close to -1: the graded t-rule underflows") from None
     ln_t = np.log(rule.nodes)
-    mids, offsets, _ = v_panels
-    t_u = _half_powers(-ln_t, u_panels).T * gu[:, None]
-    t_v = _half_powers(ln_t, (mids - 1.0, offsets, n_cross)).T * (-4.0 * gv[:, None] * rule.weights)
+    t_u = _half_powers(ln_t, u_panels).T * gu[:, None]
+    t_v = _half_powers(ln_t, v_panels).T * (-4.0 * gv[:, None] * rule.weights)
     coeffs = np.empty((2 * (u.size + v.size), _T_POINTS))
     for rows, t in ((coeffs[: 2 * u.size], t_u), (coeffs[2 * u.size :], t_v)):
         rows[0::2], rows[1::2] = t.imag, t.real
@@ -272,9 +277,7 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float) -> Contour
     return ContourQuadrature(
         gamma_nodes=np.concatenate((u, np.conj(u))),
         gammatilde_nodes=np.concatenate((v, np.conj(v))),
-        crossing_points=(x_gamma, x_gammatilde),
         x_range=(x_lo, x_hi),
-        truncation_bound=float(tol),
         separable_coeffs=coeffs,
         gamma_panels=u_panels,
         gammatilde_panels=v_panels,
@@ -290,34 +293,30 @@ def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
     return np.log(x)
 
 
-def _half_powers(scale, panels) -> np.ndarray:
-    """exp(scale_i z_j) over the upper-half nodes z_j = mid + offset of one
-    contour, factored per panel as exp(scale_i mid) exp(scale_i offset): one
-    exp per (argument, panel) and per (argument, offset), then one product
-    per node."""
+def _half_powers(ln_arg, panels) -> np.ndarray:
+    """arg_i^e_j = exp(ln_arg_i e_j) over the exponents e_j = mid + offset
+    of one contour's panels (see :class:`ContourQuadrature`), factored per
+    panel as arg^mid arg^offset: one exp per (argument, panel) and per
+    (argument, offset), then one product per exponent.  A midpoint factor
+    below e^_MIN_EXPONENT is set to 0."""
     mids, offsets, n_cross = panels
-    arg = np.outer(scale, mids)
+    arg = np.outer(ln_arg, mids)
     arg.real[arg.real < _MIN_EXPONENT] = -np.inf  # exp gives 0
     e_mid = np.exp(arg)
-    e_off = np.exp(scale[:, None, None] * offsets)
-    out = np.empty((scale.size, mids.size, offsets.shape[1]), dtype=complex)
+    e_off = np.exp(ln_arg[:, None, None] * offsets)
+    out = np.empty((ln_arg.size, mids.size, offsets.shape[1]), dtype=complex)
     np.multiply(e_mid[:, :n_cross, None], e_off[:, None, 0], out=out[:, :n_cross])
     np.multiply(e_mid[:, n_cross:, None], e_off[:, None, 1], out=out[:, n_cross:])
-    return out.reshape(scale.size, -1)
+    return out.reshape(ln_arg.size, -1)
 
 
-def _pair_norms(re, im) -> np.ndarray:
-    """|re| + |im|: the 1-norm of each complex entry, an upper bound on its
-    magnitude that needs no square root."""
-    return np.abs(re) + np.abs(im)
-
-
-def _contour_sums(scale, panels, rows):
-    """Im(P T) for the upper-half powers P = exp(scale z) of one contour and
-    its stored rows T, and the magnitude sum |P| |T| in 1-norms, which bounds
-    the terms of the real product that computes it."""
-    p = _half_powers(scale, panels)
-    return p.view(float) @ rows, _pair_norms(p.real, p.imag) @ _pair_norms(rows[0::2], rows[1::2])
+def _contour_sums(ln_arg, panels, rows):
+    """Im(P T) for the upper-half powers P = arg^e of one contour and its
+    stored rows T, and the magnitude sum |P| |T| in 1-norms |Re| + |Im| (a
+    bound on each magnitude without square roots), which bounds the terms
+    of the real product that computes Im(P T)."""
+    p = _half_powers(ln_arg, panels)
+    return p.view(float) @ rows, (np.abs(p.real) + np.abs(p.imag)) @ (np.abs(rows[0::2]) + np.abs(rows[1::2]))
 
 
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
@@ -337,9 +336,8 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     """
     ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
     n_u = cq.gamma_nodes.size
-    mids, offsets, n_cross = cq.gammatilde_panels
-    g1, mag_u = _contour_sums(-ln_x, cq.gamma_panels, cq.separable_coeffs[:n_u])
-    g2, mag_v = _contour_sums(ln_y, (mids - 1.0, offsets, n_cross), cq.separable_coeffs[n_u:])
+    g1, mag_u = _contour_sums(ln_x, cq.gamma_panels, cq.separable_coeffs[:n_u])
+    g2, mag_v = _contour_sums(ln_y, cq.gammatilde_panels, cq.separable_coeffs[n_u:])
     vals = g1 @ g2.T
     ratio = _EPS * (mag_u @ mag_v.T) / np.maximum(1.0, np.abs(vals))
     if np.any(ratio > _ROUNDING_LIMIT):
@@ -359,7 +357,7 @@ class MeijerKernel:
     """Kernel handle: the contours for ``params`` over ``x_range`` and the
     Fredholm matrix fill on them."""
 
-    def __init__(self, params: ProcessParams, x_range: tuple, tol: float = 1e-12):
+    def __init__(self, params: ProcessParams, x_range: tuple, tol: float = CONTOUR_TOL):
         self.cq = build_contours(params, x_range, tol)
 
     def matrix(self, xs) -> np.ndarray:

@@ -143,7 +143,7 @@ def check_bessel_reduction() -> CheckResult:
     resid = 0.0
     grid = np.linspace(0.1, 5.0, 5)
     for nu in (0.0, 0.5, 2.0):
-        cq = kernel.build_contours(kernel.ProcessParams(1, 0, (nu,)), (0.1, 5.0), 1e-12)
+        cq = kernel.build_contours(kernel.ProcessParams(1, 0, (nu,)), (0.1, 5.0))
         k = kernel.kernel_matrix(grid, grid, cq)
         kb = 4.0 * (grid[None, :] / grid[:, None]) ** (nu / 2.0) * kernel.BesselKernel(nu).matrix(4.0 * grid)
         resid = max(resid, np.abs(k - kb).max())
@@ -169,7 +169,7 @@ def check_kernel_oracle() -> CheckResult:
     rng = np.random.default_rng(5)
     resid = 0.0
     for params in cases:
-        cq = kernel.build_contours(params, (0.05, 2.0), 1e-12)
+        cq = kernel.build_contours(params, (0.05, 2.0))
         for _ in range(10):
             x, y = rng.uniform(0.05, 2.0, 2)
             resid = max(resid, abs(kernel.kernel_eval(x, y, cq) - kernel.kernel_eval_series(x, y, params)))

@@ -37,6 +37,21 @@ class TestCoeffs:
         assert "rho = 0.5" in out
         assert "b = 0" in out
 
+    def test_overflowing_constant_text(self, capsys):
+        # ln C = 1196.1 at r = 1, nu = 40: C is above the largest double
+        assert cli.main(["coeffs", "--r", "1", "--q", "0", "--nu", "40"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "lnC = 1196.11" in lines[4]
+        assert lines[5] == "   C = inf"
+
+    def test_overflowing_constant_json(self, capsys):
+        # JSON has no infinity, so C is null; the output parses as standard JSON
+        assert cli.main(["coeffs", "--r", "1", "--q", "0", "--nu", "40", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-standard JSON constant {name}"))
+        assert payload["C"] is None
+        assert abs(payload["lnC"] - 1196.113) < 1e-3
+
     def test_invalid_params_exit_2(self, capsys):
         assert cli.main(["coeffs", "--r", "2", "--q", "2", "--nu", "1,2", "--mu", "1,2"]) == 2
         assert "requires r > q" in capsys.readouterr().err
@@ -72,6 +87,10 @@ class TestDetCmd:
     def test_tiny_interval(self, capsys):
         assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "0", "--s", "1e-8", "--nodes", "4"]) == 0
         assert abs(float(capsys.readouterr().out) - 1.0) < 1e-6
+
+    def test_non_finite_param_exit_2(self, capsys):
+        assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "nan", "--s", "1"]) == 2
+        assert capsys.readouterr().err == "error: requires every nu_j and mu_k finite and > -1\n"
 
     def test_zero_nodes_exit_2(self, capsys):
         assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "0", "--s", "1", "--nodes", "0"]) == 2
@@ -227,6 +246,26 @@ def _run_module(*argv, stdout=subprocess.PIPE):
         [sys.executable, "-W", "error", "-m", "meijergap.cli", *argv],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ([], ()),
+        (["coeffs"], ("(default text)",)),
+        (["kernel"], ("(default 1e-12)", "(default text)")),
+        (["det"], ("(default 80)", "(default 1e-12)")),
+        (["converge"], ("(default 100)", "(default 9)")),
+        (["verify"], ("(default fast)",)),
+    ],
+    ids=["top", "coeffs", "kernel", "det", "converge", "verify"],
+)
+def test_help_renders(command, defaults, capsys):
+    """argparse formats the %(default)s help strings only when it prints help."""
+    assert cli.main([*command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())  # undo line wrapping
+    for text in defaults:
+        assert text in out
 
 
 def test_console_entry_point():

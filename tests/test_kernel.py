@@ -61,8 +61,13 @@ class TestProcessParams:
             ProcessParams(2, 2, (0.5, 1.0), (0.3, 0.4))
 
     def test_requires_nu_above_minus_one(self):
-        with pytest.raises(DomainError):
-            ProcessParams(1, 0, (-1.0,))
+        # -1 and non-finite values, in nu and in mu: NaN compares false
+        # with -1, so it needs its own test, as does +inf
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite and > -1"):
+                ProcessParams(1, 0, (bad,))
+            with pytest.raises(DomainError, match="finite and > -1"):
+                ProcessParams(2, 1, (0.5, 1.0), (bad,))
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
@@ -86,8 +91,9 @@ class TestLogBigF:
 
 class TestBuildContours:
     def test_crossing_points(self):
+        # each contour's first nodes lie on its crossing segment
         cq = build_contours(ProcessParams(1, 0, (0.0,)), (0.1, 10.0), 1e-12)
-        assert cq.crossing_points == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
+        assert (cq.gamma_nodes[0].real, cq.gammatilde_nodes[0].real) == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
 
     def test_node_count_monotone_in_tol(self):
         p = ProcessParams(1, 0, (0.0,))
@@ -172,15 +178,26 @@ class TestBuildContours:
     )
     def test_lower_half_mirrors_upper(self, params, n_cross):
         cq = build_contours(params, (0.01, 16.0), 1e-12)
-        for z, (mids, offsets, n) in ((cq.gamma_nodes, cq.gamma_panels), (cq.gammatilde_nodes, cq.gammatilde_panels)):
+        span = 1.0 + params.nu_min
+        contours = (
+            (cq.gamma_nodes, cq.gamma_panels, span / 3, 2 * math.pi / 3, lambda m, o: (-m, -o)),
+            (cq.gammatilde_nodes, cq.gammatilde_panels, 2 * span / 3, math.pi / 3, lambda m, o: (m - 1.0, o)),
+        )
+        for z, (e_mids, e_offsets, n), x_cross, angle, exponent in contours:
             h = z.size // 2
             assert np.all(z[:h].imag > 0.0)
             assert np.array_equal(z[h:], np.conj(z[:h]))
-            # the upper half is the crossing panels, then the ray panels
+            # the upper half is the crossing panels, then the ray panels, of
+            # _upper_half's geometry; the stored panels are its exponents,
+            # -u on gamma and v - 1 on gammatilde
             assert n == n_cross
-            assert offsets.shape == (2, kernel._PANEL_POINTS)
+            assert e_offsets.shape == (2, kernel._PANEL_POINTS)
+            start, direction = x_cross + 1j, np.exp(1j * angle)
+            _, _, (mids, offsets, n) = kernel._upper_half(start, direction, n_cross, e_mids.size - n_cross)
             crossing, ray = (mids[:n, None] + offsets[0]).ravel(), (mids[n:, None] + offsets[1]).ravel()
             assert np.array_equal(z[:h], np.concatenate((crossing, ray)))
+            expected_mids, expected_offsets = exponent(mids, offsets)
+            assert np.array_equal(e_mids, expected_mids) and np.array_equal(e_offsets, expected_offsets)
             assert np.allclose(z[: n * kernel._PANEL_POINTS].real, z[0].real, rtol=0.0, atol=1e-15)
         # one (Im T, Re T) row pair per upper-half node, one column per t-node
         assert cq.separable_coeffs.dtype == np.float64
@@ -204,6 +221,17 @@ class TestKernelEval:
         lhs = kernel_eval(1.0, 1.0, cq)
         rhs = 4.0 * bessel_kernel(4.0, 4.0, nu)
         assert abs(lhs - rhs) < 1e-8
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0])
+    def test_bessel_reduction_near_zero(self, nu):
+        # 3.2e-13, 5.6e-12 and 1.3e-8 of max(1, |K|) off at (1e-8, 1) for
+        # nu = 0, 0.5 and 2.  Closer to x = 0 the error grows with no
+        # error raised (2.6e-7 at x = 1e-12 for nu = 0.5, and 3.7 at 1e-18):
+        # the rounding guard bounds rounding, not the discretization
+        x, y = 1e-8, 1.0
+        cq = build_contours(ProcessParams(1, 0, (nu,)), (0.9 * x, 1.1 * y))
+        ref = 4.0 * (y / x) ** (nu / 2.0) * bessel_kernel(4.0 * x, 4.0 * y, nu)
+        assert abs(kernel_eval(x, y, cq) - ref) <= 1e-7 * max(1.0, abs(ref))
 
     def test_diagonal_nonnegative(self):
         cq = build_contours(LEFT, (0.2, 3.0), 1e-12)
@@ -266,10 +294,9 @@ class TestKernelEval:
         # x^-u and y^(v-1) factored per panel against one exp per node
         cq = build_contours(params, (x_lo, 256.0), 1e-12)
         ln_x = np.log(np.geomspace(x_lo, 256.0, 60))
-        contours = ((cq.gamma_nodes, cq.gamma_panels, -ln_x, 0.0), (cq.gammatilde_nodes, cq.gammatilde_panels, ln_x, 1.0))
-        for z, (mids, offsets, n_cross), scale, shift in contours:
-            ref = np.exp(np.outer(scale, z[: z.size // 2] - shift))
-            got = kernel._half_powers(scale, (mids - shift, offsets, n_cross))
+        for exponent, panels in ((-cq.gamma_nodes, cq.gamma_panels), (cq.gammatilde_nodes - 1.0, cq.gammatilde_panels)):
+            ref = np.exp(np.outer(ln_x, exponent[: exponent.size // 2]))
+            got = kernel._half_powers(ln_x, panels)
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     def test_rounding_guard(self, monkeypatch):
