@@ -4,7 +4,8 @@
 # The operator on [0, s] is discretized by an m-point Gauss-Legendre rule
 # (Nystrom), symmetrized, and the determinant taken in log space.  The
 # determinant of the r=1, nu=0 process has the classical large-s behavior
-# exp(-s + ...), which makes a nice visual sanity check.
+# exp(-s + ...), which makes a nice visual sanity check.  Every grid is
+# graded toward 0 by kappa_for_nu_min, as the CLI's are.
 
 import math
 
@@ -15,14 +16,16 @@ from meijergap import (
     MeijerKernel,
     ProcessParams,
     gauss_legendre_grid,
+    kappa_for_nu_min,
     log_gap_determinant,
 )
 
 print("=== Bessel point process (nu = 0), kernel on [0, 4s] scale ===")
 print(f"{'s':>6} {'det(1-K_Be|[0,s])':>20} {'ln det':>12}")
 kernel = BesselKernel(0.0)
+bessel_kappa = kappa_for_nu_min(0.0)
 for s in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-    ld = log_gap_determinant(s, gauss_legendre_grid(s, 60), kernel)
+    ld = log_gap_determinant(s, gauss_legendre_grid(s, 60, bessel_kappa), kernel)
     print(f"{s:6.1f} {math.exp(ld):20.12f} {ld:12.6f}")
 print("   (ln det approaches -s/4 + ... : gaps become exponentially rare)")
 
@@ -30,19 +33,20 @@ print("\n=== product-type process, r=3, q=2 showcase parameters ===")
 params = ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61))
 svals = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 m = 100
+kappa = kappa_for_nu_min(params.nu_min)
 s_floor = 0.25  # smallest interval used anywhere below (the plot starts there)
-first = float(gauss_legendre_grid(s_floor, m).nodes[0])
+first = float(gauss_legendre_grid(s_floor, m, kappa).nodes[0])
 handle = MeijerKernel(params, (0.999 * first, max(svals)), tol=1e-12)
 print(f"{'s':>6} {'det':>20} {'ln det':>12}")
 rows = []
 for s in svals:
-    ld = log_gap_determinant(s, gauss_legendre_grid(s, m), handle)
+    ld = log_gap_determinant(s, gauss_legendre_grid(s, m, kappa), handle)
     rows.append((s, math.exp(ld), ld))
     print(f"{s:6.1f} {math.exp(ld):20.12f} {ld:12.6f}")
 
 print("\n=== Nystrom refinement at s=4 (spectral-grade convergence) ===")
 for m_ref in (20, 40, 80, 160):
-    ld = log_gap_determinant(4.0, gauss_legendre_grid(4.0, m_ref), handle)
+    ld = log_gap_determinant(4.0, gauss_legendre_grid(4.0, m_ref, kappa), handle)
     print(f"   m={m_ref:<4}: ln det = {ld:.14f}")
 
 # Optional picture: determinants for both kernels on a log scale.
@@ -53,8 +57,8 @@ try:
     import matplotlib.pyplot as plt
 
     ss = np.geomspace(0.25, 16.0, 25)
-    bessel_ld = [log_gap_determinant(s, gauss_legendre_grid(s, 60), kernel) for s in ss]
-    meijer_ld = [log_gap_determinant(s, gauss_legendre_grid(s, m), handle) for s in ss]
+    bessel_ld = [log_gap_determinant(s, gauss_legendre_grid(s, 60, bessel_kappa), kernel) for s in ss]
+    meijer_ld = [log_gap_determinant(s, gauss_legendre_grid(s, m, kappa), handle) for s in ss]
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.plot(ss, bessel_ld, "o-", label="Bessel nu=0")
     ax.plot(ss, meijer_ld, "s-", label="Meijer-G r=3, q=2")

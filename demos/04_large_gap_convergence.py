@@ -15,6 +15,7 @@ from meijergap import (
     ProcessParams,
     compute_coeffs,
     gauss_legendre_grid,
+    kappa_for_nu_min,
     log_gap_determinant,
     truncated_log_expansion,
 )
@@ -29,7 +30,8 @@ results = {}
 for label, params in SHOWCASES.items():
     cc = compute_coeffs(params)
     svals = [2.0 * 2.0 ** (k / 2.0) for k in range(7)]   # geometric, ratio sqrt(2), 2..16
-    first = float(gauss_legendre_grid(min(svals), m).nodes[0])
+    kappa = kappa_for_nu_min(params.nu_min)
+    first = float(gauss_legendre_grid(min(svals), m, kappa).nodes[0])
     handle = MeijerKernel(params, (0.999 * first, max(svals)), tol=1e-12)
 
     print(f"=== {label}:  rho={cc.rho}, a={cc.a:.6f}, b={cc.b:.6f}, "
@@ -37,7 +39,7 @@ for label, params in SHOWCASES.items():
     print(f"{'s':>8} {'ln det':>14} {'expansion':>14} {'g(s)':>12} {'f(s)':>12}")
     fs = []
     for s in svals:
-        ld = log_gap_determinant(s, gauss_legendre_grid(s, m), handle)
+        ld = log_gap_determinant(s, gauss_legendre_grid(s, m, kappa), handle)
         asym = truncated_log_expansion(s, cc)
         f = s**cc.rho * (ld - asym)
         fs.append((s, f))

@@ -153,7 +153,7 @@ def truncated_log_expansion(s: float, coeffs: AsymptoticCoeffs) -> float:
     """-a s^(2 rho) + b s^rho + c ln s + ln C, the truncated expansion of
     ln det(1 - K|[0,s])."""
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:  # NaN fails too
         raise DomainError("s must be positive")
     return (
         -coeffs.a * s ** (2.0 * coeffs.rho)

@@ -55,10 +55,10 @@ class FredholmGrid:
 def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
     """m-point Gauss-Legendre rule mapped affinely from [-1, 1] to [0, s].
 
-    ``kappa > 1`` applies the variable change x = s^(1-kappa) xi^kappa
-    (equivalently x = (eta)^kappa on [0, s^(1/kappa)]), which grades the
-    rule toward 0 and restores quadrature accuracy when the one-point
-    density has an integrable x^nu_min singularity there (nu_min in (-1,0)).
+    ``kappa > 1`` applies x = s^(1-kappa) xi^kappa, which grades the rule
+    toward 0, where the kernel behaves like x^nu_min (like ln x for
+    coinciding integer parameters); :func:`kappa_for_nu_min` picks the
+    kappa that restores quadrature accuracy for every nu_min < 1.
     """
     s = float(s)
     if not 0.0 < s < math.inf:  # NaN fails too
@@ -77,9 +77,8 @@ def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
 
 
 def kappa_for_nu_min(nu_min: float) -> int:
-    """Grading exponent ceil(2 / (1 + nu_min)) for singular densities, 1 otherwise."""
-    if nu_min >= 0.0:
-        return 1
+    """Grading exponent ceil(2 / (1 + nu_min)), the smallest kappa with
+    kappa (1 + nu_min) >= 2: every nu_min < 1 is graded."""
     return math.ceil(2.0 / (1.0 + nu_min))
 
 

@@ -209,7 +209,9 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
       ``tol``, searched up to the tip k_max = _NODE_CAP // (2 _PANEL_POINTS)
       - n_cross that the node budget admits (the ray's panels and as many on
       its mirror); every candidate tip of both rays is evaluated at once.
-      If a ray has no such tip, ConvergenceError is raised.
+      If a ray has no such tip, ConvergenceError is raised.  ``tol`` must
+      lie in (0, 1): a bound of 1 or more truncates nothing reliably (at
+      tol = inf every ray ends at its first candidate tip).
     * Nodes.  ln F at the nodes of both contours, in one call.
 
     The parameters are real, so F(conj z) = conj F(z) and both contours are
@@ -228,8 +230,8 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi) or not math.isfinite(x_hi):
         raise DomainError("x_range must satisfy 0 < x_lo < x_hi < inf")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < 1.0:  # NaN fails too
+        raise DomainError("tol must satisfy 0 < tol < 1")
 
     span = 1.0 + params.nu_min
     n_cross = math.ceil(1.0 / min(1.0, 2.0 * span / 3.0))
@@ -288,7 +290,7 @@ def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
     """ln x for kernel arguments, which must lie in the contours' x_range."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     x_lo, x_hi = cq.x_range
-    if np.any(x < 0.999 * x_lo) or np.any(x > 1.001 * x_hi):
+    if not np.all((x >= 0.999 * x_lo) & (x <= 1.001 * x_hi)):  # NaN fails too
         raise DomainError(f"argument outside the x_range {cq.x_range} the contours were built for")
     return np.log(x)
 
@@ -464,7 +466,7 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     ConvergenceError is raised.
     """
     x, y = float(x), float(y)
-    if x <= 0.0 or y <= 0.0:
+    if not (x > 0.0 and y > 0.0):  # NaN fails too
         raise DomainError("kernel arguments must be positive")
     kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
     grid = gauss_legendre_grid(1.0, _SERIES_T_POINTS, kappa)
@@ -501,7 +503,7 @@ def _bessel_matrix(xs, ys, nu: float) -> np.ndarray:
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if np.any(xs < 0.0) or np.any(ys < 0.0):
+    if not (np.all(xs >= 0.0) and np.all(ys >= 0.0)):  # NaN fails too
         raise DomainError("bessel_kernel requires x, y >= 0")
     diff = xs[:, None] - ys[None, :]
     near = np.abs(diff) <= 1e-6 * np.maximum(xs[:, None], ys[None, :])
@@ -533,7 +535,7 @@ class BesselKernel:
     """Kernel handle for the Bessel hard-edge kernel: its Fredholm matrix fill."""
 
     def __init__(self, nu: float):
-        if nu <= -1.0:
+        if not nu > -1.0:  # NaN fails too
             raise DomainError("requires nu > -1")
         self.nu = float(nu)
 

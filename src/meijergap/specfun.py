@@ -282,9 +282,9 @@ def bessel_j(nu: float, x):
     """
     nu = float(nu)
     arr = np.asarray(x, dtype=float)
-    if nu <= -1.0:
+    if not nu > -1.0:  # NaN fails too
         raise DomainError("bessel_j requires nu > -1")
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # NaN fails too
         raise DomainError("bessel_j requires x >= 0")
     if np.any(arr > _BESSEL_X_MAX):
         raise RangeError(f"bessel_j supports x <= {_BESSEL_X_MAX}; got {arr[arr > _BESSEL_X_MAX][0]}")

@@ -168,5 +168,6 @@ class TestTruncatedLogExpansion:
 
     def test_rejects_nonpositive_s(self):
         cc = compute_coeffs(LEFT)
-        with pytest.raises(DomainError):
-            truncated_log_expansion(0.0, cc)
+        for s in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                truncated_log_expansion(s, cc)

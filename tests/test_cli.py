@@ -15,7 +15,8 @@ import meijergap
 from meijergap import cli
 from meijergap.asymptotics import compute_coeffs
 from meijergap.errors import SingularityError
-from meijergap.kernel import ProcessParams, bessel_kernel
+from meijergap.fredholm import gauss_legendre_grid, log_gap_determinant
+from meijergap.kernel import BesselKernel, ProcessParams, bessel_kernel
 
 LEFT_FLAGS = ["--r", "3", "--q", "2", "--nu", "1.31,2.15,3.19", "--mu", "1.87,2.61"]
 BESSEL_FLAGS = ["--r", "1", "--q", "0", "--nu", "0"]
@@ -106,6 +107,35 @@ class TestDetCmd:
     def test_infinite_s_exit_2(self, s, capsys):
         assert cli.main(["det", *BESSEL_FLAGS, "--s", s]) == 2
         assert "s must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "1", "nan", "0", "-1"])
+    def test_bad_tol_exit_2(self, tol, capsys):
+        # from tol = 1 up the truncation bound stops the rays early: at inf
+        # BES at s = 1 printed 0.643650287799004, against 0.643616797930814
+        # at the default tol
+        assert cli.main(["det", *BESSEL_FLAGS, "--s", "1", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0 < tol < 1" in captured.err
+
+    def test_bessel_like_default_grid_matches_bessel_route(self, capsys):
+        # nu_min = 0.5 < 1 is graded (kappa = 2); r = 1 on [0, s] and the
+        # Bessel kernel on [0, 4s] define the same determinant.  The
+        # ungraded grid printed 3.10852e-06, 3.6% low
+        assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "0.5", "--s", "16"]) == 0
+        det = float(capsys.readouterr().out)
+        ref = math.exp(log_gap_determinant(64.0, gauss_legendre_grid(64.0, 200, kappa=2), BesselKernel(0.5)))
+        assert abs(det - ref) <= 1e-8 * ref
+
+    def test_gin2_default_grid_converged(self, capsys):
+        # GIN2's kernel behaves like ln x at 0; on the graded grid 80 and
+        # 200 nodes agree to 7e-11 (the ungraded grid: 3.868294e-4 against
+        # 3.867523e-4)
+        dets = []
+        for m in ("80", "200"):
+            assert cli.main(["det", "--r", "2", "--q", "0", "--nu", "0,1", "--s", "16", "--nodes", m]) == 0
+            dets.append(float(capsys.readouterr().out))
+        assert abs(dets[0] - dets[1]) <= 1e-9 * dets[1]
 
 
 class TestConverge:

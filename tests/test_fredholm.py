@@ -59,8 +59,10 @@ class TestGrid:
         assert g.nodes[0] > 0 and g.nodes[-1] < 4.0
 
     def test_kappa_selection(self):
-        assert kappa_for_nu_min(0.5) == 1
-        assert kappa_for_nu_min(-0.5) == 4
+        # the smallest kappa with kappa (1 + nu_min) >= 2: every nu_min < 1
+        # is graded.  At -0.9, 2 / (1 + nu_min) rounds to 20.000000000000004
+        table = {-0.9: 21, -0.5: 4, 0.0: 2, 0.5: 2, 0.999: 2, 1.0: 1, 1.31: 1, 5.0: 1}
+        assert {nu_min: kappa_for_nu_min(nu_min) for nu_min in table} == table
 
     @pytest.mark.parametrize("bad", [(0.0, 10), (-1.0, 10), (2.0, 1), (math.inf, 10)])
     def test_invalid_inputs(self, bad):

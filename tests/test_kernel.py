@@ -212,6 +212,13 @@ class TestBuildContours:
     def test_bad_range(self):
         with pytest.raises(DomainError):
             build_contours(LEFT, (2.0, 1.0), 1e-12)
+        # a truncation bound of 1 or more stops the rays before the
+        # integrand has decayed; NaN must not slip through either
+        for tol in (math.inf, 1.0, math.nan, 0.0, -1.0):
+            with pytest.raises(DomainError, match="0 < tol < 1"):
+                build_contours(LEFT, (0.5, 2.0), tol)
+            with pytest.raises(DomainError, match="0 < tol < 1"):
+                MeijerKernel(LEFT, (0.5, 2.0), tol=tol)
 
 
 class TestKernelEval:
@@ -242,6 +249,11 @@ class TestKernelEval:
         cq = build_contours(LEFT, (0.5, 2.0), 1e-12)
         with pytest.raises(DomainError):
             kernel_eval(5.0, 1.0, cq)
+        for xs, ys in (([math.nan], [1.0]), ([1.0], [math.nan]), ([0.7, math.nan], [1.0])):
+            with pytest.raises(DomainError):
+                kernel_matrix(xs, ys, cq)
+        with pytest.raises(DomainError):
+            kernel_eval(math.nan, 1.0, cq)
 
     @pytest.mark.parametrize(
         "params, x_lo, rtol",
@@ -375,8 +387,9 @@ class TestKernelSeries:
         assert abs(coarse - fine) < 1e-10
 
     def test_positive_arguments_required(self):
-        with pytest.raises(DomainError):
-            kernel_eval_series(-1.0, 0.5, LEFT)
+        for x, y in ((-1.0, 0.5), (math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(DomainError, match="must be positive"):
+                kernel_eval_series(x, y, LEFT)
 
     @pytest.mark.parametrize("x", [0.05, 2.0])
     @pytest.mark.parametrize("params", [GIN2, LEFT, RIGHT, NEAR], ids=["GIN2", "LEFT", "RIGHT", "NEAR"])
@@ -421,6 +434,16 @@ class TestKernelSeries:
 class TestBesselKernel:
     def test_diagonal_origin(self):
         assert bessel_kernel(0.0, 0.0, 0.0) == 0.25
+
+    def test_domain_errors(self):
+        for x, y in ((-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="requires x, y >= 0"):
+                bessel_kernel(x, y, 0.5)
+        with pytest.raises(DomainError, match="requires x, y >= 0"):
+            BesselKernel(0.5).matrix([math.nan, 1.0])
+        for nu in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="requires nu > -1"):
+                BesselKernel(nu)
 
     def test_symmetry(self):
         assert bessel_kernel(1.3, 2.7, 0.5) == bessel_kernel(2.7, 1.3, 0.5)

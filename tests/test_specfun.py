@@ -232,6 +232,10 @@ class TestBesselJ:
             bessel_j(0.5, -1.0)
         with pytest.raises(DomainError):
             bessel_j(-0.5, 0.0)
+        with pytest.raises(DomainError):
+            bessel_j(0.5, math.nan)
+        with pytest.raises(DomainError):
+            bessel_j(math.nan, 1.0)
 
     def test_array_matches_scalar_calls(self):
         rng = np.random.default_rng(4)
@@ -247,6 +251,8 @@ class TestBesselJ:
             bessel_j(-1.0, np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             bessel_j(0.5, np.array([1.0, -1.0]))
+        with pytest.raises(DomainError):
+            bessel_j(0.5, np.array([1.0, np.nan]))
         with pytest.raises(RangeError):
             bessel_j(0.5, np.array([[1.0, 30.5]]))
         with pytest.raises(DomainError):
