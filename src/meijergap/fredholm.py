@@ -92,7 +92,7 @@ def log_gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
     discretized determinant is zero, non-finite or negative (the
     log-determinant of a gap probability must be real).
     """
-    if abs(float(s) - grid.s) > 1e-12 * max(1.0, grid.s):
+    if not abs(float(s) - grid.s) <= 1e-12 * max(1.0, grid.s):  # NaN fails too
         raise DomainError("grid was built for a different s")
     sqw = np.sqrt(grid.weights)
     mat = np.eye(grid.m) - sqw[:, None] * kernel.matrix(grid.nodes) * sqw[None, :]

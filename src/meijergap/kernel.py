@@ -148,7 +148,9 @@ class ContourQuadrature:
     Q_h = y^(v-1) on the upper halves.  ``separable_coeffs`` stores T_u and
     then T_v as real rows, shape (Nu + Nv, n_t): row 2i is Im T_i and row
     2i + 1 is Re T_i, so that the interleaved (real, imaginary) view of P_h
-    times the first Nu rows is Im(P_h T_u).
+    times the first Nu rows is Im(P_h T_u).  ``separable_magnitudes`` holds
+    the 1-norms |Im T_i| + |Re T_i| of the same rows, shape
+    ((Nu + Nv)/2, n_t), for the fill's rounding bound.
 
     ``gamma_panels`` and ``gammatilde_panels`` hold the exponents of the
     powers on each upper half, e = -u on gamma and e = v - 1 on gammatilde,
@@ -159,14 +161,27 @@ class ContourQuadrature:
     mids[p] + offsets[1] on each ray panel.  Every power of the build and
     the fill is arg^e over these exponents: t^-u and t^(v-1) in T_u and T_v,
     x^-u in P_h and y^(v-1) in Q_h.
+
+    ``gamma_tips`` and ``gammatilde_tips`` hold the truncation bound of each
+    candidate ray tip k = 2, 3, ... up to the tip the build reached, shape
+    (2, k_built - 1): the sign-adjusted ln |F(tip)| and the power of the
+    argument, so that ln |F(u) x^-u| at the tip of gamma, or
+    ln |y^(v-1) / F(v)| at that of gammatilde, is row 0 + row 1 ln x.  With
+    ``ln_tol`` they let each fill end the rays at the tip its own arguments
+    need (see :func:`kernel_matrix`): tip k keeps the first n_cross + k
+    panels, a prefix of the stored panels and rows.
     """
 
     gamma_nodes: np.ndarray
     gammatilde_nodes: np.ndarray
     x_range: tuple
+    ln_tol: float
     separable_coeffs: np.ndarray = field(repr=False)
+    separable_magnitudes: np.ndarray = field(repr=False)
     gamma_panels: tuple = field(repr=False)
     gammatilde_panels: tuple = field(repr=False)
+    gamma_tips: np.ndarray = field(repr=False)
+    gammatilde_tips: np.ndarray = field(repr=False)
 
 
 def _upper_half(start, direction, n_cross, n_panels):
@@ -206,12 +221,15 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     * Truncation.  The integrand factors |F(u) x^-u| and |y^(v-1) / F(v)|
       decay super-exponentially along the rays.  Each ray ends at its first
       tip k >= 2 where the factor's largest value over ``x_range`` is below
-      ``tol``, searched up to the tip k_max = _NODE_CAP // (2 _PANEL_POINTS)
-      - n_cross that the node budget admits (the ray's panels and as many on
-      its mirror); every candidate tip of both rays is evaluated at once.
-      If a ray has no such tip, ConvergenceError is raised.  ``tol`` must
-      lie in (0, 1): a bound of 1 or more truncates nothing reliably (at
-      tol = inf every ray ends at its first candidate tip).
+      ``tol`` (:func:`_first_tip`), searched up to the tip
+      k_max = _NODE_CAP // (2 _PANEL_POINTS) - n_cross that the node budget
+      admits (the ray's panels and as many on its mirror); every candidate
+      tip of both rays is evaluated at once.  If a ray has no such tip,
+      ConvergenceError is raised.  The bounds of the tips up to each ray's
+      own are kept, so that every fill applies the same rule again to the
+      arguments it is given (:func:`kernel_matrix`).  ``tol`` must lie in
+      (0, 1): a bound of 1 or more truncates nothing reliably (at tol = inf
+      every ray ends at its first candidate tip).
     * Nodes.  ln F at the nodes of both contours, in one call.
 
     The parameters are real, so F(conj z) = conj F(z) and both contours are
@@ -245,12 +263,13 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     tips = np.array([start + direction * (_PANEL_LENGTH * k) for start, direction in zip(starts, directions)])
     power = np.stack((-tips[0].real, tips[1].real - 1.0))
     ln_tip = np.array([[1.0], [-1.0]]) * log_big_f(tips, params).real
-    below = ln_tip + np.maximum(power * math.log(x_lo), power * math.log(x_hi)) < math.log(tol)
-    if not np.all(below.any(axis=1)):
+    bounds = np.stack((ln_tip, power), axis=1)  # per ray: (ln |F| row, power row)
+    ln_tol = math.log(tol)
+    ends = [_first_tip(b, math.log(x_lo), math.log(x_hi), ln_tol) for b in bounds]
+    if None in ends:
         raise ConvergenceError(f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes")
     (u, wu, (u_mids, u_offsets, _)), (v, wv, (v_mids, v_offsets, _)) = (
-        _upper_half(start, direction, n_cross, n_panels)
-        for start, direction, n_panels in zip(starts, directions, k[below.argmax(axis=1)])
+        _upper_half(start, direction, n_cross, k[end]) for start, direction, end in zip(starts, directions, ends)
     )
     u_panels = (-u_mids, -u_offsets, n_cross)  # exponent -u
     v_panels = (v_mids - 1.0, v_offsets, n_cross)  # exponent v - 1
@@ -280,10 +299,24 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
         gamma_nodes=np.concatenate((u, np.conj(u))),
         gammatilde_nodes=np.concatenate((v, np.conj(v))),
         x_range=(x_lo, x_hi),
+        ln_tol=ln_tol,
         separable_coeffs=coeffs,
+        separable_magnitudes=np.abs(coeffs[0::2]) + np.abs(coeffs[1::2]),
         gamma_panels=u_panels,
         gammatilde_panels=v_panels,
+        gamma_tips=bounds[0][:, : ends[0] + 1],
+        gammatilde_tips=bounds[1][:, : ends[1] + 1],
     )
+
+
+def _first_tip(tips, ln_lo, ln_hi, ln_tol):
+    """The truncation rule of a ray: the index (0 for k = 2) of the first of
+    its candidate tips, given as rows (ln |F| part, power), whose bound
+    ln |F| + power ln x at its largest over [ln_lo, ln_hi] is below ln_tol;
+    None if no tip is."""
+    ln_f, power = tips
+    below = ln_f + np.maximum(power * ln_lo, power * ln_hi) < ln_tol
+    return int(below.argmax()) if below.any() else None
 
 
 def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
@@ -312,13 +345,23 @@ def _half_powers(ln_arg, panels) -> np.ndarray:
     return out.reshape(ln_arg.size, -1)
 
 
-def _contour_sums(ln_arg, panels, rows):
+def _contour_sums(ln_arg, panels, tips, ln_tol, rows, magnitudes):
     """Im(P T) for the upper-half powers P = arg^e of one contour and its
     stored rows T, and the magnitude sum |P| |T| in 1-norms |Re| + |Im| (a
-    bound on each magnitude without square roots), which bounds the terms
-    of the real product that computes Im(P T)."""
-    p = _half_powers(ln_arg, panels)
-    return p.view(float) @ rows, (np.abs(p.real) + np.abs(p.imag)) @ (np.abs(rows[0::2]) + np.abs(rows[1::2]))
+    bound on each magnitude without square roots, stored as ``magnitudes``
+    for T), which bounds the terms of the real product that computes
+    Im(P T).  The ray ends at the tip that :func:`_first_tip` picks over
+    the smallest and largest argument, or at the built tip where none of
+    the stored tips is below ln_tol (arguments in the slack above x_range):
+    only that prefix of the panels, rows and magnitudes enters."""
+    mids, offsets, n_cross = panels
+    end = _first_tip(tips, ln_arg.min(), ln_arg.max(), ln_tol)
+    if end is None:
+        end = tips.shape[1] - 1
+    n = n_cross + 2 + end  # the crossing panels and k = end + 2 ray panels
+    nodes = n * offsets.shape[1]
+    p = _half_powers(ln_arg, (mids[:n], offsets, n_cross))
+    return p.view(float) @ rows[: 2 * nodes], (np.abs(p.real) + np.abs(p.imag)) @ magnitudes[:nodes]
 
 
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
@@ -330,6 +373,14 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     the interleaved (real, imaginary) view of the powers times the stored
     rows, and K = G1 G2^T.
 
+    Each ray is truncated here, per call, by the rule :func:`build_contours`
+    applied over ``x_range``: gamma ends at its first stored tip whose bound
+    over [min xs, max xs] is below the build's tol, and gammatilde at the
+    first over [min ys, max ys].  Only that prefix of the panels and stored
+    rows enters the products, so arguments narrower than ``x_range`` cost
+    fewer contour nodes; arguments in the 0.1% slack above ``x_range`` that
+    no stored tip covers use the tip the build reached.
+
     Every entry is checked against its rounding bound
     E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, the magnitude sum of its terms with
     |.| the 1-norm |Re| + |Im| of each complex entry (|T_v| carries the
@@ -338,8 +389,9 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     """
     ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
     n_u = cq.gamma_nodes.size
-    g1, mag_u = _contour_sums(ln_x, cq.gamma_panels, cq.separable_coeffs[:n_u])
-    g2, mag_v = _contour_sums(ln_y, cq.gammatilde_panels, cq.separable_coeffs[n_u:])
+    rows, mags = cq.separable_coeffs, cq.separable_magnitudes
+    g1, mag_u = _contour_sums(ln_x, cq.gamma_panels, cq.gamma_tips, cq.ln_tol, rows[:n_u], mags[: n_u // 2])
+    g2, mag_v = _contour_sums(ln_y, cq.gammatilde_panels, cq.gammatilde_tips, cq.ln_tol, rows[n_u:], mags[n_u // 2 :])
     vals = g1 @ g2.T
     ratio = _EPS * (mag_u @ mag_v.T) / np.maximum(1.0, np.abs(vals))
     if np.any(ratio > _ROUNDING_LIMIT):

@@ -147,6 +147,12 @@ class TestGapDeterminant:
         with pytest.raises(DomainError):
             log_gap_determinant(2.0, g, BesselKernel(0.0))
 
+    def test_grid_s_nan(self):
+        # NaN compares false with the tolerance, so the check must be written
+        # to fail for it rather than to pass
+        with pytest.raises(DomainError, match="different s"):
+            log_gap_determinant(math.nan, gauss_legendre_grid(2.0, 40, 2), BesselKernel(0.5))
+
 
 class _SingularHandle:
     """Makes I - sqrt(w) K sqrt(w) exactly the zero matrix."""

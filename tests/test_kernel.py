@@ -32,6 +32,36 @@ NEG = ProcessParams(2, 0, (-0.5, 0.7))
 BES = ProcessParams(1, 0, (0.5,))
 GIN2 = ProcessParams(2, 0, (0.0, 1.0))
 NEAR = ProcessParams(2, 0, (0.5, 0.5005))
+NU4 = ProcessParams(1, 0, (4.0,))
+
+
+def _scalar_tip(params, ray, x_min, x_max, tol):
+    """The first tip k >= 2 of gamma (ray 0) or gammatilde (ray 1) where
+    ln |F(u) x^-u|, or ln |y^(v-1) / F(v)|, at its largest over
+    [x_min, x_max] is below ln tol, from one scalar log_big_f call per tip."""
+    span = 1.0 + params.nu_min
+    x_cross, angle, sign = ((span / 3, 2 * math.pi / 3, 1.0), (2 * span / 3, math.pi / 3, -1.0))[ray]
+    for k in range(2, 200):
+        tip = x_cross + 1j + kernel._PANEL_LENGTH * k * complex(math.cos(angle), math.sin(angle))
+        power = -tip.real if sign > 0 else tip.real - 1.0
+        ln_bound = sign * log_big_f(tip, params).real + max(power * math.log(x) for x in (x_min, x_max))
+        if ln_bound < math.log(tol):
+            return k
+    return None
+
+
+def _spy_panel_counts(monkeypatch):
+    """The panel count of each later _half_powers call, in call order: a
+    fill powers gamma's panels, then gammatilde's."""
+    used = []
+    half_powers = kernel._half_powers
+
+    def spy(ln_arg, panels):
+        used.append(panels[0].size)
+        return half_powers(ln_arg, panels)
+
+    monkeypatch.setattr(kernel, "_half_powers", spy)
+    return used
 
 
 def _sum_residues_full_ring(locs, radius, ln_num, z):
@@ -153,7 +183,7 @@ class TestBuildContours:
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-12])
     @pytest.mark.parametrize("x_range", [(1e-6, 256.0), (0.5, 2.0)])
-    @pytest.mark.parametrize("params", [LEFT, NEG, ProcessParams(1, 0, (4.0,))], ids=["LEFT", "NEG", "NU4"])
+    @pytest.mark.parametrize("params", [LEFT, NEG, NU4], ids=["LEFT", "NEG", "NU4"])
     def test_tip_is_first_below_tol(self, params, x_range, tol):
         # each ray ends at its first tip k >= 2 where ln |F(u) x^-u| on gamma,
         # or ln |y^(v-1) / F(v)| on gammatilde, at its largest over x_range,
@@ -162,16 +192,8 @@ class TestBuildContours:
         # side of the bound is the larger one, and at tol = 1e-3 it decides
         # that the ray goes on to k = 3
         cq = build_contours(params, x_range, tol)
-        span = 1.0 + params.nu_min
-        rays = ((cq.gamma_panels, span / 3, 2 * math.pi / 3, 1.0), (cq.gammatilde_panels, 2 * span / 3, math.pi / 3, -1.0))
-        for (mids, _, n_cross), x_cross, angle, sign in rays:
-            for k in range(2, 200):
-                tip = x_cross + 1j + kernel._PANEL_LENGTH * k * complex(math.cos(angle), math.sin(angle))
-                power = -tip.real if sign > 0 else tip.real - 1.0
-                ln_bound = sign * log_big_f(tip, params).real + max(power * math.log(x) for x in x_range)
-                if ln_bound < math.log(tol):
-                    break
-            assert mids.size - n_cross == k
+        for ray, (mids, _, n_cross) in enumerate((cq.gamma_panels, cq.gammatilde_panels)):
+            assert mids.size - n_cross == _scalar_tip(params, ray, *x_range, tol)
 
     @pytest.mark.parametrize(
         "params, n_cross", [(LEFT, 1), (NEG, 3), (BES, 1), (GIN2, 2)], ids=["LEFT", "NEG", "BES", "GIN2"]
@@ -341,6 +363,79 @@ class TestKernelEval:
         monkeypatch.setattr(kernel, "_T_POINTS", 2 * kernel._T_POINTS)
         monkeypatch.setattr(kernel, "_T_GRADING", 2 * kernel._T_GRADING)
         assert abs(log_gap_determinant(1.0, grid, MeijerKernel(NEG, x_range)) - ref) < 1e-11
+
+
+class TestCallTip:
+    """Each fill ends the rays at the tip its own arguments need."""
+
+    @pytest.mark.parametrize(
+        "params, x_lo", [(LEFT, 0.01), (RIGHT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)],
+        ids=["LEFT", "RIGHT", "NEG", "BES", "GIN2"],
+    )
+    def test_wide_build_matches_narrow_build(self, params, x_lo):
+        # contours built up to 256 and filled on [x_lo, 16] against contours
+        # built for [x_lo, 16]
+        xs = np.geomspace(x_lo, 16.0, 40)
+        wide = kernel_matrix(xs, xs, build_contours(params, (x_lo, 256.0)))
+        narrow = kernel_matrix(xs, xs, build_contours(params, (x_lo, 16.0)))
+        assert np.all(np.abs(wide - narrow) <= 1e-14 * np.maximum(1.0, np.abs(narrow)))
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12])
+    @pytest.mark.parametrize("params", [LEFT, NEG, NU4], ids=["LEFT", "NEG", "NU4"])
+    def test_call_tip_is_first_below_tol(self, params, tol, monkeypatch):
+        # the rule of test_tip_is_first_below_tol over [min, max] of the
+        # arguments of one fill, on contours built for (1e-6, 256); NU4's
+        # fill over the whole range raises AccuracyError (K(1e-6, 256)
+        # cancels), so the widest call starts at 0.01
+        cq = build_contours(params, (1e-6, 256.0), tol)
+        n_cross = cq.gamma_panels[2]
+        used = _spy_panel_counts(monkeypatch)
+        gamma_tip = {}
+        for lo, hi in ((0.01, 256.0), (0.5, 2.0), (1e-6, 1.0), (4.0, 256.0)):
+            args = np.geomspace(lo, hi, 7)
+            used.clear()
+            kernel_matrix(args, args, cq)
+            assert used == [n_cross + _scalar_tip(params, ray, lo, hi, tol) for ray in (0, 1)]
+            gamma_tip[lo, hi] = used[0] - n_cross
+        if params is NU4 and tol == 1e-3:
+            # the k = 2 tip of gamma has Re u > 0, so its bound falls with x:
+            # with the same x_hi, the x_lo side keeps the ray to k = 3 from
+            # x = 0.01 and lets it end at k = 2 from x = 4
+            assert (gamma_tip[0.01, 256.0], gamma_tip[4.0, 256.0]) == (3, 2)
+
+    def test_rays_cut_by_their_own_arguments(self, monkeypatch):
+        # gamma follows xs and gammatilde ys, each with its own tip; the
+        # narrow fills stop short of the wide ones' tips, so they differ by
+        # the truncation (3.1e-14 here), within tol
+        cq = build_contours(LEFT, (0.01, 256.0))
+        narrow = np.geomspace(0.01, 16.0, 5)
+        wide = np.concatenate((narrow, [64.0, 256.0]))
+        full = kernel_matrix(wide, wide, cq)
+        used = _spy_panel_counts(monkeypatch)
+        n_cross = cq.gamma_panels[2]
+        tips = {ray: [_scalar_tip(LEFT, ray, 0.01, hi, 1e-12) for hi in (16.0, 256.0)] for ray in (0, 1)}
+        assert tips[0][0] < tips[0][1] and tips[1][0] < tips[1][1]
+        for (xs, i), (ys, j) in (((narrow, 0), (wide, 1)), ((wide, 1), (narrow, 0))):
+            used.clear()
+            k = kernel_matrix(xs, ys, cq)
+            assert used == [n_cross + tips[0][i], n_cross + tips[1][j]]
+            ref = full[: xs.size, : ys.size]
+            assert np.all(np.abs(k - ref) <= kernel.CONTOUR_TOL * np.maximum(1.0, np.abs(ref)))
+
+    def test_slack_above_x_hi_uses_built_tip(self, monkeypatch):
+        # tol just above the bound of gammatilde's built tip over x_range, so
+        # that over [x_lo, 1.001 x_hi] no stored tip is below it: the fill
+        # keeps the built tip and raises nothing
+        x_range = (0.01, 16.0)
+        ln_f, power = build_contours(LEFT, x_range).gammatilde_tips[:, -1]
+        edge = ln_f + max(power * math.log(x) for x in x_range)
+        cq = build_contours(LEFT, x_range, math.exp(edge + 1e-9))
+        args = np.geomspace(x_range[0], 1.001 * x_range[1], 9)
+        assert kernel._first_tip(cq.gammatilde_tips, math.log(args[0]), math.log(args[-1]), cq.ln_tol) is None
+        used = _spy_panel_counts(monkeypatch)
+        k = kernel_matrix(args, args, cq)
+        assert used == [cq.gamma_panels[0].size, cq.gammatilde_panels[0].size]
+        assert np.all(np.isfinite(k))
 
 
 class TestKernelSeries:
