@@ -90,8 +90,8 @@ def compute_coeffs(params: ProcessParams) -> AsymptoticCoeffs:
 def log_constant_bessel(nu: float) -> float:
     """ln of the Bessel-case constant G(1+nu) (2 pi)^(-nu/2) 2^(-nu^2/2)."""
     nu = float(nu)
-    if nu <= -1.0:
-        raise DomainError("requires nu > -1")
+    if not -1.0 < nu < math.inf:  # NaN fails too
+        raise DomainError("requires finite nu > -1")
     return _ln_barnes(1.0 + nu) - nu / 2.0 * _LN_2PI - nu * nu / 2.0 * math.log(2.0)
 
 
@@ -106,10 +106,10 @@ def log_constant_kr(r: float, nu: float) -> float:
     """
     r = float(r)
     nu = float(nu)
-    if r < 1.0:
-        raise DomainError("requires r >= 1")
-    if nu <= -1.0:
-        raise DomainError("requires nu > -1")
+    if not 1.0 <= r < math.inf:  # NaN fails too
+        raise DomainError("requires finite r >= 1")
+    if not -1.0 < nu < math.inf:
+        raise DomainError("requires finite nu > -1")
     out = r * _ln_barnes(1.0 + nu) - r * nu / 2.0 * _LN_2PI - (r - 1.0) * zeta_prime_minus1()
     out += (-2.0 + r * r * (r - 1.0 + 12.0 * nu * nu)) / (24.0 * (r + 1.0)) * math.log(r)
     out -= ((r - 1.0) ** 2 + 12.0 * r * nu * nu) / 24.0 * math.log(1.0 + r)
@@ -127,12 +127,12 @@ def log_constant_mb(r: int, alpha: float) -> float:
 
     and the two explicit ln(theta), ln(1+theta) blocks.
     """
-    if int(r) != r or r < 1:
+    if not (1 <= r < math.inf and int(r) == r):  # NaN fails before int() sees it
         raise DomainError("requires integer r >= 1")
     r = int(r)
     alpha = float(alpha)
-    if alpha <= -1.0:
-        raise DomainError("requires alpha > -1")
+    if not -1.0 < alpha < math.inf:  # NaN fails too
+        raise DomainError("requires finite alpha > -1")
     theta = 1.0 / r
 
     d_1 = zeta_prime_minus1() + (1.0 + alpha) / 2.0 * _LN_2PI - _ln_barnes(2.0 + alpha)

@@ -8,8 +8,14 @@ series directly where Re z >= 10 or |Im z| >= 10; inside the strip
 most 10, with an exact recurrence.  ``log_barnes_g`` shifts by its own
 recurrence and takes every log-gamma it needs from one ``log_gamma`` call.
 This keeps the accuracy uniform on the vertical strips and far rays
-traversed by the kernel contours.  Every function accepts scalars or numpy
-arrays and is pure; the Bernoulli table below is immutable.
+traversed by the kernel contours.
+
+No complex ``np.log`` runs in them: each principal log is
+ln|z| + i arctan2(Im z, Re z), the recurrence shift is summed over the
+real and imaginary parts of its factors in a fixed 10-step loop, and the
+asymptotic series are evaluated by Horner's rule in 1/v^2.
+Every function accepts scalars or numpy arrays and is pure; the Bernoulli
+table below is immutable.
 """
 
 from __future__ import annotations
@@ -38,12 +44,19 @@ _BERNOULLI = (
     -3617.0 / 510.0,
 )
 
+# The series of ln Gamma, psi and ln G as polynomials in u = 1/v^2, lowest
+# power first: ln Gamma carries a further factor 1/v, psi and ln G a factor u.
+_LOG_GAMMA_SERIES = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))
+_DIGAMMA_SERIES = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1))
+_BARNES_SERIES = tuple(b / (2 * k * (2 * k + 1) * (2 * k + 2)) for k, b in enumerate(_BERNOULLI[1:], start=1))
+
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
 
 # The asymptotic series is applied where Re z >= 10 or |Im z| >= 10; points
 # inside that square are reflected or recurrence-shifted out of it first.
 _SHIFT_THRESHOLD = 10.0
+_SHIFT_STEPS = 10  # the largest shift, ceil(10 - Re w) for Re w >= 1/2
 
 _POLE_TOL = 1e-12
 
@@ -70,6 +83,30 @@ def _guard_finite(res):
     return res
 
 
+def _complex(re, im):
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _log(z):
+    """Principal log ln|z| + i arctan2(Im z, Re z), from real functions.
+
+    The imaginary part has the sign of Im z, a signed zero included, so
+    the side of the cut (-inf, 0] is that of np.log.
+    """
+    return _complex(np.log(np.abs(z)), np.arctan2(z.imag, z.real))
+
+
+def _horner(coeffs, u):
+    """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ..., by Horner's rule."""
+    p = coeffs[-1] * u + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        p *= u
+        p += c
+    return p
+
+
 def _sincospi(z):
     """sin(pi z) and cos(pi z), with Re z reduced exactly to [-1/2, 1/2].
 
@@ -79,14 +116,11 @@ def _sincospi(z):
     """
     x, y = z.real, z.imag
     n = np.round(x)
-    sign = 1.0 - 2.0 * (n % 2.0)  # (-1)^n
+    sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))  # (-1)^n
     r = np.pi * (x - n)
     s, c = sign * np.sin(r), sign * np.cos(r)
     ch, sh = np.cosh(np.pi * y), np.sinh(np.pi * y)
-    sin, cos = np.empty_like(z), np.empty_like(z)
-    sin.real, sin.imag = s * ch, c * sh
-    cos.real, cos.imag = c * ch, -s * sh
-    return sin, cos
+    return _complex(s * ch, c * sh), _complex(c * ch, -s * sh)
 
 
 def _strip(z):
@@ -104,12 +138,12 @@ def _strip(z):
     return refl, w, n
 
 
-def _shift_points(w, n):
-    """The entries with n > 0 and, for each, the row w + j for j < 10 with
-    1 in place of j >= n: the factors of the shift as one broadcast."""
+def _shift_steps(w, n):
+    """The entries with n > 0, Im w at them, and the real parts a + j of
+    their factors w + j, each with its mask j < n, for j = 0 .. 9 in order."""
     near = n > 0
-    j = np.arange(_SHIFT_THRESHOLD)
-    return near, np.where(j < n[near][:, None], w[near][:, None] + j, 1.0)
+    a, b, n = w.real[near], w.imag[near], n[near]
+    return near, b, ((a + j, j < n) for j in range(_SHIFT_STEPS))
 
 
 def log_gamma(z):
@@ -118,7 +152,8 @@ def log_gamma(z):
     Fixed work per point, in three regions:
 
     * Re z >= 10 or |Im z| >= 10: Stirling's series with Bernoulli terms
-      through B_16, applied directly.
+      through B_16, applied directly and evaluated by Horner's rule in
+      1/z^2.
     * Re z < 1/2 inside the strip |Im z| < 10: Hare's principal-branch
       reflection (J. Algorithms 25 (1997) 221-236),
       ln Gamma(z) = ln pi + i copysign(2 pi, Im z) floor(Re z/2 + 1/4)
@@ -126,12 +161,15 @@ def log_gamma(z):
       A signed-zero imaginary part selects the side of the cut, so
       ln Gamma(x - 0j) = conj(ln Gamma(x + 0j)).
     * the rest of the strip: one shift by n = ceil(10 - Re z) <= 10,
-      ln Gamma(z) = ln Gamma(z + n) - sum_{j<n} ln(z + j).  The sum takes
-      one principal log per adjacent pair (z + j)(z + j + 1): both factors
-      have positive real parts, so their arguments add to less than pi and
-      the pair's log keeps the branch.
+      ln Gamma(z) = ln Gamma(z + n) - sum_{j<n} ln(z + j).  With
+      z = a + ib the sum is formed in real arithmetic, as
+      (1/2) ln prod_{j<n} ((a + j)^2 + b^2) + i sum_{j<n} arctan2(b, a + j):
+      every factor has a positive real part, so its argument lies in
+      (-pi/2, pi/2) and the sum of the arguments keeps the principal branch.
 
-    Accepts complex scalars or arrays.
+    Every principal log, of z + n and of sin(pi z), is ln|.| + i arctan2
+    of the parts; no complex logarithm is taken.  Accepts complex scalars
+    or arrays.
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
@@ -141,18 +179,19 @@ def log_gamma(z):
 
     with np.errstate(over="ignore", invalid="ignore"):
         v = w + n
-        res = (v - 0.5) * np.log(v) - v + 0.5 * _LN_2PI
-        vinv2 = 1.0 / (v * v)
-        term = 1.0 / v
-        for k, b2k in enumerate(_BERNOULLI, start=1):
-            res += b2k / (2 * k * (2 * k - 1)) * term
-            term = term * vinv2
-        near, pts = _shift_points(w, n)
-        res[near] -= np.log(pts[:, 0::2] * pts[:, 1::2]).sum(axis=1)
+        vinv = 1.0 / v
+        res = (v - 0.5) * _log(v) - v + 0.5 * _LN_2PI + _horner(_LOG_GAMMA_SERIES, vinv * vinv) * vinv
+        near, b, steps = _shift_steps(w, n)
+        b2 = b * b
+        mod2, arg = 1.0, 0.0
+        for x, on in steps:
+            mod2 = mod2 * np.where(on, x * x + b2, 1.0)
+            arg = arg + np.where(on, np.arctan2(b, x), 0.0)
+        res[near] -= _complex(0.5 * np.log(mod2), arg)
     if np.any(refl):
         zr = z[refl]
         turn = np.copysign(2.0 * math.pi, zr.imag) * np.floor(0.5 * zr.real + 0.25)
-        res[refl] = _LN_PI + 1j * turn - np.log(_sincospi(zr)[0]) - res[refl]
+        res[refl] = _LN_PI + 1j * turn - _log(_sincospi(zr)[0]) - res[refl]
     _guard_finite(res)
     return complex(res[0]) if scalar else res
 
@@ -162,7 +201,8 @@ def digamma(z):
 
     The regions of :func:`log_gamma`: the Stirling series for psi off the
     strip, psi(z) = psi(1 - z) - pi cot(pi z) for Re z < 1/2 inside it, and
-    one shift psi(z) = psi(z + n) - sum_{j<n} 1/(z + j) for the rest.
+    one shift psi(z) = psi(z + n) - sum_{j<n} 1/(z + j) for the rest, each
+    1/(a + j + ib) summed as (a + j - ib)/((a + j)^2 + b^2).
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
@@ -171,15 +211,17 @@ def digamma(z):
     refl, w, n = _strip(z)
 
     v = w + n
-    vinv2 = 1.0 / (v * v)
-    res = np.log(v) - 0.5 / v
-    term = vinv2.copy()
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        res -= b2k / (2 * k) * term
-        term = term * vinv2
-    near, pts = _shift_points(w, n)
-    pad = np.arange(_SHIFT_THRESHOLD) >= n[near][:, None]
-    res[near] -= np.where(pad, 0.0, 1.0 / pts).sum(axis=1)
+    vinv = 1.0 / v
+    u = vinv * vinv
+    res = _log(v) - 0.5 * vinv - u * _horner(_DIGAMMA_SERIES, u)
+    near, b, steps = _shift_steps(w, n)
+    b2 = b * b
+    re, im = 0.0, 0.0
+    for x, on in steps:
+        d = np.where(on, 1.0 / (x * x + b2), 0.0)
+        re = re + x * d
+        im = im - b * d
+    res[near] -= _complex(re, im)
     if np.any(refl):
         sin, cos = _sincospi(z[refl])
         res[refl] -= np.pi * cos / sin
@@ -197,12 +239,12 @@ def log_barnes_g(z):
         ln G(w+1) = w^2/4 + w ln Gamma(w+1) - (w(w+1)/2 + 1/12) ln w
                     - 1/12 + zeta'(-1) + sum_k B_{2k+2}/(2k(2k+1)(2k+2) w^{2k})
 
-    is evaluated at w = z + n - 1.  Every log-gamma, the sum(n) shift points
-    and the expansion's own, comes from one :func:`log_gamma` call; the
-    shift is summed per entry in order of j.  The imaginary part inherits
-    a consistent branch from the principal log-gammas used in the shift;
-    only real arguments and conjugation symmetry are exercised by the
-    accuracy guarantees.
+    is evaluated at w = z + n - 1, its sum by Horner's rule in 1/w^2 and
+    ln w as ln|w| + i arctan2 of the parts.  Every log-gamma, the sum(n)
+    shift points and the expansion's own, comes from one :func:`log_gamma`
+    call; the shift is summed per entry in order of j.  The imaginary part
+    inherits a consistent branch from the principal log-gammas used in the
+    shift.
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
@@ -215,21 +257,18 @@ def log_barnes_g(z):
     v = w + n - 1.0  # expansion variable: ln G(z) = ln G(v+1) - shift
     lg = log_gamma(np.concatenate((w[entry] + j, v + 1.0)))
     lg_shift, lg_v = lg[: entry.size], lg[entry.size :]
-    shift = np.bincount(entry, lg_shift.real, w.size) + 1j * np.bincount(entry, lg_shift.imag, w.size)
+    shift = _complex(np.bincount(entry, lg_shift.real, w.size), np.bincount(entry, lg_shift.imag, w.size))
 
+    u = 1.0 / (v * v)
     res = (
         v * v / 4.0
         + v * lg_v
-        - (v * (v + 1.0) / 2.0 + 1.0 / 12.0) * np.log(v)
+        - (v * (v + 1.0) / 2.0 + 1.0 / 12.0) * _log(v)
         - 1.0 / 12.0
         + zeta_prime_minus1()
+        + u * _horner(_BARNES_SERIES, u)
+        - shift
     )
-    vinv2 = 1.0 / (v * v)
-    term = vinv2.copy()
-    for k, b2k2 in enumerate(_BERNOULLI[1:], start=1):  # B_4, B_6, ...
-        res += b2k2 / (2 * k * (2 * k + 1) * (2 * k + 2)) * term
-        term = term * vinv2
-    res -= shift
     _guard_finite(res)
     return complex(res[0]) if scalar else res.reshape(arr.shape)
 

@@ -122,6 +122,11 @@ class TestLogConstantBessel:
         with pytest.raises(DomainError):
             log_constant_bessel(-1.0)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_domain_nonfinite(self, nu):
+        with pytest.raises(DomainError, match="finite nu > -1"):
+            log_constant_bessel(nu)
+
 
 class TestLogConstantKr:
     def test_reduces_to_bessel_at_r_one(self):
@@ -141,6 +146,16 @@ class TestLogConstantKr:
         with pytest.raises(DomainError):
             log_constant_kr(0.5, 0.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_domain_nonfinite_r(self, r):
+        with pytest.raises(DomainError, match="finite r >= 1"):
+            log_constant_kr(r, 0.5)
+
+    @pytest.mark.parametrize("nu", [-1.0, math.nan, math.inf, -math.inf])
+    def test_domain_nu(self, nu):
+        with pytest.raises(DomainError, match="finite nu > -1"):
+            log_constant_kr(2.0, nu)
+
 
 class TestLogConstantMb:
     def test_identity_point(self):
@@ -149,6 +164,16 @@ class TestLogConstantMb:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_constant_mb(0, 0.0)
+
+    @pytest.mark.parametrize("r", [1.5, math.nan, math.inf, -math.inf])
+    def test_domain_nonfinite_or_fractional_r(self, r):
+        with pytest.raises(DomainError, match="integer r >= 1"):
+            log_constant_mb(r, 0.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf, -math.inf])
+    def test_domain_alpha(self, alpha):
+        with pytest.raises(DomainError, match="finite alpha > -1"):
+            log_constant_mb(2, alpha)
 
 
 class TestTruncatedLogExpansion:

@@ -1,12 +1,13 @@
 """Special-function tests.
 
 Frozen reference values were computed with mpmath at 40-50 digits; live
-oracles use scipy where a routine exists.
+oracles use scipy where a routine exists and mpmath otherwise.
 """
 
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import jv, loggamma as scipy_loggamma, psi as scipy_psi
@@ -68,12 +69,16 @@ class TestLogGamma:
 
     @pytest.mark.parametrize(
         "region",
-        ["left strip", "rays", "near poles", "|Im| = 10 line", "Re = 0.5 line", "Re = 10 line"],
+        ["left strip", "far left strip", "rays", "near poles", "|Im| = 10 line", "Re = 0.5 line", "Re = 10 line"],
     )
     def test_against_scipy_by_region(self, region):
         rng = np.random.default_rng(11)
         if region == "left strip":
             z = rng.uniform(-160, 0.5, 400) + 1j * rng.uniform(-10, 10, 400)
+        elif region == "far left strip":
+            # the reflection's (-1)^n at n near -1e6: a wrong sign moves
+            # ln sin(pi z) by i pi, about 3e-7 of |ln Gamma| here
+            z = rng.uniform(-1e6, -1e6 + 200, 400) + 1j * rng.uniform(-10, 10, 400)
         elif region == "rays":
             r = rng.uniform(0.1, 320, 200)
             z = np.concatenate([r * np.exp(2j * np.pi / 3), r * np.exp(-2j * np.pi / 3)])
@@ -163,6 +168,20 @@ class TestLogBarnesG:
     def test_pole_error(self):
         with pytest.raises(PoleError):
             log_barnes_g(0.0)
+
+    def test_complex_against_mpmath(self):
+        # the oracle batch range; the imaginary part is compared modulo 2 pi,
+        # since mpmath's log G takes the principal log of G.  Both parts read
+        # at most 7e-14 of max(1, |ln G|) on these points.
+        rng = np.random.default_rng(23)
+        z = rng.uniform(0.5, 20.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
+        with mp.workdps(30):
+            ref = np.array([complex(mp.log(mp.barnesg(mp.mpc(v)))) for v in z])
+        val = log_barnes_g(z)
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(val.real - ref.real) / scale) < 2e-13
+        turns = np.remainder(val.imag - ref.imag + np.pi, 2 * np.pi) - np.pi
+        assert np.max(np.abs(turns) / scale) < 2e-13
 
 
 class TestHurwitzZetaPrime:
