@@ -56,7 +56,9 @@ _LN_PI = math.log(math.pi)
 # The asymptotic series is applied where Re z >= 10 or |Im z| >= 10; points
 # inside that square are reflected or recurrence-shifted out of it first.
 _SHIFT_THRESHOLD = 10.0
-_SHIFT_STEPS = 10  # the largest shift, ceil(10 - Re w) for Re w >= 1/2
+# the steps j = 0 .. 9 of a shift by at most 10, one row each
+_SHIFT_STEPS = np.arange(_SHIFT_THRESHOLD)[:, None]
+_SHIFT_STEPS.flags.writeable = False
 
 _POLE_TOL = 1e-12
 
@@ -138,12 +140,23 @@ def _strip(z):
     return refl, w, n
 
 
-def _shift_steps(w, n):
-    """The entries with n > 0, Im w at them, and the real parts a + j of
-    their factors w + j, each with its mask j < n, for j = 0 .. 9 in order."""
+def _shift_rows(w, n):
+    """The entries with n > 0, Im w at them, the real parts a + j of their
+    factors w + j as rows j = 0 .. 9, and the index of each entry's last
+    factor, row n - 1.  An accumulation down the rows (:func:`_accumulate`),
+    read at that index, runs over the entry's own n factors in order of j."""
     near = n > 0
-    a, b, n = w.real[near], w.imag[near], n[near]
-    return near, b, ((a + j, j < n) for j in range(_SHIFT_STEPS))
+    m = n[near].astype(np.intp)
+    return near, w.imag[near], w.real[near] + _SHIFT_STEPS, (m - 1, np.arange(m.size))
+
+
+def _accumulate(op, rows):
+    """``op`` accumulated down the rows, in place: row j becomes
+    op(row j-1, row j).  One call per row; numpy's own accumulation along
+    the first axis loops over the columns, which is several times slower."""
+    for prev, row in zip(rows, rows[1:]):
+        op(prev, row, out=row)
+    return rows
 
 
 def log_gamma(z):
@@ -181,12 +194,11 @@ def log_gamma(z):
         v = w + n
         vinv = 1.0 / v
         res = (v - 0.5) * _log(v) - v + 0.5 * _LN_2PI + _horner(_LOG_GAMMA_SERIES, vinv * vinv) * vinv
-        near, b, steps = _shift_steps(w, n)
-        b2 = b * b
-        mod2, arg = 1.0, 0.0
-        for x, on in steps:
-            mod2 = mod2 * np.where(on, x * x + b2, 1.0)
-            arg = arg + np.where(on, np.arctan2(b, x), 0.0)
+        near, b, x, last = _shift_rows(w, n)
+        arg = _accumulate(np.add, np.arctan2(b, x))[last]
+        x *= x  # in place, |w + j|^2
+        x += b * b
+        mod2 = _accumulate(np.multiply, x)[last]
         res[near] -= _complex(0.5 * np.log(mod2), arg)
     if np.any(refl):
         zr = z[refl]
@@ -214,14 +226,9 @@ def digamma(z):
     vinv = 1.0 / v
     u = vinv * vinv
     res = _log(v) - 0.5 * vinv - u * _horner(_DIGAMMA_SERIES, u)
-    near, b, steps = _shift_steps(w, n)
-    b2 = b * b
-    re, im = 0.0, 0.0
-    for x, on in steps:
-        d = np.where(on, 1.0 / (x * x + b2), 0.0)
-        re = re + x * d
-        im = im - b * d
-    res[near] -= _complex(re, im)
+    near, b, x, last = _shift_rows(w, n)
+    inv = 1.0 / (x * x + b * b)
+    res[near] -= _complex(_accumulate(np.add, x * inv)[last], -b * _accumulate(np.add, inv)[last])
     if np.any(refl):
         sin, cos = _sincospi(z[refl])
         res[refl] -= np.pi * cos / sin

@@ -77,7 +77,7 @@ class TestLogGamma:
             z = rng.uniform(-160, 0.5, 400) + 1j * rng.uniform(-10, 10, 400)
         elif region == "far left strip":
             # the reflection's (-1)^n at n near -1e6: a wrong sign moves
-            # ln sin(pi z) by i pi, about 3e-7 of |ln Gamma| here
+            # ln sin(pi z) by i pi, about 2e-7 of |ln Gamma| here
             z = rng.uniform(-1e6, -1e6 + 200, 400) + 1j * rng.uniform(-10, 10, 400)
         elif region == "rays":
             r = rng.uniform(0.1, 320, 200)
@@ -172,7 +172,8 @@ class TestLogBarnesG:
     def test_complex_against_mpmath(self):
         # the oracle batch range; the imaginary part is compared modulo 2 pi,
         # since mpmath's log G takes the principal log of G.  Both parts read
-        # at most 7e-14 of max(1, |ln G|) on these points.
+        # at most 6.9e-14 of max(1, |ln G|) on these points; the bound leaves
+        # a factor 3 for another platform's libm.
         rng = np.random.default_rng(23)
         z = rng.uniform(0.5, 20.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
         with mp.workdps(30):
