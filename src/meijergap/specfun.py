@@ -11,8 +11,8 @@ This keeps the accuracy uniform on the vertical strips and far rays
 traversed by the kernel contours.
 
 No complex ``np.log`` runs in them: each principal log is
-ln|z| + i arctan2(Im z, Re z), the recurrence shift is summed over the
-real and imaginary parts of its factors in a fixed 10-step loop, and the
+ln|z| + i arctan2(Im z, Re z), the recurrence shift is summed in real
+arithmetic over a fixed block of 10 rows, one per step j, and the
 asymptotic series are evaluated by Horner's rule in 1/v^2.
 Every function accepts scalars or numpy arrays and is pure; the Bernoulli
 table below is immutable.
