@@ -31,59 +31,38 @@ class AsymptoticCoeffs:
     ln_c: float
 
 
-def _ln_barnes(x: float) -> float:
-    return float(log_barnes_g(x).real)
-
-
 def compute_coeffs(params: ProcessParams) -> AsymptoticCoeffs:
     """All five expansion coefficients for the given parameters.
 
-    With n = r - q, S1 = sum(nu) - sum(mu), S2 = sum(nu^2) - sum(mu^2):
+    They depend on the parameters only through n = r - q,
+    S1 = sum(nu) - sum(mu), S2 = sum(nu^2) - sum(mu^2) and the Barnes-G
+    values, which come from one :func:`log_barnes_g` call:
 
-        rho = 1/(1+n),           a = n^((1-n)/(1+n)) (n+1)^2 / 4,
-        b   = (1+n) n^(-n/(1+n)) S1,
-        c   = (n-1)/(12(n+1)) - S2/(2(n+1)),
-
-    and ln C is assembled from the Barnes-G/2pi prefactor, the zeta'(-1)
-    term, and the ln(n) and ln(1+n) blocks.
+        rho  = 1/(1+n),           a = n^((1-n)/(1+n)) (n+1)^2 / 4,
+        b    = (1+n) n^(-n/(1+n)) S1,
+        c    = (n-1)/(12(n+1)) - S2/(2(n+1)),
+        ln C = sum ln G(1+nu) - sum ln G(1+mu) - S1 ln(2 pi)/2 + (1-n) zeta'(-1)
+               + (S1^2/2 - n^2 S2/(2(n+1)) + (n^3-n^2-2)/(24(n+1))) ln n
+               + ((n-1) S2/2 - S1^2/2 - (n-1)^2/24) ln(n+1).
     """
     nu, mu = params.nu, params.mu
     n = params.r - params.q
+    s1 = math.fsum(nu) - math.fsum(mu)
+    s2 = math.fsum(v * v for v in nu) - math.fsum(m * m for m in mu)
     rho = 1.0 / (1 + n)
     a = float(n) ** ((1.0 - n) / (1 + n)) * (n + 1) ** 2 / 4.0
-    s_nu1, s_mu1 = math.fsum(nu), math.fsum(mu)
-    s_nu2 = math.fsum(v * v for v in nu)
-    s_mu2 = math.fsum(m * m for m in mu)
-    b = (1 + n) * float(n) ** (-n / (1.0 + n)) * (s_nu1 - s_mu1)
-    c = (n - 1.0) / (12 * (n + 1)) - (s_nu2 - s_mu2) / (2.0 * (n + 1))
-
-    p_nu = math.fsum(nu[i] * nu[j] for i in range(len(nu)) for j in range(i + 1, len(nu)))
-    p_mu = math.fsum(mu[i] * mu[j] for i in range(len(mu)) for j in range(i + 1, len(mu)))
+    b = (1 + n) * float(n) ** (-n / (1.0 + n)) * s1
+    c = (n - 1.0) / (12 * (n + 1)) - s2 / (2.0 * (n + 1))
 
     ln_g = log_barnes_g([1.0 + v for v in nu] + [1.0 + m for m in mu]).real
-    ln_c = math.fsum(ln_g[: len(nu)])
-    ln_c -= math.fsum(ln_g[len(nu) :])
-    ln_c += _LN_2PI / 2.0 * (s_mu1 - s_nu1)
-    ln_c += (1 - n) * zeta_prime_minus1()
-
-    coef = (
-        (1.0 + n - n * n) / (2.0 * (1 + n)) * (s_nu2 - s_mu2)
-        + (-2.0 + n * n * (n - 1)) / (24.0 * (1 + n))
-        + p_nu
-        + p_mu
-        - s_nu1 * s_mu1
-        + s_mu2
+    ln_c = (
+        math.fsum(ln_g[: len(nu)])
+        - math.fsum(ln_g[len(nu) :])
+        - s1 * _LN_2PI / 2.0
+        + (1 - n) * zeta_prime_minus1()
+        + (s1 * s1 / 2.0 - n * n * s2 / (2.0 * (n + 1)) + (n**3 - n**2 - 2.0) / (24.0 * (n + 1))) * math.log(n)
+        + ((n - 1.0) * s2 / 2.0 - s1 * s1 / 2.0 - (n - 1.0) ** 2 / 24.0) * math.log(n + 1)
     )
-    ln_c += coef * math.log(n)
-    coef = (
-        -(2.0 - n) / 2.0 * (s_nu2 - s_mu2)
-        - (n - 1.0) ** 2 / 24.0
-        - p_nu
-        - p_mu
-        + s_nu1 * s_mu1
-        - s_mu2
-    )
-    ln_c += coef * math.log(1 + n)
     return AsymptoticCoeffs(rho=rho, a=a, b=b, c=c, ln_c=ln_c)
 
 
@@ -92,7 +71,7 @@ def log_constant_bessel(nu: float) -> float:
     nu = float(nu)
     if not -1.0 < nu < math.inf:  # NaN fails too
         raise DomainError("requires finite nu > -1")
-    return _ln_barnes(1.0 + nu) - nu / 2.0 * _LN_2PI - nu * nu / 2.0 * math.log(2.0)
+    return float(log_barnes_g(1.0 + nu).real) - nu / 2.0 * _LN_2PI - nu * nu / 2.0 * math.log(2.0)
 
 
 def log_constant_kr(r: float, nu: float) -> float:
@@ -110,7 +89,7 @@ def log_constant_kr(r: float, nu: float) -> float:
         raise DomainError("requires finite r >= 1")
     if not -1.0 < nu < math.inf:
         raise DomainError("requires finite nu > -1")
-    out = r * _ln_barnes(1.0 + nu) - r * nu / 2.0 * _LN_2PI - (r - 1.0) * zeta_prime_minus1()
+    out = r * float(log_barnes_g(1.0 + nu).real) - r * nu / 2.0 * _LN_2PI - (r - 1.0) * zeta_prime_minus1()
     out += (-2.0 + r * r * (r - 1.0 + 12.0 * nu * nu)) / (24.0 * (r + 1.0)) * math.log(r)
     out -= ((r - 1.0) ** 2 + 12.0 * r * nu * nu) / 24.0 * math.log(1.0 + r)
     return out
@@ -134,16 +113,18 @@ def log_constant_mb(r: int, alpha: float) -> float:
     if not -1.0 < alpha < math.inf:  # NaN fails too
         raise DomainError("requires finite alpha > -1")
     theta = 1.0 / r
+    # ln G at 1 + alpha, 2 + alpha and 1 + alpha + k/r (k = 1..r), in one call
+    ln_g = log_barnes_g([1.0 + alpha, 2.0 + alpha] + [1.0 + alpha + k / r for k in range(1, r + 1)]).real.tolist()
 
-    d_1 = zeta_prime_minus1() + (1.0 + alpha) / 2.0 * _LN_2PI - _ln_barnes(2.0 + alpha)
+    d_1 = zeta_prime_minus1() + (1.0 + alpha) / 2.0 * _LN_2PI - ln_g[1]
     d_r = (
         r * zeta_prime_minus1()
         + (1.0 + (1.0 + 2.0 * alpha) * r) / 4.0 * _LN_2PI
         - (3.0 + 1.0 / r + r + 6.0 * alpha * (1.0 + r + alpha * r)) / 12.0 * math.log(r)
-        - math.fsum(_ln_barnes(1.0 + alpha + k / r) for k in range(1, r + 1))
+        - math.fsum(ln_g[2:])
     )
 
-    out = _ln_barnes(1.0 + alpha) - alpha / 2.0 * _LN_2PI + d_1 - d_r
+    out = ln_g[0] - alpha / 2.0 * _LN_2PI + d_1 - d_r
     out += (24.0 * alpha * (alpha + 2.0) + 15.0 + 3.0 * theta + 4.0 * theta**2) / (24.0 * (1.0 + theta)) * math.log(theta)
     out += (6.0 * alpha * theta - 6.0 * alpha * (1.0 + alpha) - (theta - 1.0) ** 2) / (12.0 * theta) * math.log(1.0 + theta)
     return out
@@ -153,8 +134,8 @@ def truncated_log_expansion(s: float, coeffs: AsymptoticCoeffs) -> float:
     """-a s^(2 rho) + b s^rho + c ln s + ln C, the truncated expansion of
     ln det(1 - K|[0,s])."""
     s = float(s)
-    if not s > 0.0:  # NaN fails too
-        raise DomainError("s must be positive")
+    if not 0.0 < s < math.inf:  # NaN fails too
+        raise DomainError("s must be positive and finite")
     return (
         -coeffs.a * s ** (2.0 * coeffs.rho)
         + coeffs.b * s**coeffs.rho

@@ -587,8 +587,8 @@ class BesselKernel:
     """Kernel handle for the Bessel hard-edge kernel: its Fredholm matrix fill."""
 
     def __init__(self, nu: float):
-        if not nu > -1.0:  # NaN fails too
-            raise DomainError("requires nu > -1")
+        if not -1.0 < nu < math.inf:  # NaN fails too
+            raise DomainError("requires finite nu > -1")
         self.nu = float(nu)
 
     def matrix(self, xs) -> np.ndarray:

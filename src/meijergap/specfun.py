@@ -266,16 +266,17 @@ def log_barnes_g(z):
     lg_shift, lg_v = lg[: entry.size], lg[entry.size :]
     shift = _complex(np.bincount(entry, lg_shift.real, w.size), np.bincount(entry, lg_shift.imag, w.size))
 
-    u = 1.0 / (v * v)
-    res = (
-        v * v / 4.0
-        + v * lg_v
-        - (v * (v + 1.0) / 2.0 + 1.0 / 12.0) * _log(v)
-        - 1.0 / 12.0
-        + zeta_prime_minus1()
-        + u * _horner(_BARNES_SERIES, u)
-        - shift
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 1.0 / (v * v)
+        res = (
+            v * v / 4.0
+            + v * lg_v
+            - (v * (v + 1.0) / 2.0 + 1.0 / 12.0) * _log(v)
+            - 1.0 / 12.0
+            + zeta_prime_minus1()
+            + u * _horner(_BARNES_SERIES, u)
+            - shift
+        )
     _guard_finite(res)
     return complex(res[0]) if scalar else res.reshape(arr.shape)
 
@@ -328,8 +329,8 @@ def bessel_j(nu: float, x):
     """
     nu = float(nu)
     arr = np.asarray(x, dtype=float)
-    if not nu > -1.0:  # NaN fails too
-        raise DomainError("bessel_j requires nu > -1")
+    if not -1.0 < nu < math.inf:  # NaN fails too
+        raise DomainError("bessel_j requires finite nu > -1")
     if not np.all(arr >= 0.0):  # NaN fails too
         raise DomainError("bessel_j requires x >= 0")
     if np.any(arr > _BESSEL_X_MAX):
@@ -342,7 +343,7 @@ def bessel_j(nu: float, x):
     # leading term (x/2)^nu / Gamma(1+nu), then ratio recursion; x = 0
     # entries hold J_nu(0) from the start and take no series step
     x = np.where(zero, 1.0, x)
-    term = np.exp(nu * np.log(x / 2.0) - float(log_gamma(1.0 + nu).real))
+    term = np.exp(nu * np.log(x / 2.0) - math.lgamma(1.0 + nu))
     q = x * x / 4.0
     total = np.where(zero, 1.0 if nu == 0.0 else 0.0, 0.0)
     comp = np.zeros_like(x)  # Kahan carry

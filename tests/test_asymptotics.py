@@ -9,6 +9,7 @@ to near machine precision.
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -44,7 +45,9 @@ class TestComputeCoeffs:
 
     @pytest.mark.parametrize("params", [LEFT, RIGHT, ProcessParams(2, 0, (-0.5, 0.7))])
     def test_one_barnes_call(self, monkeypatch, params):
-        # the Barnes-G values of 1 + nu and 1 + mu come from one vectorized call
+        # the Barnes-G values of 1 + nu and 1 + mu come from one vectorized call,
+        # and so do each closed-form constant's: log_constant_mb(r, alpha) takes
+        # 1 + alpha, 2 + alpha and 1 + alpha + k/r for k = 1..r
         calls = []
 
         def counting(z):
@@ -54,6 +57,46 @@ class TestComputeCoeffs:
         monkeypatch.setattr(asymptotics, "log_barnes_g", counting)
         compute_coeffs(params)
         assert calls == [params.r + params.q]
+        r, alpha = params.r, params.nu[0]
+        for constant, args, points in (
+            (log_constant_mb, (r, alpha), r + 2),
+            (log_constant_kr, (r, alpha), 1),
+            (log_constant_bessel, (alpha,), 1),
+        ):
+            calls.clear()
+            constant(*args)
+            assert calls == [points], constant.__name__
+
+    def test_against_pairwise_product_form(self):
+        # ln C written with the pairwise products p_nu = sum_{i<j} nu_i nu_j and
+        # p_mu, and the ln n and ln(1+n) blocks they enter, at 30 digits; the
+        # code's S1, S2 form must agree to rounding
+        rng = np.random.default_rng(1910)
+        with mp.workdps(30):
+            for _ in range(10):
+                r = int(rng.integers(1, 6))
+                q = int(rng.integers(0, r))
+                nu = tuple(rng.uniform(-0.9, 5.0, r))
+                mu = tuple(rng.uniform(-0.9, 5.0, q))
+                ln_c = compute_coeffs(ProcessParams(r, q, nu, mu)).ln_c
+                n = mp.mpf(r - q)
+                nu_m, mu_m = [mp.mpf(v) for v in nu], [mp.mpf(m) for m in mu]
+                s_nu1, s_mu1 = mp.fsum(nu_m), mp.fsum(mu_m)
+                s_nu2, s_mu2 = mp.fsum(v * v for v in nu_m), mp.fsum(m * m for m in mu_m)
+                p_nu = mp.fsum(nu_m[i] * nu_m[j] for i in range(r) for j in range(i + 1, r))
+                p_mu = mp.fsum(mu_m[i] * mu_m[j] for i in range(q) for j in range(i + 1, q))
+                pair = p_nu + p_mu - s_nu1 * s_mu1 + s_mu2
+                coef_n = (1 + n - n * n) / (2 * (1 + n)) * (s_nu2 - s_mu2) + (n * n * (n - 1) - 2) / (24 * (1 + n)) + pair
+                coef_n1 = -(2 - n) / 2 * (s_nu2 - s_mu2) - (n - 1) ** 2 / 24 - pair
+                ref = (
+                    mp.fsum(mp.log(mp.barnesg(1 + v)) for v in nu_m)
+                    - mp.fsum(mp.log(mp.barnesg(1 + m)) for m in mu_m)
+                    + mp.log(2 * mp.pi) / 2 * (s_mu1 - s_nu1)
+                    + (1 - n) * mp.zeta(-1, derivative=1)
+                    + coef_n * mp.log(n)
+                    + coef_n1 * mp.log(1 + n)
+                )
+                assert abs(ln_c - float(ref)) < 1e-12 * max(1.0, abs(float(ref))), (r, q, nu, mu)
 
     def test_left_b_is_exact_rational(self):
         # 2 * ((131 + 215 + 319) - (187 + 261)) / 100 = 217/50
@@ -193,6 +236,6 @@ class TestTruncatedLogExpansion:
 
     def test_rejects_nonpositive_s(self):
         cc = compute_coeffs(LEFT)
-        for s in (0.0, math.nan):
-            with pytest.raises(DomainError):
+        for s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="s must be positive and finite"):
                 truncated_log_expansion(s, cc)

@@ -320,6 +320,15 @@ def test_closed_stdout_exits_141():
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
+
+def test_overflowing_parameter_exits_2():
+    """A Barnes-G value past the largest double is reported by the typed
+    RangeError alone: exit 2 with no numpy warning, under -W error too."""
+    proc = _run_module("coeffs", "--r", "1", "--q", "0", "--nu", "1e200")
+    assert proc.returncode == 2, proc.stderr
+    assert "result overflowed double precision" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
 class TestVerify:
     def test_fast_level_passes(self, capsys):
         start = time.perf_counter()

@@ -536,8 +536,8 @@ class TestBesselKernel:
                 bessel_kernel(x, y, 0.5)
         with pytest.raises(DomainError, match="requires x, y >= 0"):
             BesselKernel(0.5).matrix([math.nan, 1.0])
-        for nu in (-1.0, math.nan):
-            with pytest.raises(DomainError, match="requires nu > -1"):
+        for nu in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="requires finite nu > -1"):
                 BesselKernel(nu)
 
     def test_symmetry(self):

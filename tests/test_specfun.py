@@ -169,6 +169,12 @@ class TestLogBarnesG:
         with pytest.raises(PoleError):
             log_barnes_g(0.0)
 
+    def test_overflow_raises_range_error_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                log_barnes_g(1e200)
+
     def test_complex_against_mpmath(self):
         # the oracle batch range; the imaginary part is compared modulo 2 pi,
         # since mpmath's log G takes the principal log of G.  Both parts read
@@ -256,6 +262,9 @@ class TestBesselJ:
             bessel_j(0.5, math.nan)
         with pytest.raises(DomainError):
             bessel_j(math.nan, 1.0)
+        for nu in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite nu > -1"):
+                bessel_j(nu, 1.0)
 
     def test_array_matches_scalar_calls(self):
         rng = np.random.default_rng(4)
