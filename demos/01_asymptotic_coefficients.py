@@ -4,16 +4,17 @@
 #     ln det(1 - K|[0,s]) = -a s^(2 rho) + b s^rho + c ln s + ln C + o(1),
 #
 # for the hard-edge Meijer-G point process, including the multiplicative
-# constant C, and the three families of exact cross-checks that pin it down.
+# constant C, and the exact cross-checks that pin it down.  Each cross-check
+# is one of `meijergap verify`'s checks; the demo prints its result line.
 
 import math
 
-from meijergap import (
-    ProcessParams,
-    compute_coeffs,
-    log_constant_bessel,
-    log_constant_kr,
-    log_constant_mb,
+from meijergap import ProcessParams, compute_coeffs
+from meijergap.verify import (
+    check_bessel_specialization,
+    check_kr_endpoint,
+    check_muttalib_borodin,
+    check_pole_zero_invariance,
 )
 
 # Two showcase parameter sets (the same ones used by the converge demo).
@@ -32,39 +33,21 @@ for label, params in SHOWCASES.items():
     print(f"   c   = {cc.c:.15g}")
     print(f"   lnC = {cc.ln_c:.15g}   (C = {math.exp(cc.ln_c):.15g})")
 
+print("\n=== cross-checks (the `meijergap verify` lines) ===")
+
 # The r=1, q=0 process is the Bessel point process; the general constant
 # must collapse to G(1+nu) (2 pi)^(-nu/2) 2^(-nu^2/2).
-print("\n=== Bessel specialization ===")
-for nu in (0.0, 0.5, 1.0, 2.5):
-    cc = compute_coeffs(ProcessParams(1, 0, (nu,)))
-    ref = log_constant_bessel(nu)
-    print(f"nu={nu}: (rho,a,b,c)=({cc.rho}, {cc.a}, {cc.b}, {cc.c})  "
-          f"lnC={cc.ln_c:+.12f}  residual={abs(cc.ln_c - ref):.2e}")
+print(check_bessel_specialization().line())
 
 # Collapsing all parameters to a single nu reproduces the constant of the
 # interpolating kernel family in closed form.
-print("\n=== equal-parameter endpoint ===")
-for n, nu in ((1, 0.5), (2, 0.0), (3, 1.0)):
-    cc = compute_coeffs(ProcessParams(n, 0, (nu,) * n))
-    print(f"r-q={n}, nu={nu}: lnC={cc.ln_c:+.12f}  "
-          f"residual vs C_r formula = {abs(cc.ln_c - log_constant_kr(n, nu)):.2e}")
+print(check_kr_endpoint().line())
 
 # At theta = 1/r with nu_j = alpha + (j-1)/r the process coincides with the
 # hard edge of the Muttalib-Borodin ensemble after rescaling, which forces
 # ln C = r c ln r + ln C_MB(1/r, alpha).
-print("\n=== Muttalib-Borodin cross-check ===")
-for r, alpha in ((2, 0.5), (3, 0.0), (3, 1.2)):
-    nus = tuple(alpha + j / r for j in range(r))
-    cc = compute_coeffs(ProcessParams(r, 0, nus))
-    rel = r * cc.c * math.log(r) + log_constant_mb(r, alpha)
-    print(f"r={r}, alpha={alpha}: lnC={cc.ln_c:+.12f}  relation residual={abs(cc.ln_c - rel):.2e}")
+print(check_muttalib_borodin().line())
 
 # Appending an equal (nu, mu) pair leaves the gamma-ratio symbol F, hence
 # the kernel and every coefficient, unchanged.
-print("\n=== parameter-cancellation invariance ===")
-base = ProcessParams(2, 1, (0.4, 1.7), (0.9,))
-c0 = compute_coeffs(base)
-for t in (-0.5, 0.0, 1.4, 3.0):
-    c1 = compute_coeffs(ProcessParams(3, 2, base.nu + (t,), base.mu + (t,)))
-    drift = max(abs(c0.ln_c - c1.ln_c), abs(c0.b - c1.b), abs(c0.c - c1.c))
-    print(f"append nu=mu={t:+.1f}: max coefficient drift {drift:.2e}")
+print(check_pole_zero_invariance().line())

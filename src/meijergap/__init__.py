@@ -27,7 +27,6 @@ from .kernel import (
     ContourQuadrature,
     MeijerKernel,
     ProcessParams,
-    bessel_kernel,
     build_contours,
     kernel_eval,
     kernel_eval_series,
@@ -57,7 +56,6 @@ __all__ = [
     "RangeError",
     "SingularityError",
     "bessel_j",
-    "bessel_kernel",
     "build_contours",
     "compute_coeffs",
     "gauss_legendre_grid",

@@ -146,8 +146,8 @@ def _emit_scalar(args, name: str, value: float) -> None:
 def cmd_kernel(args) -> int:
     params = _params_from(args)
     x, y = args.x, args.y
-    if x <= 0 or y <= 0:
-        raise ValueError("x and y must be positive")
+    if not (0 < x < math.inf and 0 < y < math.inf):  # NaN fails too
+        raise ValueError("x and y must be positive and finite")
     cq = build_contours(params, (0.9 * min(x, y), 1.1 * max(x, y)), args.tol)
     _emit_scalar(args, "K", kernel_eval(x, y, cq))
     return 0

@@ -538,51 +538,6 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
 # Bessel kernel (r = 1, q = 0 hard-edge limit)
 # ---------------------------------------------------------------------------
 
-def _bessel_matrix(xs, ys, nu: float) -> np.ndarray:
-    """Bessel hard-edge kernel K(x_i, y_j) on the grid xs x ys,
-
-        (sqrt x J_{nu+1}(sqrt x) J_nu(sqrt y) - sqrt y J_nu(sqrt x) J_{nu+1}(sqrt y)) / (2(x-y)),
-
-    the usual J_nu(sqrt x) sqrt y J'_nu(sqrt y) - sqrt x J'_nu(sqrt x) J_nu(sqrt y)
-    numerator with t J'_nu(t) = nu J_nu(t) - t J_{nu+1}(t) and its two
-    nu J_nu(sqrt x) J_nu(sqrt y) terms cancelled analytically, so that they
-    add no rounding where x and y are close.  J_nu and t J_{nu+1}(t) are
-    evaluated once per distinct argument.  Where |x - y| <= 1e-6 max(x, y)
-    the quotient is replaced by its analytic limit at the midpoint c,
-    ((c - nu^2) J_nu(sqrt c)^2 + (sqrt c J'_nu(sqrt c))^2) / (4c),
-    which agrees with the off-diagonal formula to O((x-y)^2).  The switch is
-    relative because near 0 the kernel varies on the scale of x itself.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if not (np.all(xs >= 0.0) and np.all(ys >= 0.0)):  # NaN fails too
-        raise DomainError("bessel_kernel requires x, y >= 0")
-    diff = xs[:, None] - ys[None, :]
-    near = np.abs(diff) <= 1e-6 * np.maximum(xs[:, None], ys[None, :])
-    mid = 0.5 * (xs[:, None] + ys[None, :])[near]
-    args, where = np.unique(np.concatenate((xs, ys, mid)), return_inverse=True)
-    t = np.sqrt(args)
-    j = bessel_j(nu, t)
-    tj1 = t * bessel_j(nu + 1.0, t)
-    jx, jy, jm = np.split(j[where], [xs.size, xs.size + ys.size])
-    tx, ty, tm = np.split(tj1[where], [xs.size, xs.size + ys.size])
-    out = (tx[:, None] * jy[None, :] - jx[:, None] * ty[None, :]) / (2.0 * np.where(near, 1.0, diff))
-    # at c = 0 (nu >= 0; J_nu(0) diverges for nu < 0) the limit is 1/4 for nu = 0, else 0
-    origin = mid == 0.0
-    c = np.where(origin, 1.0, mid)
-    tjp = nu * jm - tm
-    out[near] = np.where(origin, 0.25 if nu == 0.0 else 0.0, ((c - nu * nu) * jm * jm + tjp * tjp) / (4.0 * c))
-    return out
-
-
-def bessel_kernel(x: float, y: float, nu: float) -> float:
-    """Bessel hard-edge kernel
-    (sqrt x J_{nu+1}(sqrt x) J_nu(sqrt y) - sqrt y J_nu(sqrt x) J_{nu+1}(sqrt y)) / (2(x-y)),
-    with its midpoint limit where |x - y| <= 1e-6 max(x, y): the 1x1 view of the
-    matrix fill behind :meth:`BesselKernel.matrix`."""
-    return float(_bessel_matrix([x], [y], nu)[0, 0])
-
-
 class BesselKernel:
     """Kernel handle for the Bessel hard-edge kernel: its Fredholm matrix fill."""
 
@@ -592,4 +547,36 @@ class BesselKernel:
         self.nu = float(nu)
 
     def matrix(self, xs) -> np.ndarray:
-        return _bessel_matrix(xs, xs, self.nu)
+        """Bessel hard-edge kernel K(x_i, x_j) on the grid xs,
+
+            (sqrt x J_{nu+1}(sqrt x) J_nu(sqrt y) - sqrt y J_nu(sqrt x) J_{nu+1}(sqrt y)) / (2(x-y)),
+
+        the usual J_nu(sqrt x) sqrt y J'_nu(sqrt y) - sqrt x J'_nu(sqrt x) J_nu(sqrt y)
+        numerator with t J'_nu(t) = nu J_nu(t) - t J_{nu+1}(t) and its two
+        nu J_nu(sqrt x) J_nu(sqrt y) terms cancelled analytically, so that they
+        add no rounding where x and y are close.  J_nu and t J_{nu+1}(t) are
+        evaluated once per distinct argument.  Where |x - y| <= 1e-6 max(x, y)
+        (the diagonal included) the quotient is replaced by its analytic limit
+        at the midpoint c,
+        ((c - nu^2) J_nu(sqrt c)^2 + (sqrt c J'_nu(sqrt c))^2) / (4c),
+        which agrees with the off-diagonal formula to O((x-y)^2).  The switch
+        is relative because near 0 the kernel varies on the scale of x itself.
+        """
+        nu = self.nu
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if not np.all(xs >= 0.0):  # NaN fails too
+            raise DomainError("BesselKernel requires x, y >= 0")
+        diff = xs[:, None] - xs[None, :]
+        near = np.abs(diff) <= 1e-6 * np.maximum(xs[:, None], xs[None, :])
+        mid = 0.5 * (xs[:, None] + xs[None, :])[near]
+        args, where = np.unique(np.concatenate((xs, mid)), return_inverse=True)
+        t = np.sqrt(args)
+        jx, jm = np.split(bessel_j(nu, t)[where], [xs.size])
+        tx, tm = np.split((t * bessel_j(nu + 1.0, t))[where], [xs.size])
+        out = (tx[:, None] * jx[None, :] - jx[:, None] * tx[None, :]) / (2.0 * np.where(near, 1.0, diff))
+        # at c = 0 (nu >= 0; J_nu(0) diverges for nu < 0) the limit is 1/4 for nu = 0, else 0
+        origin = mid == 0.0
+        c = np.where(origin, 1.0, mid)
+        tjp = nu * jm - tm
+        out[near] = np.where(origin, 0.25 if nu == 0.0 else 0.0, ((c - nu * nu) * jm * jm + tjp * tjp) / (4.0 * c))
+        return out

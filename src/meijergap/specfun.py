@@ -1,12 +1,14 @@
 """Complex-plane special functions: log-gamma, digamma, Barnes log-G,
 Hurwitz zeta derivative at -1, and Bessel J.
 
-The gamma-family routines do a fixed amount of numpy work per point, with
-no data-dependent loop.  ``log_gamma`` and ``digamma`` apply their Stirling
-series directly where Re z >= 10 or |Im z| >= 10; inside the strip
+The gamma-family routines run no data-dependent loop.  ``log_gamma`` and
+``digamma`` do a fixed amount of numpy work per point: they apply their
+Stirling series directly where Re z >= 10 or |Im z| >= 10; inside the strip
 |Im z| < 10 they reflect Re z < 1/2 to 1 - z and shift the rest once, by at
 most 10, with an exact recurrence.  ``log_barnes_g`` shifts by its own
-recurrence and takes every log-gamma it needs from one ``log_gamma`` call.
+recurrence, one log-gamma point per step, and takes every log-gamma it
+needs from one ``log_gamma`` call; it raises RangeError where Re z < -1000,
+so its work is bounded by 1012 log-gamma points per argument.
 This keeps the accuracy uniform on the vertical strips and far rays
 traversed by the kernel contours.
 
@@ -61,6 +63,10 @@ _SHIFT_STEPS = np.arange(_SHIFT_THRESHOLD)[:, None]
 _SHIFT_STEPS.flags.writeable = False
 
 _POLE_TOL = 1e-12
+
+# log_barnes_g shifts by ceil(11 - Re z) steps, one log-gamma point each;
+# below this bound (a shift of more than 1011 steps) it raises RangeError
+_BARNES_RE_MIN = -1000.0
 
 
 def _check_poles(z: np.ndarray) -> None:
@@ -251,11 +257,14 @@ def log_barnes_g(z):
     shift points and the expansion's own, comes from one :func:`log_gamma`
     call; the shift is summed per entry in order of j.  The imaginary part
     inherits a consistent branch from the principal log-gammas used in the
-    shift.
+    shift.  Re z < -1000 raises RangeError before anything is sized by the
+    shift, so the work stays bounded.
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
     w = np.atleast_1d(arr).ravel()
+    if np.any(w.real < _BARNES_RE_MIN):
+        raise RangeError(f"log_barnes_g supports Re z >= {_BARNES_RE_MIN:g}; got {w[w.real < _BARNES_RE_MIN][0]}")
     _check_poles(w)
 
     n = np.maximum(np.ceil(_SHIFT_THRESHOLD + 1 - w.real), 0.0).astype(np.intp)

@@ -16,7 +16,7 @@ from meijergap import cli
 from meijergap.asymptotics import compute_coeffs
 from meijergap.errors import SingularityError
 from meijergap.fredholm import gauss_legendre_grid, log_gap_determinant
-from meijergap.kernel import BesselKernel, ProcessParams, bessel_kernel
+from meijergap.kernel import BesselKernel, ProcessParams
 
 LEFT_FLAGS = ["--r", "3", "--q", "2", "--nu", "1.31,2.15,3.19", "--mu", "1.87,2.61"]
 BESSEL_FLAGS = ["--r", "1", "--q", "0", "--nu", "0"]
@@ -73,15 +73,17 @@ class TestKernelCmd:
     def test_bessel_reduction_point(self, capsys):
         assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", "0", "--x", "1", "--y", "1"]) == 0
         val = float(capsys.readouterr().out)
-        assert abs(val - 4.0 * bessel_kernel(4.0, 4.0, 0.0)) < 1e-8
+        assert abs(val - 4.0 * BesselKernel(0.0).matrix([4.0])[0, 0]) < 1e-8
 
-    def test_nonpositive_x_exit_2(self, capsys):
-        assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", "0", "--x", "-1", "--y", "1"]) == 2
+    @pytest.mark.parametrize("x", ["-1", "nan", "inf"])
+    def test_nonpositive_x_exit_2(self, capsys, x):
+        assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", "0", "--x", x, "--y", "1"]) == 2
+        assert "error: x and y must be positive and finite" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", "0", "--x", "1", "--y", "1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert abs(payload["K"] - 4.0 * bessel_kernel(4.0, 4.0, 0.0)) < 1e-8
+        assert abs(payload["K"] - 4.0 * BesselKernel(0.0).matrix([4.0])[0, 0]) < 1e-8
 
 
 class TestDetCmd:

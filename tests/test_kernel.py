@@ -17,7 +17,6 @@ from meijergap.kernel import (
     ProcessParams,
     _g_first,
     _g_second,
-    bessel_kernel,
     build_contours,
     kernel_eval,
     kernel_eval_series,
@@ -248,7 +247,7 @@ class TestKernelEval:
         nu = 0.5
         cq = build_contours(ProcessParams(1, 0, (nu,)), (0.5, 2.0), 1e-12)
         lhs = kernel_eval(1.0, 1.0, cq)
-        rhs = 4.0 * bessel_kernel(4.0, 4.0, nu)
+        rhs = 4.0 * BesselKernel(nu).matrix([4.0])[0, 0]
         assert abs(lhs - rhs) < 1e-8
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0])
@@ -259,7 +258,7 @@ class TestKernelEval:
         # the rounding guard bounds rounding, not the discretization
         x, y = 1e-8, 1.0
         cq = build_contours(ProcessParams(1, 0, (nu,)), (0.9 * x, 1.1 * y))
-        ref = 4.0 * (y / x) ** (nu / 2.0) * bessel_kernel(4.0 * x, 4.0 * y, nu)
+        ref = 4.0 * (y / x) ** (nu / 2.0) * BesselKernel(nu).matrix([4.0 * x, 4.0 * y])[0, 1]
         assert abs(kernel_eval(x, y, cq) - ref) <= 1e-7 * max(1.0, abs(ref))
 
     def test_diagonal_nonnegative(self):
@@ -522,26 +521,25 @@ class TestKernelSeries:
             with pytest.raises(ConvergenceError, match="rings unresolved"):
                 kernel_eval_series(0.5, 0.7, ProcessParams(1, 0, (nu,)))
         nu = -0.5
-        reduction = 4.0 * (0.7 / 0.5) ** (nu / 2.0) * bessel_kernel(2.0, 2.8, nu)
+        reduction = 4.0 * (0.7 / 0.5) ** (nu / 2.0) * BesselKernel(nu).matrix([2.0, 2.8])[0, 1]
         assert abs(kernel_eval_series(0.5, 0.7, ProcessParams(1, 0, (nu,))) - reduction) < 1e-12
 
 
 class TestBesselKernel:
     def test_diagonal_origin(self):
-        assert bessel_kernel(0.0, 0.0, 0.0) == 0.25
+        assert BesselKernel(0.0).matrix([0.0])[0, 0] == 0.25
 
     def test_domain_errors(self):
         for x, y in ((-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
             with pytest.raises(DomainError, match="requires x, y >= 0"):
-                bessel_kernel(x, y, 0.5)
-        with pytest.raises(DomainError, match="requires x, y >= 0"):
-            BesselKernel(0.5).matrix([math.nan, 1.0])
+                BesselKernel(0.5).matrix([x, y])
         for nu in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="requires finite nu > -1"):
                 BesselKernel(nu)
 
     def test_symmetry(self):
-        assert bessel_kernel(1.3, 2.7, 0.5) == bessel_kernel(2.7, 1.3, 0.5)
+        mat = BesselKernel(0.5).matrix([1.3, 2.7])
+        assert mat[0, 1] == mat[1, 0]
 
     def test_half_integer_closed_form(self):
         # elementary form via J_1/2(t) = sqrt(2/(pi t)) sin t   (mpmath: 0.09678735647946624)
@@ -550,14 +548,14 @@ class TestBesselKernel:
         j = lambda t: math.sqrt(2 / (math.pi * t)) * math.sin(t)
         tjp = lambda t: 0.5 * j(t) - t * bessel_j(1.5, t)
         ref = (j(sx) * tjp(sy) - tjp(sx) * j(sy)) / (2 * (x - y))
-        assert abs(bessel_kernel(x, y, 0.5) - ref) < 1e-10
+        assert abs(BesselKernel(0.5).matrix([x, y])[0, 1] - ref) < 1e-10
         assert abs(ref - 0.09678735647946624) < 1e-12
 
     def test_near_diagonal_switch_is_continuous(self):
         # the switch sits at |x - y| = 1e-6 max(x, y), about 2e-6 here
         nu = 0.7
-        inside = bessel_kernel(2.0, 2.0 + 1.98e-6, nu)
-        outside = bessel_kernel(2.0, 2.0 + 2.02e-6, nu)
+        inside = BesselKernel(nu).matrix([2.0, 2.0 + 1.98e-6])[0, 1]
+        outside = BesselKernel(nu).matrix([2.0, 2.0 + 2.02e-6])[0, 1]
         assert abs(inside - outside) < 1e-8
 
     def test_near_diagonal_limit_against_mpmath(self):
@@ -573,7 +571,7 @@ class TestBesselKernel:
             sx, sy = mp.sqrt(mp.mpf(x)), mp.sqrt(mp.mpf(y))
             tjp = lambda t: nu * mp.besselj(nu, t) - t * mp.besselj(nu + 1, t)
             ref = float((mp.besselj(nu, sx) * tjp(sy) - tjp(sx) * mp.besselj(nu, sy)) / (2 * (mp.mpf(x) - mp.mpf(y))))
-            assert abs(bessel_kernel(x, y, nu) - ref) <= atol + rtol * abs(ref)
+            assert abs(BesselKernel(nu).matrix([x, y])[0, 1] - ref) <= atol + rtol * abs(ref)
 
     def test_matrix_fill_evaluates_bessel_per_node(self, monkeypatch):
         calls = []
@@ -596,7 +594,7 @@ class TestBesselKernel:
         for xs, nus in ((grids[0], (0.0, 0.5, 2.0)), (grids[1], (0.5,)), (clustered, (0.0, 0.5))):
             for nu in nus:
                 mat = BesselKernel(nu).matrix(xs)
-                ref = np.array([[bessel_kernel(x, y, nu) for y in xs] for x in xs])
+                ref = np.array([[BesselKernel(nu).matrix([x, y])[0, 1] for y in xs] for x in xs])
                 assert np.array_equal(mat, ref)
 
 
@@ -614,7 +612,7 @@ class TestHandles:
         xs = np.array([0.5, 1.0, 2.0])
         mat = handle.matrix(xs)
         assert mat == pytest.approx(mat.T)
-        assert abs(mat[0, 1] - bessel_kernel(0.5, 1.0, 0.0)) < 1e-15
+        assert abs(mat[0, 1] - handle.matrix([0.5, 1.0])[0, 1]) < 1e-15
 
 
 def test_pole_zero_cancellation_pointwise():

@@ -175,6 +175,16 @@ class TestLogBarnesG:
             with pytest.raises(RangeError):
                 log_barnes_g(1e200)
 
+    def test_far_left_raises_range_error_without_warnings(self):
+        # the shift takes one log-gamma point per step; Re z < -1000 is
+        # refused before the step count is sized, not allocated for
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (-1e200 + 1e200j, -1e6, -1000.5, np.array([2.5, -1000.5])):
+                with pytest.raises(RangeError, match="Re z >= -1000"):
+                    log_barnes_g(z)
+            assert math.isfinite(log_barnes_g(-999.5).real)
+
     def test_complex_against_mpmath(self):
         # the oracle batch range; the imaginary part is compared modulo 2 pi,
         # since mpmath's log G takes the principal log of G.  Both parts read
