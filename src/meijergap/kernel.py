@@ -7,9 +7,13 @@ The kernel of the determinantal point process is
               F(u)/F(v) * x^-u y^(v-1) / (v - u),
 
 with F(z) = Gamma(z) prod_k Gamma(1+mu_k-z) / prod_j Gamma(1+nu_j-z).
-Both contours run upward between the two pole families, gamma bending into
-the left half-plane past the poles of Gamma(z) and gammatilde into the
-right half-plane short of the poles at 1+nu_min, 2+nu_min, ...
+Both contours run upward between the two pole families: gamma is a
+hyperbola crossing the real axis at c, left of the poles at 1+nu_min,
+2+nu_min, ... and bending into the left half-plane past the poles of
+Gamma(z); gammatilde is its mirror image, crossing at 1+nu_min-c and
+bending into the right half-plane.  Each is discretized by the
+trapezoidal rule in its hyperbola parameter, which converges geometrically
+on such smooth contours (Weideman & Trefethen, Math. Comp. 76 (2007)).
 On the contours Re(v - u) > 0, so 1/(v - u) = int_0^1 t^(v-u-1) dt and the
 kernel is integrable: K(x, y) = int_0^1 G1(t x) G2(t y) dt with single-
 contour sums G1, G2.  Discretizing both contours and the t-integral once
@@ -25,17 +29,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from .fredholm import _legendre_rule, gauss_legendre_grid
+from .fredholm import gauss_legendre_grid
 from .specfun import bessel_j, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
 
-# Contour discretization: Gauss-Legendre points per panel, panel length
-# along each ray, the node budget per contour before the build gives up,
-# and the default truncation tolerance of build_contours.
-_PANEL_POINTS = 20
-_PANEL_LENGTH = 1.5
-_NODE_CAP = 4096
+# Contour discretization: the trapezoidal step h in the hyperbola parameter
+# theta, the ratio a / c of each hyperbola's width to its crossing, the
+# distance from the crossing that the candidate nodes reach before the build
+# gives up (enough for x_range = (1e-50, 4096) at tol = 1e-12 on r = 1 and
+# NEG), and the default truncation tolerance of build_contours.
+# Over the benchmark catalogues' builds the kernel at h = 0.05 agrees with
+# the rule at h/4 to 4.9e-14 of max(1, |K|); h = 0.075 leaves NEG and RIGHT
+# 3e-12 off, and h = 0.1 4.4e-9.
+_STEP = 0.05
+_WIDTH = 0.75
+_REACH = 150.0
 CONTOUR_TOL = 1e-12
 
 # Factored fill: Gauss-Legendre points of the t-integral
@@ -45,20 +54,21 @@ _T_POINTS = 80
 _T_GRADING = 9.0
 
 # Rounding guard of the fill: the largest admitted ratio of an entry's
-# rounding bound E to max(1, |K|).  E / max(1, |K|) peaks at 2.3e-9 over
-# every fill of the benchmark catalogues (NEG, sweep) and at 5e-9 for
-# r = 1 down to nu = -0.88, so the limit has a margin of 20 or more.
+# rounding bound E to max(1, |K|).  E / max(1, |K|) peaks at 2.6e-11 over
+# every fill of the benchmark catalogues (LEFT, sweep at s = 256), at 1.1e-12
+# for r = 1 down to nu = -0.88 on det's grids, and at 1.5e-8 for r = 1,
+# nu = 4 over (1e-6, 256), where K cancels: the limit keeps a margin of 6.
 _ROUNDING_LIMIT = 1e-7
 _EPS = float(np.finfo(float).eps)
 
 # Subnormal numbers slow every product they enter.  Stored factors below
-# the smallest normal number are set to 0, and so is a panel-midpoint
-# factor of x^-u, y^(v-1) or a t-power below e^_MIN_EXPONENT: offset
-# factors stay within e^+-60 on the benchmark builds, so the products of
-# the factors that remain are normal, and the terms cut are far below
-# rounding in any kernel value.
+# the smallest normal number are set to 0, and so is a power x^-u or
+# y^(v-1) of the fill below e^_MIN_EXPONENT.  The stored factors stay below
+# e^19 on the benchmark builds, so each term cut is below e^-580 and far
+# below rounding in any kernel value.
 _TINY = float(np.finfo(float).tiny)
 _MIN_EXPONENT = -600.0
+
 
 # Residue-series oracle: Gauss-Legendre points of the t-integral, residue
 # clusters per pole family, and trapezoidal points on each residue ring
@@ -132,9 +142,10 @@ class ContourQuadrature:
     """Discretized contours and the precomputed factors of the kernel fill.
 
     Each node array holds a contour's upper half followed by that half's
-    conjugate, so with h = size/2 node i + h is conj(node i).  With w_i,
-    wt_j the quadrature weights of the nodes u_i on gamma and v_j on
-    gammatilde, each carrying the complex direction factor dz, put
+    conjugate, so with h = size/2 node i + h is conj(node i); node 0 is the
+    crossing on the real axis and appears in both halves.  With w_i, wt_j
+    the trapezoidal weights of the nodes u_i on gamma and v_j on gammatilde,
+    each carrying the complex direction factor dz (node 0's halved), put
     g_u = w_u F(u) / (2 pi i)^2 and g_v = wt_v / F(v).  On the contours
     Re(v - u) >= span/3 > 0, so 1/(v - u) = int_0^1 t^(v-u-1) dt and
 
@@ -152,24 +163,13 @@ class ContourQuadrature:
     the 1-norms |Im T_i| + |Re T_i| of the same rows, shape
     ((Nu + Nv)/2, n_t), for the fill's rounding bound.
 
-    ``gamma_panels`` and ``gammatilde_panels`` hold the exponents of the
-    powers on each upper half, e = -u on gamma and e = v - 1 on gammatilde,
-    factored by panel: a triple (mids, offsets, n_cross) with the panel
-    midpoints, shape (n,), the two offset rows, shape (2, points), and the
-    number of panels that cut the crossing segment, so that the exponents
-    are mids[p] + offsets[0] on the crossing panels p < n_cross followed by
-    mids[p] + offsets[1] on each ray panel.  Every power of the build and
-    the fill is arg^e over these exponents: t^-u and t^(v-1) in T_u and T_v,
-    x^-u in P_h and y^(v-1) in Q_h.
-
     ``gamma_tips`` and ``gammatilde_tips`` hold the truncation bound of each
-    candidate ray tip k = 2, 3, ... up to the tip the build reached, shape
-    (2, k_built - 1): the sign-adjusted ln |F(tip)| and the power of the
-    argument, so that ln |F(u) x^-u| at the tip of gamma, or
-    ln |y^(v-1) / F(v)| at that of gammatilde, is row 0 + row 1 ln x.  With
-    ``ln_tol`` they let each fill end the rays at the tip its own arguments
-    need (see :func:`kernel_matrix`): tip k keeps the first n_cross + k
-    panels, a prefix of the stored panels and rows.
+    upper-half node, shape (2, Nu/2) and (2, Nv/2): the sign-adjusted
+    ln |F| and the power of the argument, so that ln |F(u) x^-u| at a node of
+    gamma, or ln |y^(v-1) / F(v)| at one of gammatilde, is row 0 + row 1 ln x.
+    With ``ln_tol`` they let each fill end the contours at the node its own
+    arguments need (see :func:`kernel_matrix`): a prefix of the stored
+    nodes and rows.
     """
 
     gamma_nodes: np.ndarray
@@ -178,72 +178,53 @@ class ContourQuadrature:
     ln_tol: float
     separable_coeffs: np.ndarray = field(repr=False)
     separable_magnitudes: np.ndarray = field(repr=False)
-    gamma_panels: tuple = field(repr=False)
-    gammatilde_panels: tuple = field(repr=False)
     gamma_tips: np.ndarray = field(repr=False)
     gammatilde_tips: np.ndarray = field(repr=False)
-
-
-def _upper_half(start, direction, n_cross, n_panels):
-    """Upper half of one contour, oriented upward: the segment from the real
-    axis up to ``start`` = x_cross + i in n_cross equal panels, then
-    n_panels panels of length _PANEL_LENGTH on the ray from ``start`` along
-    the unit ``direction``.  Geometry only: returns the nodes, the weights
-    and their panel factorization (mids, offsets, n_cross), which
-    :func:`build_contours` maps to the exponent panels of
-    :class:`ContourQuadrature`."""
-    crossing = start.real + 1j * np.arange(n_cross) / n_cross
-    ends = np.concatenate((crossing, start + direction * (_PANEL_LENGTH * np.arange(n_panels + 1))))
-    mids = (ends[:-1] + ends[1:]) / 2
-    # Gauss-Legendre on each straight panel: a crossing panel has half
-    # length i/(2 n_cross) and every ray panel direction * _PANEL_LENGTH / 2
-    x, w = _legendre_rule(_PANEL_POINTS)
-    halves = np.array([0.5j / n_cross, direction * (_PANEL_LENGTH / 2)])
-    offsets = np.outer(halves, x)
-    nodes = (mids[:, None] + offsets[np.where(np.arange(mids.size) < n_cross, 0, 1)]).ravel()
-    weights = np.concatenate((np.tile(halves[0] * w, n_cross), np.tile(halves[1] * w, n_panels)))
-    return nodes, weights, (mids, offsets, n_cross)
 
 
 def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_TOL) -> ContourQuadrature:
     """Discretize the two kernel contours for arguments inside ``x_range``.
 
-    gamma crosses the real axis at (1+nu_min)/3 with rays into the left
-    half-plane at angles +-2 pi/3; gammatilde crosses at 2(1+nu_min)/3 with
-    rays at +-pi/3 into the right half-plane.  The segments from the
-    crossings up to height 1 lie span/3 from the nearest pole and from each
-    other (span = 1 + nu_min), so they are cut into ceil(1 / min(1, 2 span/3))
-    panels: one from span = 1.5 up, and panels no longer than twice that
-    distance below it.  The rays are cut into panels of length _PANEL_LENGTH.
+    With span = 1 + nu_min, c = min(span/3, 1/|ln x_lo|) and a = _WIDTH c,
+    the contours are the hyperbolas
 
-    The build has two fixed phases, with one :func:`log_big_f` call each:
+        u(theta) = c + a (1 - cosh theta) + i sqrt(3) a sinh theta,
+        v(theta) = (span - c) + a (cosh theta - 1) + i sqrt(3) a sinh theta,
 
-    * Truncation.  The integrand factors |F(u) x^-u| and |y^(v-1) / F(v)|
-      decay super-exponentially along the rays.  Each ray ends at its first
-      tip k >= 2 where the factor's largest value over ``x_range`` is below
-      ``tol`` (:func:`_first_tip`), searched up to the tip
-      k_max = _NODE_CAP // (2 _PANEL_POINTS) - n_cross that the node budget
-      admits (the ray's panels and as many on its mirror); every candidate
-      tip of both rays is evaluated at once.  If a ray has no such tip,
-      ConvergenceError is raised.  The bounds of the tips up to each ray's
-      own are kept, so that every fill applies the same rule again to the
-      arguments it is given (:func:`kernel_matrix`).  ``tol`` must lie in
-      (0, 1): a bound of 1 or more truncates nothing reliably (at tol = inf
-      every ray ends at its first candidate tip).
-    * Nodes.  ln F at the nodes of both contours, in one call.
+    whose asymptotes leave at angles +-2 pi/3 (gamma) and +-pi/3
+    (gammatilde).  gamma crosses the real axis at c, between the pole of
+    Gamma(z) at 0 and gammatilde's crossing, and Re(v - u) >= span - 2c >=
+    span/3.  Near x = 0 the power |x^-u| at the crossing is x^-c, at most e
+    over x_range: so the terms of the contour sums are not far larger than
+    their sum.  Scaling both hyperbolas by c keeps the poles at 0 and at
+    1 + nu_min at a fixed distance in theta, so the trapezoidal rule at
+    theta = k _STEP, k = 0, 1, ..., converges at the same geometric rate
+    for every c.
 
     The parameters are real, so F(conj z) = conj F(z) and both contours are
     symmetric about the real axis: each is built, and ln F evaluated, on its
-    upper half only.  The lower half maps nodes by conj, and weights and
-    F-factors (which carry the upward direction dz) by -conj; it is stored
-    after the upper half.  Every upper-half node is a panel midpoint plus
-    one of two offset rows (the crossing panels' or the rays'); the same
-    panels, mapped to the exponents -u and v - 1, are kept with the nodes so
-    that the build and the fill factor their powers per panel.
+    upper half theta >= 0 only, with the weight of theta = 0 halved.  The
+    lower half maps nodes by conj, and weights and F-factors (which carry
+    the upward direction dz) by -conj; it is stored after the upper half.
+
+    One :func:`log_big_f` call over the candidate nodes of both contours,
+    theta = 0 up to where they lie about _REACH from the crossing, gives the
+    truncation bounds and the weights.  The integrand factors |F(u) x^-u|
+    and |y^(v-1) / F(v)| decay super-exponentially along the contours.
+    Each contour ends at its first node from which on the factor's largest
+    value over ``x_range`` is below ``tol`` at every candidate
+    (:func:`_first_tip`); if the last candidate is not below it,
+    ConvergenceError is raised.  The bounds of the nodes up to that one
+    are kept, so that every fill applies the same rule again to the
+    arguments it is given (:func:`kernel_matrix`).  ``tol`` must lie in
+    (0, 1): a bound of 1 or more truncates nothing reliably.
+
     The t-integral of the factored kernel (see :class:`ContourQuadrature`)
     is a _T_POINTS-point Gauss-Legendre rule graded as t = tau^kappa with
     kappa = ceil(_T_GRADING / span): the t-integrand behaves like
-    t^(Re(v - u) - 1) near 0, and Re(v - u) >= span/3.
+    t^(Re(v - u) - 1) near 0, and Re(v - u) >= span/3.  Each stored factor
+    is one exp of ln F(u) - u ln t, or of (v - 1) ln t - ln F(v), per
+    (t-node, contour node).
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi) or not math.isfinite(x_hi):
@@ -252,44 +233,43 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
         raise DomainError("tol must satisfy 0 < tol < 1")
 
     span = 1.0 + params.nu_min
-    n_cross = math.ceil(1.0 / min(1.0, 2.0 * span / 3.0))
-    starts = (span / 3.0 + 1j, 2.0 * span / 3.0 + 1j)
-    directions = (np.exp(1j * (2 * math.pi / 3)), np.exp(1j * (math.pi / 3)))
+    ln_lo, ln_hi = math.log(x_lo), math.log(x_hi)
+    c = span / max(3.0, span * abs(ln_lo))  # min(span/3, 1/|ln x_lo|)
+    a = _WIDTH * c
+    # far out |u - c| ~ a e^theta: the candidates run up to about _REACH
+    theta = _STEP * np.arange(int(math.log1p(_REACH / a) / _STEP) + 1)
+    bend, rise = a * (np.cosh(theta) - 1.0), (math.sqrt(3.0) * a) * np.sinh(theta)
+    u, v = (c - bend) + 1j * rise, (span - c + bend) + 1j * rise
+    # du/dtheta = -a sinh + i sqrt(3) a cosh, and dv/dtheta = -conj(du/dtheta)
+    du = _STEP * a * (-np.sinh(theta) + 1j * math.sqrt(3.0) * np.cosh(theta))
+    du[0] /= 2.0
 
-    # truncation: the tips k = 2..k_max of both rays, then each ray's first
-    # tip where ln |F(u) x^-u| (gamma) or ln |y^(v-1) / F(v)| (gammatilde),
-    # at its largest over x_range, is below ln tol
-    k = np.arange(2, _NODE_CAP // (2 * _PANEL_POINTS) - n_cross + 1)
-    tips = np.array([start + direction * (_PANEL_LENGTH * k) for start, direction in zip(starts, directions)])
-    power = np.stack((-tips[0].real, tips[1].real - 1.0))
-    ln_tip = np.array([[1.0], [-1.0]]) * log_big_f(tips, params).real
-    bounds = np.stack((ln_tip, power), axis=1)  # per ray: (ln |F| row, power row)
-    ln_tol = math.log(tol)
-    ends = [_first_tip(b, math.log(x_lo), math.log(x_hi), ln_tol) for b in bounds]
-    if None in ends:
-        raise ConvergenceError(f"contour truncation bound {tol} not reached within {_NODE_CAP} nodes")
-    (u, wu, (u_mids, u_offsets, _)), (v, wv, (v_mids, v_offsets, _)) = (
-        _upper_half(start, direction, n_cross, k[end]) for start, direction, end in zip(starts, directions, ends)
-    )
-    u_panels = (-u_mids, -u_offsets, n_cross)  # exponent -u
-    v_panels = (v_mids - 1.0, v_offsets, n_cross)  # exponent v - 1
-
-    # F(u)/F(v) splits into one exp per node rather than one per pair;
-    # Re ln F at the nodes stays far inside exp's range (|Re ln F| < 140 on
-    # the benchmark catalogues), and the check below catches any overflow
+    # truncation: each contour's first node from which on ln |F(u) x^-u|
+    # (gamma) or ln |y^(v-1) / F(v)| (gammatilde), at its largest over
+    # x_range, is below ln tol at every candidate
     ln_f = log_big_f(np.concatenate((u, v)), params)
-    gu = wu * np.exp(ln_f[: u.size]) / _TWO_PI_I_SQ
-    gv = wv * np.exp(-ln_f[u.size :])
+    ln_fu, ln_fv = ln_f[: u.size], ln_f[u.size :]
+    bounds = (np.stack((ln_fu.real, -u.real)), np.stack((-ln_fv.real, v.real - 1.0)))
+    ln_tol = math.log(tol)
+    ends = [_first_tip(b, ln_lo, ln_hi, ln_tol) for b in bounds]
+    if None in ends:
+        raise ConvergenceError(f"contour truncation bound {tol} not reached within {_REACH:g} of the crossing")
+    n_u, n_v = ends[0] + 1, ends[1] + 1
+    u, v, du, dv = u[:n_u], v[:n_v], du[:n_u], -np.conj(du[:n_v])
+
     kappa = math.ceil(_T_GRADING / span)
     try:
         rule = gauss_legendre_grid(1.0, _T_POINTS, kappa)
     except DomainError:
         raise DomainError(f"nu_min = {params.nu_min} is too close to -1: the graded t-rule underflows") from None
     ln_t = np.log(rule.nodes)
-    t_u = _half_powers(ln_t, u_panels).T * gu[:, None]
-    t_v = _half_powers(ln_t, v_panels).T * (-4.0 * gv[:, None] * rule.weights)
-    coeffs = np.empty((2 * (u.size + v.size), _T_POINTS))
-    for rows, t in ((coeffs[: 2 * u.size], t_u), (coeffs[2 * u.size :], t_v)):
+    # F(u) t^-u and t^(v-1) / F(v) as one exp each; Re ln F at the nodes
+    # stays far inside exp's range (|Re ln F| < 148 on the benchmark
+    # catalogues), and the check below catches any overflow
+    t_u = np.exp(ln_fu[:n_u, None] - np.outer(u, ln_t)) * (du / _TWO_PI_I_SQ)[:, None]
+    t_v = np.exp(np.outer(v - 1.0, ln_t) - ln_fv[:n_v, None]) * (-4.0 * dv[:, None] * rule.weights)
+    coeffs = np.empty((2 * (n_u + n_v), _T_POINTS))
+    for rows, t in ((coeffs[: 2 * n_u], t_u), (coeffs[2 * n_u :], t_v)):
         rows[0::2], rows[1::2] = t.imag, t.real
     coeffs[np.abs(coeffs) < _TINY] = 0.0
     if not np.all(np.isfinite(coeffs)):
@@ -302,21 +282,21 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
         ln_tol=ln_tol,
         separable_coeffs=coeffs,
         separable_magnitudes=np.abs(coeffs[0::2]) + np.abs(coeffs[1::2]),
-        gamma_panels=u_panels,
-        gammatilde_panels=v_panels,
-        gamma_tips=bounds[0][:, : ends[0] + 1],
-        gammatilde_tips=bounds[1][:, : ends[1] + 1],
+        gamma_tips=bounds[0][:, :n_u],
+        gammatilde_tips=bounds[1][:, :n_v],
     )
 
 
 def _first_tip(tips, ln_lo, ln_hi, ln_tol):
-    """The truncation rule of a ray: the index (0 for k = 2) of the first of
-    its candidate tips, given as rows (ln |F| part, power), whose bound
-    ln |F| + power ln x at its largest over [ln_lo, ln_hi] is below ln_tol;
-    None if no tip is."""
+    """The truncation rule of a contour: the index of its first node, given
+    the nodes' bounds as rows (ln |F| part, power), from which on every
+    bound ln |F| + power ln x, at its largest over [ln_lo, ln_hi], is below
+    ln_tol; None if the last node's is not."""
     ln_f, power = tips
-    below = ln_f + np.maximum(power * ln_lo, power * ln_hi) < ln_tol
-    return int(below.argmax()) if below.any() else None
+    above = np.flatnonzero(ln_f + np.maximum(power * ln_lo, power * ln_hi) >= ln_tol)
+    if above.size == 0:
+        return 0
+    return None if above[-1] == ln_f.size - 1 else int(above[-1]) + 1
 
 
 def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
@@ -328,58 +308,44 @@ def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
     return np.log(x)
 
 
-def _half_powers(ln_arg, panels) -> np.ndarray:
-    """arg_i^e_j = exp(ln_arg_i e_j) over the exponents e_j = mid + offset
-    of one contour's panels (see :class:`ContourQuadrature`), factored per
-    panel as arg^mid arg^offset: one exp per (argument, panel) and per
-    (argument, offset), then one product per exponent.  A midpoint factor
-    below e^_MIN_EXPONENT is set to 0."""
-    mids, offsets, n_cross = panels
-    arg = np.outer(ln_arg, mids)
-    arg.real[arg.real < _MIN_EXPONENT] = -np.inf  # exp gives 0
-    e_mid = np.exp(arg)
-    e_off = np.exp(ln_arg[:, None, None] * offsets)
-    out = np.empty((ln_arg.size, mids.size, offsets.shape[1]), dtype=complex)
-    np.multiply(e_mid[:, :n_cross, None], e_off[:, None, 0], out=out[:, :n_cross])
-    np.multiply(e_mid[:, n_cross:, None], e_off[:, None, 1], out=out[:, n_cross:])
-    return out.reshape(ln_arg.size, -1)
-
-
-def _contour_sums(ln_arg, panels, tips, ln_tol, rows, magnitudes):
-    """Im(P T) for the upper-half powers P = arg^e of one contour and its
-    stored rows T, and the magnitude sum |P| |T| in 1-norms |Re| + |Im| (a
-    bound on each magnitude without square roots, stored as ``magnitudes``
-    for T), which bounds the terms of the real product that computes
-    Im(P T).  The ray ends at the tip that :func:`_first_tip` picks over
-    the smallest and largest argument, or at the built tip where none of
-    the stored tips is below ln_tol (arguments in the slack above x_range):
-    only that prefix of the panels, rows and magnitudes enters."""
-    mids, offsets, n_cross = panels
+def _call_nodes(ln_arg, tips, ln_tol):
+    """The number of upper-half nodes a fill over the arguments ln_arg uses:
+    up to the node that :func:`_first_tip` picks over the smallest and
+    largest argument, or every stored node where the last one is not below
+    ln_tol (arguments in the slack above x_range)."""
     end = _first_tip(tips, ln_arg.min(), ln_arg.max(), ln_tol)
-    if end is None:
-        end = tips.shape[1] - 1
-    n = n_cross + 2 + end  # the crossing panels and k = end + 2 ray panels
-    nodes = n * offsets.shape[1]
-    p = _half_powers(ln_arg, (mids[:n], offsets, n_cross))
-    return p.view(float) @ rows[: 2 * nodes], (np.abs(p.real) + np.abs(p.imag)) @ magnitudes[:nodes]
+    return tips.shape[1] if end is None else end + 1
+
+
+def _contour_sums(ln_arg, exponents, rows, magnitudes):
+    """Im(P T) for the upper-half powers P = arg^e of one contour, with
+    exponents e (-u on gamma, v - 1 on gammatilde), and its stored rows T;
+    and the magnitude sum |P| |T| in 1-norms |Re| + |Im| (a bound on each
+    magnitude without square roots, stored as ``magnitudes`` for T), which
+    bounds the terms of the real product that computes Im(P T).  One exp
+    per (argument, node); a power below e^_MIN_EXPONENT is set to 0."""
+    arg = np.outer(ln_arg, exponents)
+    arg.real[arg.real < _MIN_EXPONENT] = -np.inf  # exp gives 0
+    p = np.exp(arg)
+    return p.view(float) @ rows, (np.abs(p.real) + np.abs(p.imag)) @ magnitudes
 
 
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     """K(x_i, y_j) on the grid xs x ys via the factored integrable form.
 
-    Only the upper halves of x^-u and y^(v-1) are exponentiated, each
-    factored over the panels of :class:`ContourQuadrature`.  The fill is
-    three real matrix products: G1 = Im(P_h T_u) and G2 = Im(Q_h T_v), each
-    the interleaved (real, imaginary) view of the powers times the stored
-    rows, and K = G1 G2^T.
+    Only the upper halves of x^-u and y^(v-1) are exponentiated.  The fill
+    is three real matrix products: G1 = Im(P_h T_u) and G2 = Im(Q_h T_v),
+    each the interleaved (real, imaginary) view of the powers times the
+    stored rows, and K = G1 G2^T.
 
-    Each ray is truncated here, per call, by the rule :func:`build_contours`
-    applied over ``x_range``: gamma ends at its first stored tip whose bound
-    over [min xs, max xs] is below the build's tol, and gammatilde at the
-    first over [min ys, max ys].  Only that prefix of the panels and stored
-    rows enters the products, so arguments narrower than ``x_range`` cost
-    fewer contour nodes; arguments in the 0.1% slack above ``x_range`` that
-    no stored tip covers use the tip the build reached.
+    Each contour is truncated here, per call, by the rule
+    :func:`build_contours` applied over ``x_range``: gamma ends at its first
+    stored node from which on the bound over [min xs, max xs] is below the
+    build's tol, and gammatilde at the first over [min ys, max ys].  Only
+    that prefix of the nodes and stored rows enters the products, so
+    arguments narrower than ``x_range`` cost fewer contour nodes; arguments
+    in the 0.1% slack above ``x_range`` that the stored bounds do not cover
+    use every stored node.
 
     Every entry is checked against its rounding bound
     E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, the magnitude sum of its terms with
@@ -388,10 +354,13 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     _ROUNDING_LIMIT max(1, |K|): cancellation in the contour sums.
     """
     ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
-    n_u = cq.gamma_nodes.size
+    n_u, n_v = _call_nodes(ln_x, cq.gamma_tips, cq.ln_tol), _call_nodes(ln_y, cq.gammatilde_tips, cq.ln_tol)
+    h_u = cq.gamma_nodes.size // 2  # gammatilde's rows start at row 2 h_u
     rows, mags = cq.separable_coeffs, cq.separable_magnitudes
-    g1, mag_u = _contour_sums(ln_x, cq.gamma_panels, cq.gamma_tips, cq.ln_tol, rows[:n_u], mags[: n_u // 2])
-    g2, mag_v = _contour_sums(ln_y, cq.gammatilde_panels, cq.gammatilde_tips, cq.ln_tol, rows[n_u:], mags[n_u // 2 :])
+    g1, mag_u = _contour_sums(ln_x, -cq.gamma_nodes[:n_u], rows[: 2 * n_u], mags[:n_u])
+    g2, mag_v = _contour_sums(
+        ln_y, cq.gammatilde_nodes[:n_v] - 1.0, rows[2 * h_u : 2 * (h_u + n_v)], mags[h_u : h_u + n_v]
+    )
     vals = g1 @ g2.T
     ratio = _EPS * (mag_u @ mag_v.T) / np.maximum(1.0, np.abs(vals))
     if np.any(ratio > _ROUNDING_LIMIT):

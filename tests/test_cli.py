@@ -75,6 +75,15 @@ class TestKernelCmd:
         val = float(capsys.readouterr().out)
         assert abs(val - 4.0 * BesselKernel(0.0).matrix([4.0])[0, 0]) < 1e-8
 
+    @pytest.mark.parametrize("nu, x", [("0.5", 1e-18), ("2", 1e-16)])
+    def test_near_zero_matches_bessel_reduction(self, capsys, nu, x):
+        # K(x, 1) = 4 x^(-nu/2) K_Be(4x, 4) at r = 1: 0.554365664794229 and
+        # 0.0644716247372014 here; the earlier panel contours printed 4.2165
+        # for nu = 0.5 and exited 2 for nu = 2
+        assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", nu, "--x", str(x), "--y", "1"]) == 0
+        ref = 4.0 * x ** (-float(nu) / 2.0) * BesselKernel(float(nu)).matrix([4.0 * x, 4.0])[0, 1]
+        assert abs(float(capsys.readouterr().out) - ref) <= 1e-12 * max(1.0, abs(ref))
+
     @pytest.mark.parametrize("x", ["-1", "nan", "inf"])
     def test_nonpositive_x_exit_2(self, capsys, x):
         assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", "0", "--x", x, "--y", "1"]) == 2

@@ -34,32 +34,50 @@ NEAR = ProcessParams(2, 0, (0.5, 0.5005))
 NU4 = ProcessParams(1, 0, (4.0,))
 
 
-def _scalar_tip(params, ray, x_min, x_max, tol):
-    """The first tip k >= 2 of gamma (ray 0) or gammatilde (ray 1) where
+def _hyperbolas(params, x_lo):
+    """The candidate nodes u of gamma and v of gammatilde, and gamma's
+    trapezoidal weights h du/dtheta (unhalved), from the formulas of
+    build_contours: theta = k h up to about _REACH from the crossing,
+    u = c + a (1 - cosh theta) + i sqrt(3) a sinh theta and
+    v = (span - c) + a (cosh theta - 1) + i sqrt(3) a sinh theta, with
+    c = min(span/3, 1/|ln x_lo|) and a = _WIDTH c."""
+    span, ln_lo = 1.0 + params.nu_min, abs(math.log(x_lo))
+    c = span / 3.0 if ln_lo == 0.0 else min(span / 3.0, 1.0 / ln_lo)
+    a, h = kernel._WIDTH * c, kernel._STEP
+    theta = h * np.arange(int(math.log1p(kernel._REACH / a) / h) + 1)
+    rise = math.sqrt(3.0) * a * np.sinh(theta)
+    u = c + a * (1.0 - np.cosh(theta)) + 1j * rise
+    v = span - c + a * (np.cosh(theta) - 1.0) + 1j * rise
+    return u, v, h * a * (-np.sinh(theta) + 1j * math.sqrt(3.0) * np.cosh(theta))
+
+
+def _scalar_nodes(params, ray, x_lo, x_min, x_max, tol):
+    """The upper-half node count of gamma (ray 0) or gammatilde (ray 1) on
+    the hyperbolas for x_lo: up to the first candidate from which on
     ln |F(u) x^-u|, or ln |y^(v-1) / F(v)|, at its largest over
-    [x_min, x_max] is below ln tol, from one scalar log_big_f call per tip."""
-    span = 1.0 + params.nu_min
-    x_cross, angle, sign = ((span / 3, 2 * math.pi / 3, 1.0), (2 * span / 3, math.pi / 3, -1.0))[ray]
-    for k in range(2, 200):
-        tip = x_cross + 1j + kernel._PANEL_LENGTH * k * complex(math.cos(angle), math.sin(angle))
-        power = -tip.real if sign > 0 else tip.real - 1.0
-        ln_bound = sign * log_big_f(tip, params).real + max(power * math.log(x) for x in (x_min, x_max))
-        if ln_bound < math.log(tol):
-            return k
-    return None
+    [x_min, x_max], is below ln tol at every candidate."""
+    z = _hyperbolas(params, x_lo)[ray]
+    ln_f = log_big_f(z, params).real
+    bounds = [
+        (lf if ray == 0 else -lf) + max(power * math.log(x) for x in (x_min, x_max))
+        for lf, power in zip(ln_f, -z.real if ray == 0 else z.real - 1.0)
+    ]
+    above = [k for k, b in enumerate(bounds) if b >= math.log(tol)]
+    assert not above or above[-1] < len(bounds) - 1  # the last candidate is below
+    return above[-1] + 2 if above else 1
 
 
-def _spy_panel_counts(monkeypatch):
-    """The panel count of each later _half_powers call, in call order: a
-    fill powers gamma's panels, then gammatilde's."""
+def _spy_node_counts(monkeypatch):
+    """The upper-half node count of each later contour sum, in call order:
+    a fill sums gamma's nodes, then gammatilde's."""
     used = []
-    half_powers = kernel._half_powers
+    contour_sums = kernel._contour_sums
 
-    def spy(ln_arg, panels):
-        used.append(panels[0].size)
-        return half_powers(ln_arg, panels)
+    def spy(ln_arg, exponents, rows, magnitudes):
+        used.append(exponents.size)
+        return contour_sums(ln_arg, exponents, rows, magnitudes)
 
-    monkeypatch.setattr(kernel, "_half_powers", spy)
+    monkeypatch.setattr(kernel, "_contour_sums", spy)
     return used
 
 
@@ -131,40 +149,51 @@ class TestBuildContours:
         assert len(loose.gamma_nodes) <= len(tight.gamma_nodes)
         assert len(loose.gammatilde_nodes) <= len(tight.gammatilde_nodes)
 
-    def test_panel_refinement_stability(self, monkeypatch):
+    def test_step_refinement_stability(self, monkeypatch):
+        # the rule at h/2 puts a node between each two of the rule at h, so
+        # its even nodes are the nodes at h; the kernels agree to rounding
+        # (measured 2.0e-15 of max(1, |K|))
         p = ProcessParams(2, 0, (0.5, 1.5))
-        tol = 1e-10
-        base = build_contours(p, (0.5, 2.0), tol)
-        monkeypatch.setattr(kernel, "_PANEL_POINTS", 40)
-        fine = build_contours(p, (0.5, 2.0), tol)
-        # same panels, twice the points on each: the rule is read at build time
-        assert fine.gamma_nodes.size == 2 * base.gamma_nodes.size
-        assert fine.gammatilde_nodes.size == 2 * base.gammatilde_nodes.size
-        delta = abs(kernel_eval(1.0, 1.0, base) - kernel_eval(1.0, 1.0, fine))
-        assert delta < 10 * tol
+        x_range = (0.01, 16.0)
+        base = build_contours(p, x_range)
+        monkeypatch.setattr(kernel, "_STEP", kernel._STEP / 2)
+        fine = build_contours(p, x_range)
+        for coarse, refined in ((base.gamma_nodes, fine.gamma_nodes), (base.gammatilde_nodes, fine.gammatilde_nodes)):
+            coarse, even = coarse[: coarse.size // 2], refined[: refined.size // 2 : 2]
+            assert even.size >= coarse.size - 1
+            n = min(coarse.size, even.size)
+            assert np.array_equal(even[:n], coarse[:n])
+        xs = np.geomspace(*x_range, 30)
+        k, k_fine = kernel_matrix(xs, xs, base), kernel_matrix(xs, xs, fine)
+        assert np.all(np.abs(k - k_fine) <= 1e-14 * np.maximum(1.0, np.abs(k_fine)))
 
     def test_node_cap(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_NODE_CAP", 64)
-        with pytest.raises(ConvergenceError):
+        monkeypatch.setattr(kernel, "_REACH", 1.0)
+        with pytest.raises(ConvergenceError, match="not reached within 1 of the crossing"):
             build_contours(ProcessParams(1, 0, (0.0,)), (0.1, 10.0), 1e-12)
 
     def test_node_cap_boundary(self, monkeypatch):
-        # the cap applies to each contour: 520 + 520 nodes here, with two
-        # crossing panels (span = 1) and eleven ray panels on each half
+        # the candidates run to theta = K h with K = int(ln(1 + _REACH / a) / h),
+        # and the cap applies to each contour: both end at node N here, so a
+        # reach whose K is N builds the same nodes and one whose K is N - 1
+        # raises
         p = ProcessParams(1, 0, (0.0,))
         cq = build_contours(p, (0.1, 10.0), 1e-12)
-        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (520, 520)
-        monkeypatch.setattr(kernel, "_NODE_CAP", 520)
+        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (172, 172)
+        n = cq.gamma_nodes.size // 2 - 1
+        a = kernel._WIDTH * cq.gamma_nodes[0].real
+        monkeypatch.setattr(kernel, "_REACH", a * math.expm1((n + 0.5) * kernel._STEP))
         capped = build_contours(p, (0.1, 10.0), 1e-12)
         assert np.array_equal(capped.gamma_nodes, cq.gamma_nodes)
         assert np.array_equal(capped.gammatilde_nodes, cq.gammatilde_nodes)
-        monkeypatch.setattr(kernel, "_NODE_CAP", 519)
+        monkeypatch.setattr(kernel, "_REACH", a * math.expm1((n - 0.5) * kernel._STEP))
         with pytest.raises(ConvergenceError):
             build_contours(p, (0.1, 10.0), 1e-12)
 
     def test_tip_evaluations_are_batched(self, monkeypatch):
-        # one log_big_f for every candidate tip of both rays and one for the
-        # nodes of both contours, each one log_gamma call, not one per factor
+        # one log_big_f for every candidate node of both contours, which
+        # gives both the truncation bounds and the weights, and one
+        # log_gamma call in it, not one per factor
         calls = {"log_gamma": 0, "log_big_f": 0}
 
         def counting(name, fn):
@@ -177,49 +206,34 @@ class TestBuildContours:
         monkeypatch.setattr(kernel, "log_gamma", counting("log_gamma", log_gamma))
         monkeypatch.setattr(kernel, "log_big_f", counting("log_big_f", log_big_f))
         cq = build_contours(LEFT, (0.01, 16.0), 1e-12)
-        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (480, 560)
-        assert calls == {"log_gamma": 2, "log_big_f": 2}
+        assert (cq.gamma_nodes.size, cq.gammatilde_nodes.size) == (186, 194)
+        assert calls == {"log_gamma": 1, "log_big_f": 1}
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-12])
     @pytest.mark.parametrize("x_range", [(1e-6, 256.0), (0.5, 2.0)])
     @pytest.mark.parametrize("params", [LEFT, NEG, NU4], ids=["LEFT", "NEG", "NU4"])
     def test_tip_is_first_below_tol(self, params, x_range, tol):
-        # each ray ends at its first tip k >= 2 where ln |F(u) x^-u| on gamma,
-        # or ln |y^(v-1) / F(v)| on gammatilde, at its largest over x_range,
-        # is below ln tol; checked tip by tip with scalar log_big_f calls.  For
-        # NU4 the k = 2 tip of gamma has Re u = 1/6 > 0, so there the x_lo
-        # side of the bound is the larger one, and at tol = 1e-3 it decides
-        # that the ray goes on to k = 3
+        # each contour ends at its first node from which on ln |F(u) x^-u|
+        # on gamma, or ln |y^(v-1) / F(v)| on gammatilde, at its largest over
+        # x_range, is below ln tol at every candidate; checked on hyperbolas
+        # formed here.  For NU4 the first nodes of gamma have Re u > 0, so
+        # there the x_lo side of the bound is the larger one
         cq = build_contours(params, x_range, tol)
-        for ray, (mids, _, n_cross) in enumerate((cq.gamma_panels, cq.gammatilde_panels)):
-            assert mids.size - n_cross == _scalar_tip(params, ray, *x_range, tol)
+        for ray, z in enumerate((cq.gamma_nodes, cq.gammatilde_nodes)):
+            assert z.size // 2 == _scalar_nodes(params, ray, x_range[0], *x_range, tol)
 
-    @pytest.mark.parametrize(
-        "params, n_cross", [(LEFT, 1), (NEG, 3), (BES, 1), (GIN2, 2)], ids=["LEFT", "NEG", "BES", "GIN2"]
-    )
-    def test_lower_half_mirrors_upper(self, params, n_cross):
-        cq = build_contours(params, (0.01, 16.0), 1e-12)
-        span = 1.0 + params.nu_min
-        contours = (
-            (cq.gamma_nodes, cq.gamma_panels, span / 3, 2 * math.pi / 3, lambda m, o: (-m, -o)),
-            (cq.gammatilde_nodes, cq.gammatilde_panels, 2 * span / 3, math.pi / 3, lambda m, o: (m - 1.0, o)),
-        )
-        for z, (e_mids, e_offsets, n), x_cross, angle, exponent in contours:
+    @pytest.mark.parametrize("params", [LEFT, NEG, BES, GIN2], ids=["LEFT", "NEG", "BES", "GIN2"])
+    def test_lower_half_mirrors_upper(self, params):
+        x_range = (0.01, 16.0)
+        cq = build_contours(params, x_range, 1e-12)
+        u, v, _ = _hyperbolas(params, x_range[0])
+        for z, candidates in ((cq.gamma_nodes, u), (cq.gammatilde_nodes, v)):
             h = z.size // 2
-            assert np.all(z[:h].imag > 0.0)
+            # node 0 is the crossing on the real axis, in both halves
+            assert z[0].imag == 0.0 and np.all(z[1:h].imag > 0.0)
             assert np.array_equal(z[h:], np.conj(z[:h]))
-            # the upper half is the crossing panels, then the ray panels, of
-            # _upper_half's geometry; the stored panels are its exponents,
-            # -u on gamma and v - 1 on gammatilde
-            assert n == n_cross
-            assert e_offsets.shape == (2, kernel._PANEL_POINTS)
-            start, direction = x_cross + 1j, np.exp(1j * angle)
-            _, _, (mids, offsets, n) = kernel._upper_half(start, direction, n_cross, e_mids.size - n_cross)
-            crossing, ray = (mids[:n, None] + offsets[0]).ravel(), (mids[n:, None] + offsets[1]).ravel()
-            assert np.array_equal(z[:h], np.concatenate((crossing, ray)))
-            expected_mids, expected_offsets = exponent(mids, offsets)
-            assert np.array_equal(e_mids, expected_mids) and np.array_equal(e_offsets, expected_offsets)
-            assert np.allclose(z[: n * kernel._PANEL_POINTS].real, z[0].real, rtol=0.0, atol=1e-15)
+            # the upper half is a prefix of the candidate nodes
+            assert np.allclose(z[:h], candidates[:h], rtol=1e-15, atol=0.0)
         # one (Im T, Re T) row pair per upper-half node, one column per t-node
         assert cq.separable_coeffs.dtype == np.float64
         assert cq.separable_coeffs.shape == (cq.gamma_nodes.size + cq.gammatilde_nodes.size, kernel._T_POINTS)
@@ -252,14 +266,15 @@ class TestKernelEval:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0])
     def test_bessel_reduction_near_zero(self, nu):
-        # 3.2e-13, 5.6e-12 and 1.3e-8 of max(1, |K|) off at (1e-8, 1) for
-        # nu = 0, 0.5 and 2.  Closer to x = 0 the error grows with no
-        # error raised (2.6e-7 at x = 1e-12 for nu = 0.5, and 3.7 at 1e-18):
-        # the rounding guard bounds rounding, not the discretization
-        x, y = 1e-8, 1.0
-        cq = build_contours(ProcessParams(1, 0, (nu,)), (0.9 * x, 1.1 * y))
-        ref = 4.0 * (y / x) ** (nu / 2.0) * BesselKernel(nu).matrix([4.0 * x, 4.0 * y])[0, 1]
-        assert abs(kernel_eval(x, y, cq) - ref) <= 1e-7 * max(1.0, abs(ref))
+        # on contours for (0.9 x, 1.1) gamma crosses at 1/|ln 0.9 x|, so the
+        # powers x^-u stay below e and the contour sums keep their digits;
+        # measured at most 4.0e-15 of max(1, |K|).  The earlier panel
+        # contours were 3.7 off at nu = 0.5, x = 1e-18, with no error raised
+        y = 1.0
+        for x in (1e-8, 1e-10, 1e-12, 1e-14, 1e-16, 1e-18):
+            cq = build_contours(ProcessParams(1, 0, (nu,)), (0.9 * x, 1.1 * y))
+            ref = 4.0 * (y / x) ** (nu / 2.0) * BesselKernel(nu).matrix([4.0 * x, 4.0 * y])[0, 1]
+            assert abs(kernel_eval(x, y, cq) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_diagonal_nonnegative(self):
         cq = build_contours(LEFT, (0.2, 3.0), 1e-12)
@@ -278,25 +293,28 @@ class TestKernelEval:
 
     @pytest.mark.parametrize(
         "params, x_lo, rtol",
-        [(LEFT, 0.01, 1e-14), (RIGHT, 0.01, 1e-14), (NEG, 1e-6, 3e-11), (BES, 0.01, 1e-14), (GIN2, 0.01, 1e-14)],
+        [(LEFT, 0.01, 1e-14), (RIGHT, 0.01, 1e-14), (NEG, 1e-6, 2e-14), (BES, 0.01, 1e-14), (GIN2, 0.01, 1e-14)],
         ids=["LEFT", "RIGHT", "NEG", "BES", "GIN2"],
     )
     def test_fold_matches_unfolded_sum(self, params, x_lo, rtol):
-        # the folded, factored fill against Re(P C Q^T) over whole contours
-        # with the exact Cauchy factor c_ij = g_i g_j / (v_j - u_i), on the
-        # same nodes; the lower halves carry -conj g.  Measured: 1.2e-15 of
-        # max(1, |K|), and 5.7e-12 for NEG, whose kernel near x = 1e-6 is a
-        # sum of terms up to e^25 times larger
-        x_range, span = (x_lo, 16.0), 1.0 + params.nu_min
+        # the folded, factored fill against Re(P C Q^T) over whole contours,
+        # theta from -(n - 1) h to (n - 1) h with each node once and its full
+        # weight, with the exact Cauchy factor c_ij = g_i g_j / (v_j - u_i);
+        # the lower halves carry -conj of the weights.  Measured: 7.8e-16 of
+        # max(1, |K|), and 6.1e-15 for NEG, whose kernel near x = 1e-6 is a
+        # sum of larger terms
+        x_range = (x_lo, 16.0)
         cq = build_contours(params, x_range, 1e-12)
-        halves = []
-        contours = ((cq.gamma_panels, span / 3, 2 * math.pi / 3, 1.0), (cq.gammatilde_panels, 2 * span / 3, math.pi / 3, -1.0))
-        for (mids, _, n_cross), x_cross, angle, sign in contours:
-            z, w, _ = kernel._upper_half(x_cross + 1j, np.exp(1j * angle), n_cross, mids.size - n_cross)
-            g = w * np.exp(sign * log_big_f(z, params))
-            halves.append((np.concatenate((z, np.conj(z))), np.concatenate((g, -np.conj(g)))))
-        (u, gu), (v, gv) = halves
-        assert np.array_equal(u, cq.gamma_nodes) and np.array_equal(v, cq.gammatilde_nodes)
+        u, v, du = _hyperbolas(params, x_lo)
+        whole = []
+        for z, dz, n, sign in (
+            (u, du, cq.gamma_nodes.size // 2, 1.0),
+            (v, -np.conj(du), cq.gammatilde_nodes.size // 2, -1.0),
+        ):
+            z = np.concatenate((np.conj(z[n - 1 : 0 : -1]), z[:n]))
+            dz = np.concatenate((-np.conj(dz[n - 1 : 0 : -1]), dz[:n]))
+            whole.append((z, dz * np.exp(sign * log_big_f(z, params))))
+        (u, gu), (v, gv) = whole
         c = np.outer(gu, gv) / (v[None, :] - u[:, None]) / (2j * math.pi) ** 2
         ln_x = np.log(np.geomspace(x_lo, 16.0, 40))
         ref = (np.exp(-np.outer(ln_x, u)) @ c @ np.exp(np.outer(ln_x, v - 1.0)).T).real
@@ -324,33 +342,60 @@ class TestKernelEval:
         "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
     )
     def test_factored_powers_match_direct_exp(self, params, x_lo):
-        # x^-u and y^(v-1) factored per panel against one exp per node
+        # the build's one exp of ln F(u) - u ln t, or of (v - 1) ln t - ln F(v),
+        # per (t-node, contour node) against w F(u) t^-u / (2 pi i)^2 and
+        # -4 W wt t^(v-1) / F(v) formed factor by factor; entries far below
+        # the largest row entry are left out, where a factor alone underflows
         cq = build_contours(params, (x_lo, 256.0), 1e-12)
-        ln_x = np.log(np.geomspace(x_lo, 256.0, 60))
-        for exponent, panels in ((-cq.gamma_nodes, cq.gamma_panels), (cq.gammatilde_nodes - 1.0, cq.gammatilde_panels)):
-            ref = np.exp(np.outer(ln_x, exponent[: exponent.size // 2]))
-            got = kernel._half_powers(ln_x, panels)
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        u, v, du = _hyperbolas(params, x_lo)
+        du[0] /= 2.0
+        n_u, n_v = cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2
+        u, v, du, dv = u[:n_u], v[:n_v], du[:n_u], -np.conj(du[:n_v])
+        rule = gauss_legendre_grid(1.0, kernel._T_POINTS, math.ceil(kernel._T_GRADING / (1.0 + params.nu_min)))
+        t = rule.nodes[None, :]
+        t_u = (du * np.exp(log_big_f(u, params)) / (2j * math.pi) ** 2)[:, None] * t ** -u[:, None]
+        t_v = (-4.0 * dv / np.exp(log_big_f(v, params)))[:, None] * rule.weights * t ** (v[:, None] - 1.0)
+        rows = cq.separable_coeffs
+        for ref, got in ((t_u, rows[: 2 * n_u]), (t_v, rows[2 * n_u :])):
+            got = got[1::2] + 1j * got[0::2]
+            kept = np.abs(ref) > 1e-250 * np.abs(ref).max()
+            assert np.all(np.abs(got - ref)[kept] <= 1e-12 * np.abs(ref)[kept])
 
     def test_rounding_guard(self, monkeypatch):
-        # near x = 0 with nu_min < 0 the contour sums cancel: the rounding
-        # bound reads 1.1e-13 of max(1, |K|) here, above a limit of 1e-14
-        # and far below the shipped one
-        cq = build_contours(NEG, (1e-6, 16.0), 1e-12)
-        xs = np.geomspace(1e-6, 1e-3, 8)
+        # for nu = 4 over (0.01, 256) the contour sums cancel: the rounding
+        # bound reads 3.1e-9 of max(1, |K|) here, above a limit of 1e-9 and
+        # below the shipped one
+        cq = build_contours(NU4, (0.01, 256.0), 1e-12)
+        xs = np.geomspace(0.01, 256.0, 20)
         kernel_matrix(xs, xs, cq)
-        monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e-14)
+        monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e-9)
         with pytest.raises(AccuracyError, match="rounding bound"):
             kernel_matrix(xs, xs, cq)
 
     def test_neg_crossing_determinants(self):
-        # ln det(1 - K|[0,s]) for NEG, settled to 13 digits on contours with
-        # crossing and first-ray panels of length 1/4 or less; one crossing
-        # panel of length 1 left the library 6.5e-6 and 2.0e-5 off
+        # ln det(1 - K|[0,s]) for NEG, settled to 13 digits on fine panel
+        # contours; the hyperbolas, which cross the real axis between NEG's
+        # poles at 0 and 1/2, are 5.5e-14 and 4.3e-13 off.  Panel contours
+        # with one crossing panel of length 1 were 6.5e-6 and 2.0e-5 off
         for s, ref in ((1.0, -1.8651766711303), (4.0, -4.4845830616002)):
             grid = gauss_legendre_grid(s, 100, kappa=4)
             handle = MeijerKernel(NEG, (0.999 * grid.nodes[0], s))
             assert abs(log_gap_determinant(s, grid, handle) - ref) < 1e-11
+
+    @pytest.mark.parametrize("nu", [2.0, 3.0, 4.0])
+    def test_graded_grids_match_bessel_route(self, nu):
+        # r = 1 on a kappa = 2 grid over [0, s], as a max(2, .) grading would
+        # give nu >= 1, against the Bessel kernel on [0, 4s]: the two define
+        # the same determinant.  Measured at most 4.6e-13 apart; the panel
+        # contours raised AccuracyError in most of these cells, where the
+        # graded first node fell into their loss of accuracy near x = 0
+        params = ProcessParams(1, 0, (nu,))
+        for s in (1.0, 16.0):
+            for m in (80, 200):
+                grid = gauss_legendre_grid(s, m, 2)
+                ld = log_gap_determinant(s, grid, MeijerKernel(params, (0.999 * grid.nodes[0], s)))
+                ref = log_gap_determinant(4.0 * s, gauss_legendre_grid(4.0 * s, m, 2), BesselKernel(nu))
+                assert abs(ld - ref) < 1e-10
 
     def test_neg_t_rule_near_zero_leaves_det(self, monkeypatch):
         # det's kappa = 4 grid puts NEG's first node at x = 1.7e-18, where the
@@ -365,7 +410,7 @@ class TestKernelEval:
 
 
 class TestCallTip:
-    """Each fill ends the rays at the tip its own arguments need."""
+    """Each fill ends the contours at the node its own arguments need."""
 
     @pytest.mark.parametrize(
         "params, x_lo", [(LEFT, 0.01), (RIGHT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)],
@@ -383,57 +428,46 @@ class TestCallTip:
     @pytest.mark.parametrize("params", [LEFT, NEG, NU4], ids=["LEFT", "NEG", "NU4"])
     def test_call_tip_is_first_below_tol(self, params, tol, monkeypatch):
         # the rule of test_tip_is_first_below_tol over [min, max] of the
-        # arguments of one fill, on contours built for (1e-6, 256); NU4's
-        # fill over the whole range raises AccuracyError (K(1e-6, 256)
-        # cancels), so the widest call starts at 0.01
+        # arguments of one fill, on contours built for (1e-6, 256)
         cq = build_contours(params, (1e-6, 256.0), tol)
-        n_cross = cq.gamma_panels[2]
-        used = _spy_panel_counts(monkeypatch)
-        gamma_tip = {}
-        for lo, hi in ((0.01, 256.0), (0.5, 2.0), (1e-6, 1.0), (4.0, 256.0)):
+        used = _spy_node_counts(monkeypatch)
+        for lo, hi in ((1e-6, 256.0), (0.01, 256.0), (0.5, 2.0), (1e-6, 1.0), (4.0, 256.0)):
             args = np.geomspace(lo, hi, 7)
             used.clear()
             kernel_matrix(args, args, cq)
-            assert used == [n_cross + _scalar_tip(params, ray, lo, hi, tol) for ray in (0, 1)]
-            gamma_tip[lo, hi] = used[0] - n_cross
-        if params is NU4 and tol == 1e-3:
-            # the k = 2 tip of gamma has Re u > 0, so its bound falls with x:
-            # with the same x_hi, the x_lo side keeps the ray to k = 3 from
-            # x = 0.01 and lets it end at k = 2 from x = 4
-            assert (gamma_tip[0.01, 256.0], gamma_tip[4.0, 256.0]) == (3, 2)
+            assert used == [_scalar_nodes(params, ray, 1e-6, lo, hi, tol) for ray in (0, 1)]
 
     def test_rays_cut_by_their_own_arguments(self, monkeypatch):
-        # gamma follows xs and gammatilde ys, each with its own tip; the
-        # narrow fills stop short of the wide ones' tips, so they differ by
-        # the truncation (3.1e-14 here), within tol
+        # gamma follows xs and gammatilde ys, each with its own end; the
+        # narrow fills stop short of the wide ones' ends, so they differ by
+        # the truncation (1.9e-14 here), within tol
         cq = build_contours(LEFT, (0.01, 256.0))
         narrow = np.geomspace(0.01, 16.0, 5)
         wide = np.concatenate((narrow, [64.0, 256.0]))
         full = kernel_matrix(wide, wide, cq)
-        used = _spy_panel_counts(monkeypatch)
-        n_cross = cq.gamma_panels[2]
-        tips = {ray: [_scalar_tip(LEFT, ray, 0.01, hi, 1e-12) for hi in (16.0, 256.0)] for ray in (0, 1)}
-        assert tips[0][0] < tips[0][1] and tips[1][0] < tips[1][1]
+        used = _spy_node_counts(monkeypatch)
+        ends = {ray: [_scalar_nodes(LEFT, ray, 0.01, 0.01, hi, 1e-12) for hi in (16.0, 256.0)] for ray in (0, 1)}
+        assert ends[0][0] < ends[0][1] and ends[1][0] < ends[1][1]
         for (xs, i), (ys, j) in (((narrow, 0), (wide, 1)), ((wide, 1), (narrow, 0))):
             used.clear()
             k = kernel_matrix(xs, ys, cq)
-            assert used == [n_cross + tips[0][i], n_cross + tips[1][j]]
+            assert used == [ends[0][i], ends[1][j]]
             ref = full[: xs.size, : ys.size]
             assert np.all(np.abs(k - ref) <= kernel.CONTOUR_TOL * np.maximum(1.0, np.abs(ref)))
 
     def test_slack_above_x_hi_uses_built_tip(self, monkeypatch):
-        # tol just above the bound of gammatilde's built tip over x_range, so
-        # that over [x_lo, 1.001 x_hi] no stored tip is below it: the fill
-        # keeps the built tip and raises nothing
+        # tol just above the bound of gammatilde's last built node over
+        # x_range, so that over [x_lo, 1.001 x_hi] that node's bound is not
+        # below it: the fill keeps every built node and raises nothing
         x_range = (0.01, 16.0)
         ln_f, power = build_contours(LEFT, x_range).gammatilde_tips[:, -1]
         edge = ln_f + max(power * math.log(x) for x in x_range)
         cq = build_contours(LEFT, x_range, math.exp(edge + 1e-9))
         args = np.geomspace(x_range[0], 1.001 * x_range[1], 9)
         assert kernel._first_tip(cq.gammatilde_tips, math.log(args[0]), math.log(args[-1]), cq.ln_tol) is None
-        used = _spy_panel_counts(monkeypatch)
+        used = _spy_node_counts(monkeypatch)
         k = kernel_matrix(args, args, cq)
-        assert used == [cq.gamma_panels[0].size, cq.gammatilde_panels[0].size]
+        assert used == [cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2]
         assert np.all(np.isfinite(k))
 
 
