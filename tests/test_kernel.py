@@ -399,8 +399,9 @@ class TestKernelEval:
 
     def test_neg_t_rule_near_zero_leaves_det(self, monkeypatch):
         # det's kappa = 4 grid puts NEG's first node at x = 1.7e-18, where the
-        # 80-point t-rule is 4.3e-6 of max(1, |K|) (|K| = 5e8) off a 320-point
-        # one; ln det moves by 8.8e-14 with points and grading doubled
+        # 80-point t-rule is 1.4e-13 of max(1, |K|) (|K| = 5e8) off a
+        # 320-point one; ln det moves by 5.1e-14 with points and grading
+        # doubled
         grid = gauss_legendre_grid(1.0, 200, kappa=4)
         x_range = (0.999 * grid.nodes[0], 1.0)
         ref = log_gap_determinant(1.0, grid, MeijerKernel(NEG, x_range))
