@@ -18,7 +18,7 @@ On the contours Re(v - u) > 0, so 1/(v - u) = int_0^1 t^(v-u-1) dt and the
 kernel is integrable: K(x, y) = int_0^1 G1(t x) G2(t y) dt with single-
 contour sums G1, G2.  Discretizing both contours and the t-integral once
 turns the Fredholm matrix fill into three real matrix products on
-precomputed factors.
+precomputed factors and one table of powers x^-u that both contours share.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ _ROUNDING_LIMIT = 1e-7
 _EPS = float(np.finfo(float).eps)
 
 # Subnormal numbers slow every product they enter.  Stored factors below
-# the smallest normal number are set to 0, and so is a power x^-u or
-# y^(v-1) of the fill below e^_MIN_EXPONENT.  The stored factors stay below
-# e^19 on the benchmark builds, so each term cut is below e^-580 and far
-# below rounding in any kernel value.
+# the smallest normal number are set to 0, and so is an entry x^-u of the
+# fill's power table below e^_MIN_EXPONENT.  On the benchmark fills the
+# stored factors stay below e^1 and the scale y^nu_min of y^(v-1) below
+# e^21, so each term cut is below e^-578, far below rounding in any K.
 _TINY = float(np.finfo(float).tiny)
 _MIN_EXPONENT = -600.0
 
@@ -156,12 +156,13 @@ class ContourQuadrature:
     part.  With t_k, W_k the n_t-point t-rule, T_u = g_u t_k^-u and
     T_v = -4 W_k g_v t_k^(v-1) over the upper halves (shapes (Nu/2, n_t) and
     (Nv/2, n_t)) give K = Im(P_h T_u) Im(Q_h T_v)^T, where P_h = x^-u and
-    Q_h = y^(v-1) on the upper halves.  ``separable_coeffs`` stores T_u and
-    then T_v as real rows, shape (Nu + Nv, n_t): row 2i is Im T_i and row
-    2i + 1 is Re T_i, so that the interleaved (real, imaginary) view of P_h
-    times the first Nu rows is Im(P_h T_u).  ``separable_magnitudes`` holds
-    the 1-norms |Im T_i| + |Re T_i| of the same rows, shape
-    ((Nu + Nv)/2, n_t), for the fill's rounding bound.
+    Q_h = y^(v-1) = y^nu_min conj(y^-u) on the upper halves (node i of
+    gammatilde is 1 + nu_min - conj u_i).  ``separable_coeffs`` stores T_u
+    and then -conj T_v, ready for that conj, as real rows, shape
+    (Nu + Nv, n_t): row 2i is Im and row 2i + 1 Re of upper-half row i, so
+    that the interleaved (real, imaginary) view of z^-u times a contour's
+    rows is Im(P_h T_u), or Im(Q_h T_v) / y^nu_min.  ``separable_magnitudes``
+    holds their 1-norms, shape ((Nu + Nv)/2, n_t), for the rounding bound.
 
     ``gamma_tips`` and ``gammatilde_tips`` hold the truncation bound of each
     upper-half node, shape (2, Nu/2) and (2, Nv/2): the sign-adjusted
@@ -223,8 +224,8 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     is a _T_POINTS-point Gauss-Legendre rule graded as t = tau^kappa with
     kappa = ceil(_T_GRADING / span): the t-integrand behaves like
     t^(Re(v - u) - 1) near 0, and Re(v - u) >= span/3.  Each stored factor
-    is one exp of ln F(u) - u ln t, or of (v - 1) ln t - ln F(v), per
-    (t-node, contour node).
+    is one real exp of Re(ln F(u) - u ln t), or Re((v - 1) ln t - ln F(v)),
+    times F's phase and a phase e^(-i Im u ln t) that both contours share.
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi) or not math.isfinite(x_hi):
@@ -255,7 +256,7 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     if None in ends:
         raise ConvergenceError(f"contour truncation bound {tol} not reached within {_REACH:g} of the crossing")
     n_u, n_v = ends[0] + 1, ends[1] + 1
-    u, v, du, dv = u[:n_u], v[:n_v], du[:n_u], -np.conj(du[:n_v])
+    u, v = u[:n_u], v[:n_v]
 
     kappa = math.ceil(_T_GRADING / span)
     try:
@@ -263,11 +264,12 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     except DomainError:
         raise DomainError(f"nu_min = {params.nu_min} is too close to -1: the graded t-rule underflows") from None
     ln_t = np.log(rule.nodes)
-    # F(u) t^-u and t^(v-1) / F(v) as one exp each; Re ln F at the nodes
-    # stays far inside exp's range (|Re ln F| < 148 on the benchmark
-    # catalogues), and the check below catches any overflow
-    t_u = np.exp(ln_fu[:n_u, None] - np.outer(u, ln_t)) * (du / _TWO_PI_I_SQ)[:, None]
-    t_v = np.exp(np.outer(v - 1.0, ln_t) - ln_fv[:n_v, None]) * (-4.0 * dv[:, None] * rule.weights)
+    # T_u and -conj T_v (conj dv = -du) share the phases e^(-i Im u ln t); each magnitude is
+    # one real exp of its whole exponent (|Re ln F| < 148 at the benchmark nodes); the check below catches overflow
+    phase = np.exp(np.outer(-1j * rise[: max(n_u, n_v)], ln_t))
+    f_u, f_v = np.exp(1j * ln_fu.imag[:n_u]) * du[:n_u] / _TWO_PI_I_SQ, -4.0 * np.exp(1j * ln_fv.imag[:n_v]) * du[:n_v]
+    t_u = np.exp(ln_fu.real[:n_u, None] - np.outer(u.real, ln_t)) * (phase[:n_u] * f_u[:, None])
+    t_v = np.exp(np.outer(v.real - 1.0, ln_t) - ln_fv.real[:n_v, None]) * rule.weights * (phase[:n_v] * f_v[:, None])
     coeffs = np.empty((2 * (n_u + n_v), _T_POINTS))
     for rows, t in ((coeffs[: 2 * n_u], t_u), (coeffs[2 * n_u :], t_v)):
         rows[0::2], rows[1::2] = t.imag, t.real
@@ -317,26 +319,28 @@ def _call_nodes(ln_arg, tips, ln_tol):
     return tips.shape[1] if end is None else end + 1
 
 
-def _contour_sums(ln_arg, exponents, rows, magnitudes):
-    """Im(P T) for the upper-half powers P = arg^e of one contour, with
-    exponents e (-u on gamma, v - 1 on gammatilde), and its stored rows T;
-    and the magnitude sum |P| |T| in 1-norms |Re| + |Im| (a bound on each
-    magnitude without square roots, stored as ``magnitudes`` for T), which
-    bounds the terms of the real product that computes Im(P T).  One exp
-    per (argument, node); a power below e^_MIN_EXPONENT is set to 0."""
+def _power_table(ln_arg, exponents):
+    """The powers P = arg^e, one exp each and 0 below e^_MIN_EXPONENT, and
+    their 1-norms |Re P| + |Im P| (magnitude bounds without square roots)."""
     arg = np.outer(ln_arg, exponents)
     arg.real[arg.real < _MIN_EXPONENT] = -np.inf  # exp gives 0
-    p = np.exp(arg)
-    return p.view(float) @ rows, (np.abs(p.real) + np.abs(p.imag)) @ magnitudes
+    p = np.exp(arg, out=arg)
+    return p, np.abs(p.real) + np.abs(p.imag)
+
+
+def _contour_sums(p, p_norms, rows, magnitudes):
+    """Im(P T) for a block P of the power table and one contour's stored rows
+    T, and the 1-norm magnitude sum |P| |T| that bounds the product's terms."""
+    return p.view(float) @ rows, p_norms @ magnitudes
 
 
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     """K(x_i, y_j) on the grid xs x ys via the factored integrable form.
 
-    Only the upper halves of x^-u and y^(v-1) are exponentiated.  The fill
-    is three real matrix products: G1 = Im(P_h T_u) and G2 = Im(Q_h T_v),
-    each the interleaved (real, imaginary) view of the powers times the
-    stored rows, and K = G1 G2^T.
+    One table z^-u over the arguments z (the grid once for a square fill)
+    and the first max(n_u, n_v) upper-half nodes gives both contours'
+    powers (see :class:`ContourQuadrature`); three real matrix products of
+    its blocks and the stored rows give G1, G2 and K = G1 G2^T.
 
     Each contour is truncated here, per call, by the rule
     :func:`build_contours` applied over ``x_range``: gamma ends at its first
@@ -349,24 +353,34 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
 
     Every entry is checked against its rounding bound
     E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, the magnitude sum of its terms with
-    |.| the 1-norm |Re| + |Im| of each complex entry (|T_v| carries the
-    factor 4 W).  AccuracyError is raised where E exceeds
-    _ROUNDING_LIMIT max(1, |K|): cancellation in the contour sums.
+    |.| the 1-norm |Re| + |Im| (|T_v| carries the factor 4 W).
+    AccuracyError is raised where E exceeds _ROUNDING_LIMIT max(1, |K|),
+    cancellation in the contour sums, or where an entry or E is not finite.
     """
     ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
     n_u, n_v = _call_nodes(ln_x, cq.gamma_tips, cq.ln_tol), _call_nodes(ln_y, cq.gammatilde_tips, cq.ln_tol)
-    h_u = cq.gamma_nodes.size // 2  # gammatilde's rows start at row 2 h_u
+    h_u, n = cq.gamma_nodes.size // 2, max(n_u, n_v)  # gammatilde's rows start at row 2 h_u
+    span = cq.gamma_nodes[0].real + cq.gammatilde_nodes[0].real  # 1 + nu_min; -u = conj(v) - span
+    exponents = -cq.gamma_nodes[:n] if n <= h_u else np.conj(cq.gammatilde_nodes[:n]) - span
+    ln_z = ln_x if np.array_equal(ln_x, ln_y) else np.concatenate((ln_x, ln_y))
     rows, mags = cq.separable_coeffs, cq.separable_magnitudes
-    g1, mag_u = _contour_sums(ln_x, -cq.gamma_nodes[:n_u], rows[: 2 * n_u], mags[:n_u])
-    g2, mag_v = _contour_sums(
-        ln_y, cq.gammatilde_nodes[:n_v] - 1.0, rows[2 * h_u : 2 * (h_u + n_v)], mags[h_u : h_u + n_v]
-    )
-    vals = g1 @ g2.T
-    ratio = _EPS * (mag_u @ mag_v.T) / np.maximum(1.0, np.abs(vals))
-    if np.any(ratio > _ROUNDING_LIMIT):
-        raise AccuracyError(
-            f"rounding bound {ratio.max():.3e} of max(1, |K|) exceeds {_ROUNDING_LIMIT:.0e}: cancellation in the contour sums"
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, p_norms = _power_table(ln_z, exponents)
+        g1, mag_u = _contour_sums(p[: ln_x.size, :n_u], p_norms[: ln_x.size, :n_u], rows[: 2 * n_u], mags[:n_u])
+        g2, mag_v = _contour_sums(
+            p[-ln_y.size :, :n_v], p_norms[-ln_y.size :, :n_v], rows[2 * h_u : 2 * (h_u + n_v)], mags[h_u : h_u + n_v]
         )
+        del p, p_norms  # free the table before the m x m products
+        scale = np.exp((span - 1.0) * ln_y)[:, None]  # y^nu_min
+        vals = g1 @ (scale * g2).T
+        bound = (_EPS / _ROUNDING_LIMIT * mag_u) @ (scale * mag_v).T  # E / _ROUNDING_LIMIT
+        if not np.all(bound <= np.maximum(1.0, np.abs(vals))):  # NaN fails too
+            ratio = _ROUNDING_LIMIT * bound / np.maximum(1.0, np.abs(vals))
+            if bad := np.count_nonzero(~np.isfinite(ratio)):
+                raise AccuracyError(f"{bad} of {ratio.size} kernel entries or bounds not finite: the contour sums overflow")
+            raise AccuracyError(
+                f"rounding bound {ratio.max():.3e} of max(1, |K|) exceeds {_ROUNDING_LIMIT:.0e}: cancellation in the contour sums"
+            )
     return vals
 
 

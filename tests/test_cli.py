@@ -340,6 +340,17 @@ def test_overflowing_parameter_exits_2():
     assert "result overflowed double precision" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
+
+def test_overflowing_fill_exits_2():
+    """Powers x^-u past the largest double in the kernel fill are reported
+    by the typed AccuracyError alone: exit 2 with no numpy warning, under
+    -W error too."""
+    proc = _run_module("det", "--r", "3", "--q", "0", "--nu", "1.31,2.15,3.19", "--s", "1e6", "--nodes", "50")
+    assert proc.returncode == 2, proc.stderr
+    assert "kernel entries or bounds not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 class TestVerify:
     def test_fast_level_passes(self, capsys):
         start = time.perf_counter()

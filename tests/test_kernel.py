@@ -68,17 +68,31 @@ def _scalar_nodes(params, ray, x_lo, x_min, x_max, tol):
 
 
 def _spy_node_counts(monkeypatch):
-    """The upper-half node count of each later contour sum, in call order:
-    a fill sums gamma's nodes, then gammatilde's."""
+    """What each later fill exponentiates and sums, in call order: the
+    columns of its one power table, then the upper-half node count of
+    gamma's contour sum and of gammatilde's (see :func:`_fill_counts`)."""
     used = []
-    contour_sums = kernel._contour_sums
+    power_table, contour_sums = kernel._power_table, kernel._contour_sums
 
-    def spy(ln_arg, exponents, rows, magnitudes):
+    def table_spy(ln_arg, exponents):
         used.append(exponents.size)
-        return contour_sums(ln_arg, exponents, rows, magnitudes)
+        return power_table(ln_arg, exponents)
 
-    monkeypatch.setattr(kernel, "_contour_sums", spy)
+    def sums_spy(p, p_norms, rows, magnitudes):
+        assert p.shape == p_norms.shape and rows.shape[0] == 2 * p.shape[1] == 2 * magnitudes.shape[0]
+        used.append(p.shape[1])
+        return contour_sums(p, p_norms, rows, magnitudes)
+
+    monkeypatch.setattr(kernel, "_power_table", table_spy)
+    monkeypatch.setattr(kernel, "_contour_sums", sums_spy)
     return used
+
+
+def _fill_counts(n_u, n_v):
+    """The record of one fill in :func:`_spy_node_counts` that sums n_u
+    nodes of gamma and n_v of gammatilde: one table of max(n_u, n_v)
+    columns shared by both contours, then n_u, then n_v."""
+    return [max(n_u, n_v), n_u, n_v]
 
 
 def _sum_residues_full_ring(locs, radius, ln_num, z):
@@ -342,10 +356,12 @@ class TestKernelEval:
         "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
     )
     def test_factored_powers_match_direct_exp(self, params, x_lo):
-        # the build's one exp of ln F(u) - u ln t, or of (v - 1) ln t - ln F(v),
-        # per (t-node, contour node) against w F(u) t^-u / (2 pi i)^2 and
-        # -4 W wt t^(v-1) / F(v) formed factor by factor; entries far below
-        # the largest row entry are left out, where a factor alone underflows
+        # the build's shared phases e^(-i Im u ln t) times one real exp of
+        # Re(ln F(u) - u ln t), or of Re((v - 1) ln t - ln F(v)), per (t-node,
+        # contour node) against w F(u) t^-u / (2 pi i)^2 and
+        # -4 W wt t^(v-1) / F(v) formed factor by factor; gammatilde's rows
+        # hold -conj of the latter.  Entries far below the largest row entry
+        # are left out, where a factor alone underflows
         cq = build_contours(params, (x_lo, 256.0), 1e-12)
         u, v, du = _hyperbolas(params, x_lo)
         du[0] /= 2.0
@@ -356,10 +372,38 @@ class TestKernelEval:
         t_u = (du * np.exp(log_big_f(u, params)) / (2j * math.pi) ** 2)[:, None] * t ** -u[:, None]
         t_v = (-4.0 * dv / np.exp(log_big_f(v, params)))[:, None] * rule.weights * t ** (v[:, None] - 1.0)
         rows = cq.separable_coeffs
-        for ref, got in ((t_u, rows[: 2 * n_u]), (t_v, rows[2 * n_u :])):
+        for ref, got in ((t_u, rows[: 2 * n_u]), (-np.conj(t_v), rows[2 * n_u :])):
             got = got[1::2] + 1j * got[0::2]
             kept = np.abs(ref) > 1e-250 * np.abs(ref).max()
             assert np.all(np.abs(got - ref)[kept] <= 1e-12 * np.abs(ref)[kept])
+
+    @pytest.mark.parametrize("x_range", [(1e-4, 16.0), (1e-6, 256.0), (0.01, 256.0)])
+    @pytest.mark.parametrize(
+        "params", [LEFT, RIGHT, NEG, GIN2, BES, NU4], ids=["LEFT", "RIGHT", "NEG", "GIN2", "BES", "NU4"]
+    )
+    def test_shared_power_table_matches_two_tables(self, params, x_range):
+        # the fill's one table x^-u, with y^(v-1) = y^nu_min conj(y^-u),
+        # against one exp per contour, P = x^-u and Q = y^(v-1) on the nodes
+        # the fill uses, and the stored rows (gammatilde's hold -conj T_v);
+        # within 10 E, where E = eps |P| |T_u| (|Q| |T_v|)^T is the guard's
+        # bound.  Measured at most 8.0 E (NU4 over (1e-6, 256), where K
+        # cancels) and 4.4 E elsewhere; on LEFT and NU4 gammatilde uses more
+        # nodes than gamma stores, so the table runs past gamma's end
+        cq = build_contours(params, x_range)
+        xs = np.geomspace(*x_range, 40)
+        ln_x = np.log(xs)
+        n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
+        n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
+        h_u = cq.gamma_nodes.size // 2
+        rows, mags = cq.separable_coeffs, cq.separable_magnitudes
+        t_u = rows[1 : 2 * n_u : 2] + 1j * rows[0 : 2 * n_u : 2]
+        t_v = -np.conj(rows[2 * h_u + 1 : 2 * (h_u + n_v) : 2] + 1j * rows[2 * h_u : 2 * (h_u + n_v) : 2])
+        p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
+        q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
+        ref = (p @ t_u).imag @ (q @ t_v).imag.T
+        p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
+        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
+        assert np.all(np.abs(kernel_matrix(xs, xs, cq) - ref) <= 10.0 * bound)
 
     def test_rounding_guard(self, monkeypatch):
         # for nu = 4 over (0.01, 256) the contour sums cancel: the rounding
@@ -370,6 +414,16 @@ class TestKernelEval:
         kernel_matrix(xs, xs, cq)
         monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e-9)
         with pytest.raises(AccuracyError, match="rounding bound"):
+            kernel_matrix(xs, xs, cq)
+
+    def test_overflowing_fill_raises(self, monkeypatch):
+        # over (0.5, 1e6) the far nodes' powers x^-u overflow; with the
+        # rounding limit lifted out of the way the non-finite entries (80 of
+        # 400) must still raise, without a numpy warning, not be returned
+        cq = build_contours(ProcessParams(3, 0, (1.31, 2.15, 3.19)), (0.5, 1e6))
+        xs = np.geomspace(0.5, 1e6, 20)
+        monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e300)
+        with pytest.raises(AccuracyError, match="80 of 400 kernel entries or bounds not finite"):
             kernel_matrix(xs, xs, cq)
 
     def test_neg_crossing_determinants(self):
@@ -436,7 +490,7 @@ class TestCallTip:
             args = np.geomspace(lo, hi, 7)
             used.clear()
             kernel_matrix(args, args, cq)
-            assert used == [_scalar_nodes(params, ray, 1e-6, lo, hi, tol) for ray in (0, 1)]
+            assert used == _fill_counts(*(_scalar_nodes(params, ray, 1e-6, lo, hi, tol) for ray in (0, 1)))
 
     def test_rays_cut_by_their_own_arguments(self, monkeypatch):
         # gamma follows xs and gammatilde ys, each with its own end; the
@@ -452,7 +506,7 @@ class TestCallTip:
         for (xs, i), (ys, j) in (((narrow, 0), (wide, 1)), ((wide, 1), (narrow, 0))):
             used.clear()
             k = kernel_matrix(xs, ys, cq)
-            assert used == [ends[0][i], ends[1][j]]
+            assert used == _fill_counts(ends[0][i], ends[1][j])
             ref = full[: xs.size, : ys.size]
             assert np.all(np.abs(k - ref) <= kernel.CONTOUR_TOL * np.maximum(1.0, np.abs(ref)))
 
@@ -468,7 +522,7 @@ class TestCallTip:
         assert kernel._first_tip(cq.gammatilde_tips, math.log(args[0]), math.log(args[-1]), cq.ln_tol) is None
         used = _spy_node_counts(monkeypatch)
         k = kernel_matrix(args, args, cq)
-        assert used == [cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2]
+        assert used == _fill_counts(cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2)
         assert np.all(np.isfinite(k))
 
 
