@@ -19,6 +19,10 @@ kernel is integrable: K(x, y) = int_0^1 G1(t x) G2(t y) dt with single-
 contour sums G1, G2.  Discretizing both contours and the t-integral once
 turns the Fredholm matrix fill into three real matrix products on
 precomputed factors and one table of powers x^-u that both contours share.
+Every complex exponential of the build and the fill is a
+:func:`~meijergap.specfun.cexp` of its real and imaginary parts, which
+runs on numpy's vectorized real ``tan`` and ``exp``; the residue-series
+oracle keeps numpy's complex ``exp``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .fredholm import gauss_legendre_grid
-from .specfun import bessel_j, log_gamma
+from .specfun import bessel_j, cexp, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
 
@@ -266,8 +270,11 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     ln_t = np.log(rule.nodes)
     # T_u and -conj T_v (conj dv = -du) share the phases e^(-i Im u ln t); each magnitude is
     # one real exp of its whole exponent (|Re ln F| < 148 at the benchmark nodes); the check below catches overflow
-    phase = np.exp(np.outer(-1j * rise[: max(n_u, n_v)], ln_t))
-    f_u, f_v = np.exp(1j * ln_fu.imag[:n_u]) * du[:n_u] / _TWO_PI_I_SQ, -4.0 * np.exp(1j * ln_fv.imag[:n_v]) * du[:n_v]
+    phase = np.outer(-rise[: max(n_u, n_v)], ln_t)
+    phase = cexp(np.zeros_like(phase), phase)
+    f_uv = cexp(np.zeros(n_u + n_v), np.concatenate((ln_fu.imag[:n_u], ln_fv.imag[:n_v])))  # F's phases
+    f_uv *= np.concatenate((du[:n_u] / _TWO_PI_I_SQ, -4.0 * du[:n_v]))
+    f_u, f_v = f_uv[:n_u], f_uv[n_u:]
     t_u = np.exp(ln_fu.real[:n_u, None] - np.outer(u.real, ln_t)) * (phase[:n_u] * f_u[:, None])
     t_v = np.exp(np.outer(v.real - 1.0, ln_t) - ln_fv.real[:n_v, None]) * rule.weights * (phase[:n_v] * f_v[:, None])
     coeffs = np.empty((2 * (n_u + n_v), _T_POINTS))
@@ -320,11 +327,19 @@ def _call_nodes(ln_arg, tips, ln_tol):
 
 
 def _power_table(ln_arg, exponents):
-    """The powers P = arg^e, one exp each and 0 below e^_MIN_EXPONENT, and
-    their 1-norms |Re P| + |Im P| (magnitude bounds without square roots)."""
-    arg = np.outer(ln_arg, exponents)
-    arg.real[arg.real < _MIN_EXPONENT] = -np.inf  # exp gives 0
-    p = np.exp(arg, out=arg)
+    """The powers P = arg^e, 0 below e^_MIN_EXPONENT, and their 1-norms
+    |Re P| + |Im P| (magnitude bounds without square roots).
+
+    Each power is one :func:`cexp` of the real products ln arg Re e and
+    ln arg Im e, the parts of the complex product ln arg e bit for bit: one
+    vectorized real exp and tan per entry, where numpy's complex exp makes
+    scalar libm calls (2 shared cores: 0.8 + 2.3 ns against 38 ns per
+    entry).  Overflow leaves non-finite entries, which the fill's guard
+    reports."""
+    re, im = np.outer(ln_arg, exponents.real), np.outer(ln_arg, exponents.imag)
+    re[re < _MIN_EXPONENT] = -np.inf  # cexp gives 0
+    p = cexp(re, im)
+    del re, im  # scratch of cexp
     return p, np.abs(p.real) + np.abs(p.imag)
 
 
@@ -444,6 +459,11 @@ def _sum_residues(locs, radius, ln_num, z):
     points k = 0, M/2 and 2 in between; the every-other-point sum keeps the
     weights of even k only.  This needs M = _RING_POINTS even, so that
     k = M/2 is the second real point of the ring.
+
+    Its exponentials are numpy's complex ``exp``, not the half-angle
+    :func:`~meijergap.specfun.cexp` of the contour build and fill: the
+    oracle stays an independent route, so the kernel-oracle check of
+    ``meijergap verify`` checks cexp too.
     """
     k = np.arange(_RING_POINTS // 2 + 1)
     ring = radius * np.exp(2j * math.pi * k / _RING_POINTS)

