@@ -405,6 +405,24 @@ class TestKernelEval:
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
         assert np.all(np.abs(kernel_matrix(xs, xs, cq) - ref) <= 10.0 * bound)
 
+    def test_power_table_matches_complex_exp(self):
+        # the half-angle table against numpy's complex exp of the same
+        # complex products, on NEG's contours over (1e-18, 256), where the
+        # phases reach |Im u ln x| = 1063 and 4 entries fall below
+        # e^_MIN_EXPONENT: within 3 eps |P| entry by entry (measured 2.0),
+        # and exactly 0 below e^_MIN_EXPONENT
+        cq = build_contours(NEG, (1e-18, 256.0))
+        ln_x = np.log(np.geomspace(1e-18, 256.0, 200))
+        exponents = -cq.gamma_nodes[: cq.gamma_nodes.size // 2]
+        p, p_norms = kernel._power_table(ln_x, exponents)
+        arg = np.outer(ln_x, exponents)
+        cut = arg.real < kernel._MIN_EXPONENT
+        assert cut.any() and not cut.all()
+        assert np.all(p[cut] == 0.0)
+        ref = np.exp(arg[~cut])
+        assert np.all(np.abs(p[~cut] - ref) <= 3.0 * kernel._EPS * np.abs(ref))
+        assert np.array_equal(p_norms, np.abs(p.real) + np.abs(p.imag))
+
     def test_rounding_guard(self, monkeypatch):
         # for nu = 4 over (0.01, 256) the contour sums cancel: the rounding
         # bound reads 3.1e-9 of max(1, |K|) here, above a limit of 1e-9 and

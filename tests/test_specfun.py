@@ -14,7 +14,9 @@ from scipy.special import jv, loggamma as scipy_loggamma, psi as scipy_psi
 
 from meijergap.errors import DomainError, PoleError, RangeError
 from meijergap.specfun import (
+    _sincospi,
     bessel_j,
+    cexp,
     digamma,
     hurwitz_zeta_prime,
     log_barnes_g,
@@ -25,6 +27,43 @@ from meijergap.specfun import (
 LN_SQRT_PI = 0.5723649429247001
 ZETA_PRIME_M1 = -0.16542114370045094  # mpmath, 50 digits
 EULER_GAMMA = 0.5772156649015329
+
+
+class TestCexp:
+    """e^(re + i im) by the half-angle formula from numpy's real tan and exp."""
+
+    @pytest.mark.parametrize("im_max", [1.0, 100.0, 1e4])
+    def test_against_numpy_exp(self, im_max):
+        # each part read at most 2.4 eps e^re on these points
+        rng = np.random.default_rng(17)
+        re, im = rng.uniform(-5.0, 5.0, 20000), rng.uniform(-im_max, im_max, 20000)
+        ref = np.exp(re + 1j * im)
+        val = cexp(re.copy(), im.copy())
+        bound = 3.0 * np.finfo(float).eps * np.exp(re)
+        assert np.all(np.abs(val.real - ref.real) <= bound)
+        assert np.all(np.abs(val.imag - ref.imag) <= bound)
+
+    def test_minus_infinity_gives_exact_zeros_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = cexp(np.full(5, -np.inf), np.array([0.0, 1.0, -2.0, 3e3, -1e4]))
+        assert np.all(val == 0.0)
+
+    def test_odd_in_the_imaginary_part_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        re, im = rng.uniform(-5.0, 5.0, 5000), rng.uniform(-1e4, 1e4, 5000)
+        plus, minus = cexp(re.copy(), im.copy()), cexp(re.copy(), -im)
+        assert np.array_equal(minus.view(np.int64), np.conj(plus).view(np.int64))
+
+    @pytest.mark.parametrize("x", [0.5, -0.5, 1.5, -2.5])
+    def test_sincospi_cosine_factor_tiny_and_positive(self, x):
+        # at a half-integer the cosine factor is a tiny positive number, so a
+        # signed-zero imaginary part keeps its sign in sin(pi z)
+        for y in (0.0, -0.0):
+            sin, cos = _sincospi(np.array([complex(x, y)]))
+            assert math.copysign(1.0, sin[0].imag) == math.copysign(1.0, y)
+        factor = cos[0].real
+        assert 0.0 < factor < 1e-15
 
 
 class TestLogGamma:
