@@ -86,16 +86,21 @@ def log_gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
     """ln det(1 - K|[0,s]) for the kernel handle on the given grid.
 
     ``kernel`` is any object with a ``matrix(nodes)`` method returning
-    K(x_i, x_j) on the grid nodes, such as the handles in
-    :mod:`meijergap.kernel`.  The gap probability itself is
-    ``math.exp(log_gap_determinant(...))``.  Raises SingularityError if the
-    discretized determinant is zero, non-finite or negative (the
-    log-determinant of a gap probability must be real).
+    K(x_i, x_j) on the grid nodes as a new array, such as the handles in
+    :mod:`meijergap.kernel`: the determinant overwrites that array with
+    I - M in place, the bits of ``np.eye(m) - M``.  The gap probability
+    itself is ``math.exp(log_gap_determinant(...))``.  Raises
+    SingularityError if the discretized determinant is zero, non-finite or
+    negative (the log-determinant of a gap probability must be real).
     """
     if not abs(float(s) - grid.s) <= 1e-12 * max(1.0, grid.s):  # NaN fails too
         raise DomainError("grid was built for a different s")
     sqw = np.sqrt(grid.weights)
-    mat = np.eye(grid.m) - sqw[:, None] * kernel.matrix(grid.nodes) * sqw[None, :]
+    mat = kernel.matrix(grid.nodes)
+    mat *= sqw[:, None]
+    mat *= sqw[None, :]
+    np.subtract(0.0, mat, out=mat)  # 0 - M, as the zeros of np.eye give it
+    mat.flat[:: grid.m + 1] += 1.0
     sign, logdet = np.linalg.slogdet(mat)
     if sign == 0.0 or not math.isfinite(logdet):
         raise SingularityError("discretized operator is numerically singular; s is beyond the envelope")

@@ -62,6 +62,9 @@ _T_GRADING = 9.0
 # every fill of the benchmark catalogues (LEFT, sweep at s = 256), at 1.1e-12
 # for r = 1 down to nu = -0.88 on det's grids, and at 1.5e-8 for r = 1,
 # nu = 4 over (1e-6, 256), where K cancels: the limit keeps a margin of 6.
+# The screen eps a_i b_j >= E_ij that clears a fill without forming E (see
+# kernel_matrix) must stay below half the limit: it peaks at 3.6e-11 over
+# the catalogues and at 2.0e-8 for nu = 4 over (1e-6, 256).
 _ROUNDING_LIMIT = 1e-7
 _EPS = float(np.finfo(float).eps)
 
@@ -166,7 +169,10 @@ class ContourQuadrature:
     (Nu + Nv, n_t): row 2i is Im and row 2i + 1 Re of upper-half row i, so
     that the interleaved (real, imaginary) view of z^-u times a contour's
     rows is Im(P_h T_u), or Im(Q_h T_v) / y^nu_min.  ``separable_magnitudes``
-    holds their 1-norms, shape ((Nu + Nv)/2, n_t), for the rounding bound.
+    holds their 1-norms, shape ((Nu + Nv)/2, n_t), for the rounding bound,
+    and ``magnitude_norms`` the 2-norm over the t-rule of each of those
+    rows, shape ((Nu + Nv)/2,), for the screen that clears most fills
+    without forming that bound (see :func:`kernel_matrix`).
 
     ``gamma_tips`` and ``gammatilde_tips`` hold the truncation bound of each
     upper-half node, shape (2, Nu/2) and (2, Nv/2): the sign-adjusted
@@ -183,6 +189,7 @@ class ContourQuadrature:
     ln_tol: float
     separable_coeffs: np.ndarray = field(repr=False)
     separable_magnitudes: np.ndarray = field(repr=False)
+    magnitude_norms: np.ndarray = field(repr=False)
     gamma_tips: np.ndarray = field(repr=False)
     gammatilde_tips: np.ndarray = field(repr=False)
 
@@ -285,13 +292,15 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     if not np.all(np.isfinite(coeffs)):
         raise AccuracyError("non-finite separable coefficients; contours too aggressive for these parameters")
 
+    mags = np.abs(coeffs[0::2]) + np.abs(coeffs[1::2])
     return ContourQuadrature(
         gamma_nodes=np.concatenate((u, np.conj(u))),
         gammatilde_nodes=np.concatenate((v, np.conj(v))),
         x_range=(x_lo, x_hi),
         ln_tol=ln_tol,
         separable_coeffs=coeffs,
-        separable_magnitudes=np.abs(coeffs[0::2]) + np.abs(coeffs[1::2]),
+        separable_magnitudes=mags,
+        magnitude_norms=np.sqrt(np.einsum("ij,ij->i", mags, mags)),
         gamma_tips=bounds[0][:, :n_u],
         gammatilde_tips=bounds[1][:, :n_v],
     )
@@ -343,19 +352,21 @@ def _power_table(ln_arg, exponents):
     return p, np.abs(p.real) + np.abs(p.imag)
 
 
-def _contour_sums(p, p_norms, rows, magnitudes):
+def _contour_sums(p, p_norms, rows, norms):
     """Im(P T) for a block P of the power table and one contour's stored rows
-    T, and the 1-norm magnitude sum |P| |T| that bounds the product's terms."""
-    return p.view(float) @ rows, p_norms @ magnitudes
+    T, and |P| rho for the rows' magnitude norms rho: a bound on the 2-norm
+    over the t-rule of each row of the magnitude sum |P| |T|, by the
+    triangle inequality."""
+    return p.view(float) @ rows, p_norms @ norms
 
 
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     """K(x_i, y_j) on the grid xs x ys via the factored integrable form.
 
-    One table z^-u over the arguments z (the grid once for a square fill)
-    and the first max(n_u, n_v) upper-half nodes gives both contours'
-    powers (see :class:`ContourQuadrature`); three real matrix products of
-    its blocks and the stored rows give G1, G2 and K = G1 G2^T.
+    One table z^-u over the arguments z (the grid once for a square fill,
+    ``ys is xs``) and the first max(n_u, n_v) upper-half nodes gives both
+    contours' powers (see :class:`ContourQuadrature`); three real matrix
+    products of its blocks and the stored rows give G1, G2 and K = G1 G2^T.
 
     Each contour is truncated here, per call, by the rule
     :func:`build_contours` applied over ``x_range``: gamma ends at its first
@@ -371,24 +382,43 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     |.| the 1-norm |Re| + |Im| (|T_v| carries the factor 4 W).
     AccuracyError is raised where E exceeds _ROUNDING_LIMIT max(1, |K|),
     cancellation in the contour sums, or where an entry or E is not finite.
+    With rho the stored rows' ``magnitude_norms``, a = |P_h| rho_u and
+    b = |Q_h| rho_v, Cauchy-Schwarz over the t-rule gives E_ij <= eps a_i b_j,
+    which clears the fill, with a factor 2 for the rounding of a and b, when
+    eps max a max b <= _ROUNDING_LIMIT / 2 (no m x m work) or else when
+    eps a_i b_j <= _ROUNDING_LIMIT max(1, |K_ij|) / 2 at every entry.  Only a
+    fill that neither screen clears forms E, from the power table taken
+    again; a NaN or an inf fails both screens.
     """
-    ln_x, ln_y = _log_args(xs, cq), _log_args(ys, cq)
+    ln_x = _log_args(xs, cq)
+    ln_y = ln_x if ys is xs else _log_args(ys, cq)
     n_u, n_v = _call_nodes(ln_x, cq.gamma_tips, cq.ln_tol), _call_nodes(ln_y, cq.gammatilde_tips, cq.ln_tol)
     h_u, n = cq.gamma_nodes.size // 2, max(n_u, n_v)  # gammatilde's rows start at row 2 h_u
     span = cq.gamma_nodes[0].real + cq.gammatilde_nodes[0].real  # 1 + nu_min; -u = conj(v) - span
     exponents = -cq.gamma_nodes[:n] if n <= h_u else np.conj(cq.gammatilde_nodes[:n]) - span
-    ln_z = ln_x if np.array_equal(ln_x, ln_y) else np.concatenate((ln_x, ln_y))
-    rows, mags = cq.separable_coeffs, cq.separable_magnitudes
+    ln_z = ln_x if ln_y is ln_x else np.concatenate((ln_x, ln_y))
+    x_rows, y_rows = slice(ln_x.size), slice(-ln_y.size, None)  # of the table
+    rows, norms = cq.separable_coeffs, cq.magnitude_norms
     with np.errstate(over="ignore", invalid="ignore"):
         p, p_norms = _power_table(ln_z, exponents)
-        g1, mag_u = _contour_sums(p[: ln_x.size, :n_u], p_norms[: ln_x.size, :n_u], rows[: 2 * n_u], mags[:n_u])
-        g2, mag_v = _contour_sums(
-            p[-ln_y.size :, :n_v], p_norms[-ln_y.size :, :n_v], rows[2 * h_u : 2 * (h_u + n_v)], mags[h_u : h_u + n_v]
+        g1, a = _contour_sums(p[x_rows, :n_u], p_norms[x_rows, :n_u], rows[: 2 * n_u], norms[:n_u])
+        g2, b = _contour_sums(
+            p[y_rows, :n_v], p_norms[y_rows, :n_v], rows[2 * h_u : 2 * (h_u + n_v)], norms[h_u : h_u + n_v]
         )
         del p, p_norms  # free the table before the m x m products
-        scale = np.exp((span - 1.0) * ln_y)[:, None]  # y^nu_min
-        vals = g1 @ (scale * g2).T
-        bound = (_EPS / _ROUNDING_LIMIT * mag_u) @ (scale * mag_v).T  # E / _ROUNDING_LIMIT
+        scale = np.exp((span - 1.0) * ln_y)  # y^nu_min
+        vals = g1 @ (scale[:, None] * g2).T
+        a *= 2.0 * _EPS / _ROUNDING_LIMIT  # a_i b_j is now eps a_i b_j / (_ROUNDING_LIMIT / 2)
+        b *= scale
+        if a.max() * b.max() <= 1.0 or np.all(np.outer(a, b) <= np.maximum(1.0, np.abs(vals))):  # NaN fails
+            return vals
+        # neither screen clears the fill: form E from the table taken again
+        p_norms = _power_table(ln_z, exponents)[1]
+        mags = cq.separable_magnitudes
+        mag_u = p_norms[x_rows, :n_u] @ mags[:n_u]
+        mag_v = p_norms[y_rows, :n_v] @ mags[h_u : h_u + n_v]
+        del p_norms
+        bound = (_EPS / _ROUNDING_LIMIT * mag_u) @ (scale[:, None] * mag_v).T  # E / _ROUNDING_LIMIT
         if not np.all(bound <= np.maximum(1.0, np.abs(vals))):  # NaN fails too
             ratio = _ROUNDING_LIMIT * bound / np.maximum(1.0, np.abs(vals))
             if bad := np.count_nonzero(~np.isfinite(ratio)):

@@ -151,6 +151,18 @@ def _horner(coeffs, u):
     return p
 
 
+def _sincospi_factors(z):
+    """The real factors of sin(pi z) = s ch + i c sh and
+    cos(pi z) = c ch - i s sh: s, c = (-1)^n sin r, (-1)^n cos r with
+    r = pi (Re z - n), n the integer nearest Re z, and
+    ch, sh = cosh(pi Im z), sinh(pi Im z)."""
+    x, y = z.real, z.imag
+    n = np.round(x)
+    sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))  # (-1)^n
+    rot = cexp(np.zeros_like(x), np.pi * (x - n))  # e^(i r)
+    return sign * rot.imag, sign * rot.real, np.cosh(np.pi * y), np.sinh(np.pi * y)
+
+
 def _sincospi(z):
     """sin(pi z) and cos(pi z), with Re z reduced exactly to [-1/2, 1/2].
 
@@ -160,12 +172,7 @@ def _sincospi(z):
     sin(pi z): at a half-integer the cosine factor is a tiny positive
     number (1.1e-16), never a zero of either sign.
     """
-    x, y = z.real, z.imag
-    n = np.round(x)
-    sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))  # (-1)^n
-    rot = cexp(np.zeros_like(x), np.pi * (x - n))  # e^(i r)
-    s, c = sign * rot.imag, sign * rot.real
-    ch, sh = np.cosh(np.pi * y), np.sinh(np.pi * y)
+    s, c, ch, sh = _sincospi_factors(z)
     return _complex(s * ch, c * sh), _complex(c * ch, -s * sh)
 
 
@@ -247,7 +254,8 @@ def log_gamma(z):
     if np.any(refl):
         zr = z[refl]
         turn = np.copysign(2.0 * math.pi, zr.imag) * np.floor(0.5 * zr.real + 0.25)
-        res[refl] = _LN_PI + 1j * turn - _log(_sincospi(zr)[0]) - res[refl]
+        s, c, ch, sh = _sincospi_factors(zr)  # sin(pi z) only: digamma alone takes the cosine too
+        res[refl] = _LN_PI + 1j * turn - _log(_complex(s * ch, c * sh)) - res[refl]
     _guard_finite(res)
     return complex(res[0]) if scalar else res
 

@@ -154,6 +154,18 @@ class TestGapDeterminant:
             log_gap_determinant(math.nan, gauss_legendre_grid(2.0, 40, 2), BesselKernel(0.5))
 
 
+    @pytest.mark.parametrize("kernel", [MeijerKernel, BesselKernel], ids=["meijer", "bessel"])
+    def test_in_place_matrix_matches_eye_minus_m(self, kernel):
+        # the determinant forms I - M in place on the array ``matrix``
+        # returns, with the bits of np.eye(m) - sqrt(w) K sqrt(w)
+        grid = gauss_legendre_grid(32.0, 200)
+        handle = MeijerKernel(LEFT, (0.999 * grid.nodes[0], 32.0)) if kernel is MeijerKernel else BesselKernel(0.5)
+        sqw = np.sqrt(grid.weights)
+        ref = np.linalg.slogdet(np.eye(grid.m) - sqw[:, None] * handle.matrix(grid.nodes) * sqw[None, :])
+        assert ref[0] == 1.0
+        assert log_gap_determinant(32.0, grid, handle) == ref[1]
+
+
 class _SingularHandle:
     """Makes I - sqrt(w) K sqrt(w) exactly the zero matrix."""
 

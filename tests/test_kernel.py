@@ -70,7 +70,9 @@ def _scalar_nodes(params, ray, x_lo, x_min, x_max, tol):
 def _spy_node_counts(monkeypatch):
     """What each later fill exponentiates and sums, in call order: the
     columns of its one power table, then the upper-half node count of
-    gamma's contour sum and of gammatilde's (see :func:`_fill_counts`)."""
+    gamma's contour sum and of gammatilde's (see :func:`_fill_counts`);
+    a fill that neither screen of the rounding guard clears takes its table
+    once more, for the bound E."""
     used = []
     power_table, contour_sums = kernel._power_table, kernel._contour_sums
 
@@ -78,10 +80,10 @@ def _spy_node_counts(monkeypatch):
         used.append(exponents.size)
         return power_table(ln_arg, exponents)
 
-    def sums_spy(p, p_norms, rows, magnitudes):
-        assert p.shape == p_norms.shape and rows.shape[0] == 2 * p.shape[1] == 2 * magnitudes.shape[0]
+    def sums_spy(p, p_norms, rows, norms):
+        assert p.shape == p_norms.shape and rows.shape[0] == 2 * p.shape[1] == 2 * norms.shape[0] and norms.ndim == 1
         used.append(p.shape[1])
-        return contour_sums(p, p_norms, rows, magnitudes)
+        return contour_sums(p, p_norms, rows, norms)
 
     monkeypatch.setattr(kernel, "_power_table", table_spy)
     monkeypatch.setattr(kernel, "_contour_sums", sums_spy)
@@ -405,6 +407,31 @@ class TestKernelEval:
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
         assert np.all(np.abs(kernel_matrix(xs, xs, cq) - ref) <= 10.0 * bound)
 
+    @pytest.mark.parametrize("x_range", [(1e-4, 16.0), (1e-6, 256.0), (0.01, 256.0)])
+    @pytest.mark.parametrize(
+        "params", [LEFT, RIGHT, NEG, GIN2, BES, NU4], ids=["LEFT", "RIGHT", "NEG", "GIN2", "BES", "NU4"]
+    )
+    def test_screen_bounds_rounding_bound(self, params, x_range):
+        # Cauchy-Schwarz over the t-rule: with rho the 2-norms of the stored
+        # magnitude rows, a = |P| rho_u and b = |Q| rho_v, every entry of
+        # E = eps |P| |T_u| (|Q| |T_v|)^T is at most eps a_i b_j.  Measured
+        # eps a_i b_j >= 1.26 E_ij (BES over (1e-6, 256)); up to 3.4e-6 of
+        # max(1, |K|) (NEG over (0.01, 256), where E reads 1.3e-13)
+        cq = build_contours(params, x_range)
+        ln_x = np.log(np.geomspace(*x_range, 40))
+        n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
+        n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
+        h_u = cq.gamma_nodes.size // 2
+        mags, norms = cq.separable_magnitudes, cq.magnitude_norms
+        assert norms.shape == (mags.shape[0],)
+        assert np.allclose(norms, np.linalg.norm(mags, axis=1), rtol=1e-15, atol=0.0)
+        p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
+        q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
+        p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
+        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
+        screen = kernel._EPS * np.outer(p_norms @ norms[:n_u], q_norms @ norms[h_u : h_u + n_v])
+        assert np.all(bound <= screen)
+
     def test_power_table_matches_complex_exp(self):
         # the half-angle table against numpy's complex exp of the same
         # complex products, on NEG's contours over (1e-18, 256), where the
@@ -433,6 +460,46 @@ class TestKernelEval:
         monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e-9)
         with pytest.raises(AccuracyError, match="rounding bound"):
             kernel_matrix(xs, xs, cq)
+
+    @pytest.mark.parametrize("limit", [1e-9, 4e-9, 1e-8])
+    def test_rounding_guard_forms_exact_bound(self, limit, monkeypatch):
+        # nu = 4 over (0.01, 256): E reads 3.1e-9 of max(1, |K|) and the
+        # screen eps a_i b_j 5.9e-9 (1.7e-8 for eps max a max b), so under
+        # each limit here neither screen clears the fill, which takes its
+        # power table again and raises exactly where E exceeds the limit,
+        # reporting E's ratio, not the screen's
+        cq = build_contours(NU4, (0.01, 256.0), 1e-12)
+        xs = np.geomspace(0.01, 256.0, 20)
+        vals = kernel_matrix(xs, xs, cq)
+        ln_x, h_u = np.log(xs), cq.gamma_nodes.size // 2
+        n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
+        n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
+        p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
+        q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
+        p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
+        mags = cq.separable_magnitudes
+        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
+        ratio = float(np.max(bound / np.maximum(1.0, np.abs(vals))))
+        assert 3.0e-9 < ratio < 3.2e-9
+        monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", limit)
+        used = _spy_node_counts(monkeypatch)
+        if ratio > limit:
+            with pytest.raises(AccuracyError, match="rounding bound") as err:
+                kernel_matrix(xs, xs, cq)
+            assert float(str(err.value).split()[2]) == pytest.approx(ratio, rel=1e-3)
+        else:
+            assert np.array_equal(kernel_matrix(xs, xs, cq), vals)
+        assert used == _fill_counts(n_u, n_v) + [max(n_u, n_v)]  # the table taken again, for E
+
+    def test_pointwise_fill_forms_exact_bound(self, monkeypatch):
+        # one entry K(0.3, 1.2) = 0.112 of LEFT: the screen eps a b reads
+        # 1.3e-6 of max(1, |K|), above the limit, and E 2.3e-16, so the
+        # fill forms E from its table taken again and returns the entry
+        handle = MeijerKernel(LEFT, (0.3, 1.2), tol=1e-12)
+        ref = handle.matrix(np.array([0.3, 1.2]))[0, 1]
+        used = _spy_node_counts(monkeypatch)
+        assert abs(kernel_eval(0.3, 1.2, handle.cq) - ref) < 1e-14
+        assert len(used) == 4 and used[3] == used[0]
 
     def test_overflowing_fill_raises(self, monkeypatch):
         # over (0.5, 1e6) the far nodes' powers x^-u overflow; with the
