@@ -153,7 +153,6 @@ class TestGapDeterminant:
         with pytest.raises(DomainError, match="different s"):
             log_gap_determinant(math.nan, gauss_legendre_grid(2.0, 40, 2), BesselKernel(0.5))
 
-
     @pytest.mark.parametrize("kernel", [MeijerKernel, BesselKernel], ids=["meijer", "bessel"])
     def test_in_place_matrix_matches_eye_minus_m(self, kernel):
         # the determinant forms I - M in place on the array ``matrix``

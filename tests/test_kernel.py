@@ -97,6 +97,18 @@ def _fill_counts(n_u, n_v):
     return [max(n_u, n_v), n_u, n_v]
 
 
+def _power_norms(cq, ln_x):
+    """The 1-norms |Re| + |Im| of P = x^-u and Q = y^(v-1) over the
+    arguments ln_x and the nodes a square fill on them uses, each from one
+    complex exp, and the upper-half node counts n_u, n_v and h_u."""
+    n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
+    n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
+    p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
+    q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
+    p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
+    return p_norms, q_norms, n_u, n_v, cq.gamma_nodes.size // 2
+
+
 def _sum_residues_full_ring(locs, radius, ln_num, z):
     """Reference ring sums: one exp(ln_num(t) + t ln z) per (ring point, z)
     over all _RING_POINTS points of each ring.  Returns the totals, the
@@ -418,16 +430,10 @@ class TestKernelEval:
         # eps a_i b_j >= 1.26 E_ij (BES over (1e-6, 256)); up to 3.4e-6 of
         # max(1, |K|) (NEG over (0.01, 256), where E reads 1.3e-13)
         cq = build_contours(params, x_range)
-        ln_x = np.log(np.geomspace(*x_range, 40))
-        n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
-        n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
-        h_u = cq.gamma_nodes.size // 2
+        p_norms, q_norms, n_u, n_v, h_u = _power_norms(cq, np.log(np.geomspace(*x_range, 40)))
         mags, norms = cq.separable_magnitudes, cq.magnitude_norms
         assert norms.shape == (mags.shape[0],)
         assert np.allclose(norms, np.linalg.norm(mags, axis=1), rtol=1e-15, atol=0.0)
-        p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
-        q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
-        p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
         screen = kernel._EPS * np.outer(p_norms @ norms[:n_u], q_norms @ norms[h_u : h_u + n_v])
         assert np.all(bound <= screen)
@@ -471,12 +477,7 @@ class TestKernelEval:
         cq = build_contours(NU4, (0.01, 256.0), 1e-12)
         xs = np.geomspace(0.01, 256.0, 20)
         vals = kernel_matrix(xs, xs, cq)
-        ln_x, h_u = np.log(xs), cq.gamma_nodes.size // 2
-        n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
-        n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
-        p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
-        q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
-        p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
+        p_norms, q_norms, n_u, n_v, h_u = _power_norms(cq, np.log(xs))
         mags = cq.separable_magnitudes
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
         ratio = float(np.max(bound / np.maximum(1.0, np.abs(vals))))
