@@ -173,25 +173,14 @@ class ContourQuadrature:
     and ``magnitude_norms`` the 2-norm over the t-rule of each of those
     rows, shape ((Nu + Nv)/2,), for the screen that clears most fills
     without forming that bound (see :func:`kernel_matrix`).
-
-    ``gamma_tips`` and ``gammatilde_tips`` hold the truncation bound of each
-    upper-half node, shape (2, Nu/2) and (2, Nv/2): the sign-adjusted
-    ln |F| and the power of the argument, so that ln |F(u) x^-u| at a node of
-    gamma, or ln |y^(v-1) / F(v)| at one of gammatilde, is row 0 + row 1 ln x.
-    With ``ln_tol`` they let each fill end the contours at the node its own
-    arguments need (see :func:`kernel_matrix`): a prefix of the stored
-    nodes and rows.
     """
 
     gamma_nodes: np.ndarray
     gammatilde_nodes: np.ndarray
     x_range: tuple
-    ln_tol: float
     separable_coeffs: np.ndarray = field(repr=False)
     separable_magnitudes: np.ndarray = field(repr=False)
     magnitude_norms: np.ndarray = field(repr=False)
-    gamma_tips: np.ndarray = field(repr=False)
-    gammatilde_tips: np.ndarray = field(repr=False)
 
 
 def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_TOL) -> ContourQuadrature:
@@ -226,10 +215,11 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     Each contour ends at its first node from which on the factor's largest
     value over ``x_range`` is below ``tol`` at every candidate
     (:func:`_first_tip`); if the last candidate is not below it,
-    ConvergenceError is raised.  The bounds of the nodes up to that one
-    are kept, so that every fill applies the same rule again to the
-    arguments it is given (:func:`kernel_matrix`).  ``tol`` must lie in
-    (0, 1): a bound of 1 or more truncates nothing reliably.
+    ConvergenceError is raised.  Every fill on the handle uses all the
+    nodes kept: along the hyperbolas the decay of F, not the argument
+    range, sets the node count, so a fill over a narrower range would need
+    nearly as many.  ``tol`` must lie in (0, 1): a bound of 1 or more
+    truncates nothing reliably.
 
     The t-integral of the factored kernel (see :class:`ContourQuadrature`)
     is a _T_POINTS-point Gauss-Legendre rule graded as t = tau^kappa with
@@ -263,8 +253,7 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     ln_f = log_big_f(np.concatenate((u, v)), params)
     ln_fu, ln_fv = ln_f[: u.size], ln_f[u.size :]
     bounds = (np.stack((ln_fu.real, -u.real)), np.stack((-ln_fv.real, v.real - 1.0)))
-    ln_tol = math.log(tol)
-    ends = [_first_tip(b, ln_lo, ln_hi, ln_tol) for b in bounds]
+    ends = [_first_tip(b, ln_lo, ln_hi, math.log(tol)) for b in bounds]
     if None in ends:
         raise ConvergenceError(f"contour truncation bound {tol} not reached within {_REACH:g} of the crossing")
     n_u, n_v = ends[0] + 1, ends[1] + 1
@@ -297,21 +286,18 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
         gamma_nodes=np.concatenate((u, np.conj(u))),
         gammatilde_nodes=np.concatenate((v, np.conj(v))),
         x_range=(x_lo, x_hi),
-        ln_tol=ln_tol,
         separable_coeffs=coeffs,
         separable_magnitudes=mags,
         magnitude_norms=np.sqrt(np.einsum("ij,ij->i", mags, mags)),
-        gamma_tips=bounds[0][:, :n_u],
-        gammatilde_tips=bounds[1][:, :n_v],
     )
 
 
-def _first_tip(tips, ln_lo, ln_hi, ln_tol):
+def _first_tip(bounds, ln_lo, ln_hi, ln_tol):
     """The truncation rule of a contour: the index of its first node, given
     the nodes' bounds as rows (ln |F| part, power), from which on every
     bound ln |F| + power ln x, at its largest over [ln_lo, ln_hi], is below
     ln_tol; None if the last node's is not."""
-    ln_f, power = tips
+    ln_f, power = bounds
     above = np.flatnonzero(ln_f + np.maximum(power * ln_lo, power * ln_hi) >= ln_tol)
     if above.size == 0:
         return 0
@@ -325,15 +311,6 @@ def _log_args(x, cq: ContourQuadrature) -> np.ndarray:
     if not np.all((x >= 0.999 * x_lo) & (x <= 1.001 * x_hi)):  # NaN fails too
         raise DomainError(f"argument outside the x_range {cq.x_range} the contours were built for")
     return np.log(x)
-
-
-def _call_nodes(ln_arg, tips, ln_tol):
-    """The number of upper-half nodes a fill over the arguments ln_arg uses:
-    up to the node that :func:`_first_tip` picks over the smallest and
-    largest argument, or every stored node where the last one is not below
-    ln_tol (arguments in the slack above x_range)."""
-    end = _first_tip(tips, ln_arg.min(), ln_arg.max(), ln_tol)
-    return tips.shape[1] if end is None else end + 1
 
 
 def _power_table(ln_arg, exponents):
@@ -352,30 +329,16 @@ def _power_table(ln_arg, exponents):
     return p, np.abs(p.real) + np.abs(p.imag)
 
 
-def _contour_sums(p, p_norms, rows, norms):
-    """Im(P T) for a block P of the power table and one contour's stored rows
-    T, and |P| rho for the rows' magnitude norms rho: a bound on the 2-norm
-    over the t-rule of each row of the magnitude sum |P| |T|, by the
-    triangle inequality."""
-    return p.view(float) @ rows, p_norms @ norms
-
-
 def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     """K(x_i, y_j) on the grid xs x ys via the factored integrable form.
 
     One table z^-u over the arguments z (the grid once for a square fill,
-    ``ys is xs``) and the first max(n_u, n_v) upper-half nodes gives both
-    contours' powers (see :class:`ContourQuadrature`); three real matrix
-    products of its blocks and the stored rows give G1, G2 and K = G1 G2^T.
-
-    Each contour is truncated here, per call, by the rule
-    :func:`build_contours` applied over ``x_range``: gamma ends at its first
-    stored node from which on the bound over [min xs, max xs] is below the
-    build's tol, and gammatilde at the first over [min ys, max ys].  Only
-    that prefix of the nodes and stored rows enters the products, so
-    arguments narrower than ``x_range`` cost fewer contour nodes; arguments
-    in the 0.1% slack above ``x_range`` that the stored bounds do not cover
-    use every stored node.
+    ``ys is xs``) and the first max(n_u, n_v) upper-half nodes, n_u of gamma
+    and n_v of gammatilde as stored (either contour can be the longer),
+    gives both contours' powers (see :class:`ContourQuadrature`); three real
+    matrix products of its blocks and the stored rows give G1, G2 and
+    K = G1 G2^T.  Every fill multiplies every stored node, also for
+    arguments in the 0.1% slack around ``x_range``.
 
     Every entry is checked against its rounding bound
     E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, the magnitude sum of its terms with
@@ -387,40 +350,38 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     which clears the fill, with a factor 2 for the rounding of a and b, when
     eps max a max b <= _ROUNDING_LIMIT / 2 (no m x m work) or else when
     eps a_i b_j <= _ROUNDING_LIMIT max(1, |K_ij|) / 2 at every entry.  Only a
-    fill that neither screen clears forms E, from the power table taken
-    again; a NaN or an inf fails both screens.
+    fill that neither screen clears forms E, from the norms of the same
+    power table; a NaN or an inf fails both screens.
     """
     ln_x = _log_args(xs, cq)
     ln_y = ln_x if ys is xs else _log_args(ys, cq)
-    n_u, n_v = _call_nodes(ln_x, cq.gamma_tips, cq.ln_tol), _call_nodes(ln_y, cq.gammatilde_tips, cq.ln_tol)
-    h_u, n = cq.gamma_nodes.size // 2, max(n_u, n_v)  # gammatilde's rows start at row 2 h_u
+    n_u, n_v = cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2  # gammatilde's rows start at row 2 n_u
     span = cq.gamma_nodes[0].real + cq.gammatilde_nodes[0].real  # 1 + nu_min; -u = conj(v) - span
-    exponents = -cq.gamma_nodes[:n] if n <= h_u else np.conj(cq.gammatilde_nodes[:n]) - span
+    exponents = -cq.gamma_nodes[:n_u] if n_v <= n_u else np.conj(cq.gammatilde_nodes[:n_v]) - span
     ln_z = ln_x if ln_y is ln_x else np.concatenate((ln_x, ln_y))
     x_rows, y_rows = slice(ln_x.size), slice(-ln_y.size, None)  # of the table
     rows, norms = cq.separable_coeffs, cq.magnitude_norms
     with np.errstate(over="ignore", invalid="ignore"):
         p, p_norms = _power_table(ln_z, exponents)
-        g1, a = _contour_sums(p[x_rows, :n_u], p_norms[x_rows, :n_u], rows[: 2 * n_u], norms[:n_u])
-        g2, b = _contour_sums(
-            p[y_rows, :n_v], p_norms[y_rows, :n_v], rows[2 * h_u : 2 * (h_u + n_v)], norms[h_u : h_u + n_v]
-        )
-        del p, p_norms  # free the table before the m x m products
+        p_u, p_v = p_norms[x_rows, :n_u], p_norms[y_rows, :n_v]
+        g1, g2 = p[x_rows, :n_u].view(float) @ rows[: 2 * n_u], p[y_rows, :n_v].view(float) @ rows[2 * n_u :]
+        del p  # free the table before the m x m products; the guard reads its norms
         scale = np.exp((span - 1.0) * ln_y)  # y^nu_min
         vals = g1 @ (scale[:, None] * g2).T
-        a *= 2.0 * _EPS / _ROUNDING_LIMIT  # a_i b_j is now eps a_i b_j / (_ROUNDING_LIMIT / 2)
-        b *= scale
-        if a.max() * b.max() <= 1.0 or np.all(np.outer(a, b) <= np.maximum(1.0, np.abs(vals))):  # NaN fails
+        # |P| rho bounds the t-rule 2-norm of each row of |P| |T| (triangle inequality)
+        a = (2.0 * _EPS / _ROUNDING_LIMIT) * (p_u @ norms[:n_u])  # a_i b_j is eps a_i b_j / (_ROUNDING_LIMIT / 2)
+        b = scale * (p_v @ norms[n_u:])
+        if a.max() * b.max() <= 1.0:  # NaN fails
             return vals
-        # neither screen clears the fill: form E from the table taken again
-        p_norms = _power_table(ln_z, exponents)[1]
+        k_scale = np.abs(vals)
+        np.maximum(k_scale, 1.0, out=k_scale)  # max(1, |K|), NaN kept
+        if np.all(np.outer(a, b) <= k_scale):  # NaN fails
+            return vals
+        # neither screen clears the fill: form E
         mags = cq.separable_magnitudes
-        mag_u = p_norms[x_rows, :n_u] @ mags[:n_u]
-        mag_v = p_norms[y_rows, :n_v] @ mags[h_u : h_u + n_v]
-        del p_norms
-        bound = (_EPS / _ROUNDING_LIMIT * mag_u) @ (scale[:, None] * mag_v).T  # E / _ROUNDING_LIMIT
-        if not np.all(bound <= np.maximum(1.0, np.abs(vals))):  # NaN fails too
-            ratio = _ROUNDING_LIMIT * bound / np.maximum(1.0, np.abs(vals))
+        bound = (_EPS / _ROUNDING_LIMIT * (p_u @ mags[:n_u])) @ (scale[:, None] * (p_v @ mags[n_u:])).T
+        if not np.all(bound <= k_scale):  # NaN fails too; bound is E / _ROUNDING_LIMIT
+            ratio = _ROUNDING_LIMIT * bound / k_scale
             if bad := np.count_nonzero(~np.isfinite(ratio)):
                 raise AccuracyError(f"{bad} of {ratio.size} kernel entries or bounds not finite: the contour sums overflow")
             raise AccuracyError(

@@ -155,25 +155,18 @@ def _sincospi_factors(z):
     """The real factors of sin(pi z) = s ch + i c sh and
     cos(pi z) = c ch - i s sh: s, c = (-1)^n sin r, (-1)^n cos r with
     r = pi (Re z - n), n the integer nearest Re z, and
-    ch, sh = cosh(pi Im z), sinh(pi Im z)."""
+    ch, sh = cosh(pi Im z), sinh(pi Im z).
+
+    Re z is reduced exactly to [-1/2, 1/2], and sin r and cos r are the
+    parts of :func:`cexp`, from tan(r/2).  At a half-integer c is a tiny
+    positive number (1.1e-16), never a zero of either sign, so the part
+    c sh of sin(pi z) keeps the sign of a signed-zero Im z.
+    """
     x, y = z.real, z.imag
     n = np.round(x)
     sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))  # (-1)^n
     rot = cexp(np.zeros_like(x), np.pi * (x - n))  # e^(i r)
     return sign * rot.imag, sign * rot.real, np.cosh(np.pi * y), np.sinh(np.pi * y)
-
-
-def _sincospi(z):
-    """sin(pi z) and cos(pi z), with Re z reduced exactly to [-1/2, 1/2].
-
-    sin r and cos r of the reduced argument r = pi (Re z - n) are the parts
-    of :func:`cexp`, from tan(r/2).  The parts are built from real
-    products, so a signed-zero imaginary part of ``z`` keeps its sign in
-    sin(pi z): at a half-integer the cosine factor is a tiny positive
-    number (1.1e-16), never a zero of either sign.
-    """
-    s, c, ch, sh = _sincospi_factors(z)
-    return _complex(s * ch, c * sh), _complex(c * ch, -s * sh)
 
 
 def _strip(z):
@@ -254,7 +247,7 @@ def log_gamma(z):
     if np.any(refl):
         zr = z[refl]
         turn = np.copysign(2.0 * math.pi, zr.imag) * np.floor(0.5 * zr.real + 0.25)
-        s, c, ch, sh = _sincospi_factors(zr)  # sin(pi z) only: digamma alone takes the cosine too
+        s, c, ch, sh = _sincospi_factors(zr)  # sin(pi z) only
         res[refl] = _LN_PI + 1j * turn - _log(_complex(s * ch, c * sh)) - res[refl]
     _guard_finite(res)
     return complex(res[0]) if scalar else res
@@ -282,8 +275,8 @@ def digamma(z):
     inv = 1.0 / (x * x + b * b)
     res[near] -= _complex(_accumulate(np.add, x * inv)[last], -b * _accumulate(np.add, inv)[last])
     if np.any(refl):
-        sin, cos = _sincospi(z[refl])
-        res[refl] -= np.pi * cos / sin
+        s, c, ch, sh = _sincospi_factors(z[refl])
+        res[refl] -= np.pi * _complex(c * ch, -s * sh) / _complex(s * ch, c * sh)  # pi cot(pi z)
     _guard_finite(res)
     return complex(res[0]) if scalar else res
 

@@ -67,46 +67,35 @@ def _scalar_nodes(params, ray, x_lo, x_min, x_max, tol):
     return above[-1] + 2 if above else 1
 
 
-def _spy_node_counts(monkeypatch):
-    """What each later fill exponentiates and sums, in call order: the
-    columns of its one power table, then the upper-half node count of
-    gamma's contour sum and of gammatilde's (see :func:`_fill_counts`);
-    a fill that neither screen of the rounding guard clears takes its table
-    once more, for the bound E."""
+def _spy_tables(monkeypatch):
+    """The column count of each power table that later fills take, in call
+    order: one table of max(n_u, n_v) columns per fill, shared by both
+    contours."""
     used = []
-    power_table, contour_sums = kernel._power_table, kernel._contour_sums
+    power_table = kernel._power_table
 
     def table_spy(ln_arg, exponents):
         used.append(exponents.size)
         return power_table(ln_arg, exponents)
 
-    def sums_spy(p, p_norms, rows, norms):
-        assert p.shape == p_norms.shape and rows.shape[0] == 2 * p.shape[1] == 2 * norms.shape[0] and norms.ndim == 1
-        used.append(p.shape[1])
-        return contour_sums(p, p_norms, rows, norms)
-
     monkeypatch.setattr(kernel, "_power_table", table_spy)
-    monkeypatch.setattr(kernel, "_contour_sums", sums_spy)
     return used
 
 
-def _fill_counts(n_u, n_v):
-    """The record of one fill in :func:`_spy_node_counts` that sums n_u
-    nodes of gamma and n_v of gammatilde: one table of max(n_u, n_v)
-    columns shared by both contours, then n_u, then n_v."""
-    return [max(n_u, n_v), n_u, n_v]
+def _stored_halves(cq):
+    """The upper-half node counts n_u of gamma and n_v of gammatilde."""
+    return cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2
 
 
 def _power_norms(cq, ln_x):
     """The 1-norms |Re| + |Im| of P = x^-u and Q = y^(v-1) over the
-    arguments ln_x and the nodes a square fill on them uses, each from one
-    complex exp, and the upper-half node counts n_u, n_v and h_u."""
-    n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
-    n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
+    arguments ln_x and every stored upper-half node, each from one complex
+    exp, and the node counts n_u and n_v."""
+    n_u, n_v = _stored_halves(cq)
     p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
     q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
     p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
-    return p_norms, q_norms, n_u, n_v, cq.gamma_nodes.size // 2
+    return p_norms, q_norms, n_u, n_v
 
 
 def _sum_residues_full_ring(locs, radius, ln_num, z):
@@ -397,26 +386,24 @@ class TestKernelEval:
     )
     def test_shared_power_table_matches_two_tables(self, params, x_range):
         # the fill's one table x^-u, with y^(v-1) = y^nu_min conj(y^-u),
-        # against one exp per contour, P = x^-u and Q = y^(v-1) on the nodes
-        # the fill uses, and the stored rows (gammatilde's hold -conj T_v);
-        # within 10 E, where E = eps |P| |T_u| (|Q| |T_v|)^T is the guard's
-        # bound.  Measured at most 8.0 E (NU4 over (1e-6, 256), where K
-        # cancels) and 4.4 E elsewhere; on LEFT and NU4 gammatilde uses more
-        # nodes than gamma stores, so the table runs past gamma's end
+        # against one exp per contour, P = x^-u and Q = y^(v-1) on the stored
+        # nodes, and the stored rows (gammatilde's hold -conj T_v); within
+        # 10 E, where E = eps |P| |T_u| (|Q| |T_v|)^T is the guard's bound.
+        # Measured at most 8.0 E (NU4 over (1e-6, 256), where K cancels) and
+        # 4.4 E elsewhere; on LEFT, NU4 and BES gammatilde stores more nodes
+        # than gamma, so the table runs past gamma's end
         cq = build_contours(params, x_range)
         xs = np.geomspace(*x_range, 40)
         ln_x = np.log(xs)
-        n_u = kernel._call_nodes(ln_x, cq.gamma_tips, cq.ln_tol)
-        n_v = kernel._call_nodes(ln_x, cq.gammatilde_tips, cq.ln_tol)
-        h_u = cq.gamma_nodes.size // 2
+        n_u, n_v = _stored_halves(cq)
         rows, mags = cq.separable_coeffs, cq.separable_magnitudes
         t_u = rows[1 : 2 * n_u : 2] + 1j * rows[0 : 2 * n_u : 2]
-        t_v = -np.conj(rows[2 * h_u + 1 : 2 * (h_u + n_v) : 2] + 1j * rows[2 * h_u : 2 * (h_u + n_v) : 2])
+        t_v = -np.conj(rows[2 * n_u + 1 :: 2] + 1j * rows[2 * n_u :: 2])
         p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
         q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
         ref = (p @ t_u).imag @ (q @ t_v).imag.T
         p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
-        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
+        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
         assert np.all(np.abs(kernel_matrix(xs, xs, cq) - ref) <= 10.0 * bound)
 
     @pytest.mark.parametrize("x_range", [(1e-4, 16.0), (1e-6, 256.0), (0.01, 256.0)])
@@ -430,12 +417,12 @@ class TestKernelEval:
         # eps a_i b_j >= 1.26 E_ij (BES over (1e-6, 256)); up to 3.4e-6 of
         # max(1, |K|) (NEG over (0.01, 256), where E reads 1.3e-13)
         cq = build_contours(params, x_range)
-        p_norms, q_norms, n_u, n_v, h_u = _power_norms(cq, np.log(np.geomspace(*x_range, 40)))
+        p_norms, q_norms, n_u, n_v = _power_norms(cq, np.log(np.geomspace(*x_range, 40)))
         mags, norms = cq.separable_magnitudes, cq.magnitude_norms
         assert norms.shape == (mags.shape[0],)
         assert np.allclose(norms, np.linalg.norm(mags, axis=1), rtol=1e-15, atol=0.0)
-        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
-        screen = kernel._EPS * np.outer(p_norms @ norms[:n_u], q_norms @ norms[h_u : h_u + n_v])
+        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
+        screen = kernel._EPS * np.outer(p_norms @ norms[:n_u], q_norms @ norms[n_u:])
         assert np.all(bound <= screen)
 
     def test_power_table_matches_complex_exp(self):
@@ -471,36 +458,36 @@ class TestKernelEval:
     def test_rounding_guard_forms_exact_bound(self, limit, monkeypatch):
         # nu = 4 over (0.01, 256): E reads 3.1e-9 of max(1, |K|) and the
         # screen eps a_i b_j 5.9e-9 (1.7e-8 for eps max a max b), so under
-        # each limit here neither screen clears the fill, which takes its
-        # power table again and raises exactly where E exceeds the limit,
-        # reporting E's ratio, not the screen's
+        # each limit here neither screen clears the fill, which forms E from
+        # the norms of its one power table and raises exactly where E
+        # exceeds the limit, reporting E's ratio, not the screen's
         cq = build_contours(NU4, (0.01, 256.0), 1e-12)
         xs = np.geomspace(0.01, 256.0, 20)
         vals = kernel_matrix(xs, xs, cq)
-        p_norms, q_norms, n_u, n_v, h_u = _power_norms(cq, np.log(xs))
+        p_norms, q_norms, n_u, n_v = _power_norms(cq, np.log(xs))
         mags = cq.separable_magnitudes
-        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[h_u : h_u + n_v]).T
+        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
         ratio = float(np.max(bound / np.maximum(1.0, np.abs(vals))))
         assert 3.0e-9 < ratio < 3.2e-9
         monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", limit)
-        used = _spy_node_counts(monkeypatch)
+        used = _spy_tables(monkeypatch)
         if ratio > limit:
             with pytest.raises(AccuracyError, match="rounding bound") as err:
                 kernel_matrix(xs, xs, cq)
             assert float(str(err.value).split()[2]) == pytest.approx(ratio, rel=1e-3)
         else:
             assert np.array_equal(kernel_matrix(xs, xs, cq), vals)
-        assert used == _fill_counts(n_u, n_v) + [max(n_u, n_v)]  # the table taken again, for E
+        assert used == [max(n_u, n_v)]  # one table, E included
 
     def test_pointwise_fill_forms_exact_bound(self, monkeypatch):
         # one entry K(0.3, 1.2) = 0.112 of LEFT: the screen eps a b reads
         # 1.3e-6 of max(1, |K|), above the limit, and E 2.3e-16, so the
-        # fill forms E from its table taken again and returns the entry
+        # fill forms E from the norms of its one table and returns the entry
         handle = MeijerKernel(LEFT, (0.3, 1.2), tol=1e-12)
         ref = handle.matrix(np.array([0.3, 1.2]))[0, 1]
-        used = _spy_node_counts(monkeypatch)
+        used = _spy_tables(monkeypatch)
         assert abs(kernel_eval(0.3, 1.2, handle.cq) - ref) < 1e-14
-        assert len(used) == 4 and used[3] == used[0]
+        assert used == [max(_stored_halves(handle.cq))]
 
     def test_overflowing_fill_raises(self, monkeypatch):
         # over (0.5, 1e6) the far nodes' powers x^-u overflow; with the
@@ -551,7 +538,8 @@ class TestKernelEval:
 
 
 class TestCallTip:
-    """Each fill ends the contours at the node its own arguments need."""
+    """Each fill multiplies every node the build stored, whatever the span
+    of its own arguments."""
 
     @pytest.mark.parametrize(
         "params, x_lo", [(LEFT, 0.01), (RIGHT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)],
@@ -567,49 +555,50 @@ class TestCallTip:
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-12])
     @pytest.mark.parametrize("params", [LEFT, NEG, NU4], ids=["LEFT", "NEG", "NU4"])
-    def test_call_tip_is_first_below_tol(self, params, tol, monkeypatch):
-        # the rule of test_tip_is_first_below_tol over [min, max] of the
-        # arguments of one fill, on contours built for (1e-6, 256)
+    def test_fill_uses_every_stored_node(self, params, tol, monkeypatch):
+        # on contours built for (1e-6, 256), a fill over any part of that
+        # range takes one table over every stored node of the longer contour
+        # and no second one
         cq = build_contours(params, (1e-6, 256.0), tol)
-        used = _spy_node_counts(monkeypatch)
+        used = _spy_tables(monkeypatch)
         for lo, hi in ((1e-6, 256.0), (0.01, 256.0), (0.5, 2.0), (1e-6, 1.0), (4.0, 256.0)):
             args = np.geomspace(lo, hi, 7)
             used.clear()
             kernel_matrix(args, args, cq)
-            assert used == _fill_counts(*(_scalar_nodes(params, ray, 1e-6, lo, hi, tol) for ray in (0, 1)))
+            assert used == [max(_stored_halves(cq))]
 
-    def test_rays_cut_by_their_own_arguments(self, monkeypatch):
-        # gamma follows xs and gammatilde ys, each with its own end; the
-        # narrow fills stop short of the wide ones' ends, so they differ by
-        # the truncation (1.9e-14 here), within tol
+    def test_rectangular_fills_match_square_block(self):
+        # narrow x wide and wide x narrow fills against the block of the wide
+        # square fill: the same nodes and table entries (measured 0 apart).
+        # kernel_eval against every entry of the square fill: a 1 x 1 fill
+        # sums the same terms in another order, within 2.2e-16 of
+        # max(1, |K|) on narrow x narrow and within 0.47 E everywhere (the
+        # y = 256 column cancels, E up to 1e-11 of max(1, |K|))
         cq = build_contours(LEFT, (0.01, 256.0))
         narrow = np.geomspace(0.01, 16.0, 5)
         wide = np.concatenate((narrow, [64.0, 256.0]))
         full = kernel_matrix(wide, wide, cq)
-        used = _spy_node_counts(monkeypatch)
-        ends = {ray: [_scalar_nodes(LEFT, ray, 0.01, 0.01, hi, 1e-12) for hi in (16.0, 256.0)] for ray in (0, 1)}
-        assert ends[0][0] < ends[0][1] and ends[1][0] < ends[1][1]
-        for (xs, i), (ys, j) in (((narrow, 0), (wide, 1)), ((wide, 1), (narrow, 0))):
-            used.clear()
-            k = kernel_matrix(xs, ys, cq)
-            assert used == _fill_counts(ends[0][i], ends[1][j])
+        for xs, ys in ((narrow, wide), (wide, narrow)):
             ref = full[: xs.size, : ys.size]
-            assert np.all(np.abs(k - ref) <= kernel.CONTOUR_TOL * np.maximum(1.0, np.abs(ref)))
+            assert np.all(np.abs(kernel_matrix(xs, ys, cq) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        p_norms, q_norms, n_u, _ = _power_norms(cq, np.log(wide))
+        mags = cq.separable_magnitudes
+        bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
+        pointwise = np.array([[kernel_eval(x, y, cq) for y in wide] for x in wide])
+        err, block = np.abs(pointwise - full), (slice(narrow.size), slice(narrow.size))
+        assert np.all(err[block] <= 1e-14 * np.maximum(1.0, np.abs(full[block])))
+        assert np.all(err <= bound)
 
-    def test_slack_above_x_hi_uses_built_tip(self, monkeypatch):
-        # tol just above the bound of gammatilde's last built node over
-        # x_range, so that over [x_lo, 1.001 x_hi] that node's bound is not
-        # below it: the fill keeps every built node and raises nothing
+    def test_slack_around_x_range(self):
+        # arguments up to 0.1% outside x_range are accepted and filled on the
+        # stored nodes; further out they raise
         x_range = (0.01, 16.0)
-        ln_f, power = build_contours(LEFT, x_range).gammatilde_tips[:, -1]
-        edge = ln_f + max(power * math.log(x) for x in x_range)
-        cq = build_contours(LEFT, x_range, math.exp(edge + 1e-9))
-        args = np.geomspace(x_range[0], 1.001 * x_range[1], 9)
-        assert kernel._first_tip(cq.gammatilde_tips, math.log(args[0]), math.log(args[-1]), cq.ln_tol) is None
-        used = _spy_node_counts(monkeypatch)
-        k = kernel_matrix(args, args, cq)
-        assert used == _fill_counts(cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2)
-        assert np.all(np.isfinite(k))
+        cq = build_contours(LEFT, x_range)
+        args = np.geomspace(0.999 * x_range[0], 1.001 * x_range[1], 9)
+        assert np.all(np.isfinite(kernel_matrix(args, args, cq)))
+        for x in (0.9989 * x_range[0], 1.0011 * x_range[1]):
+            with pytest.raises(DomainError, match="outside the x_range"):
+                kernel_eval(x, 1.0, cq)
 
 
 class TestKernelSeries:

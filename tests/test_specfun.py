@@ -14,7 +14,7 @@ from scipy.special import jv, loggamma as scipy_loggamma, psi as scipy_psi
 
 from meijergap.errors import DomainError, PoleError, RangeError
 from meijergap.specfun import (
-    _sincospi,
+    _sincospi_factors,
     bessel_j,
     cexp,
     digamma,
@@ -57,13 +57,12 @@ class TestCexp:
 
     @pytest.mark.parametrize("x", [0.5, -0.5, 1.5, -2.5])
     def test_sincospi_cosine_factor_tiny_and_positive(self, x):
-        # at a half-integer the cosine factor is a tiny positive number, so a
-        # signed-zero imaginary part keeps its sign in sin(pi z)
+        # at a half-integer the cosine factor c is a tiny positive number, so a
+        # signed-zero imaginary part keeps its sign in Im sin(pi z) = c sh
         for y in (0.0, -0.0):
-            sin, cos = _sincospi(np.array([complex(x, y)]))
-            assert math.copysign(1.0, sin[0].imag) == math.copysign(1.0, y)
-        factor = cos[0].real
-        assert 0.0 < factor < 1e-15
+            s, c, ch, sh = _sincospi_factors(np.array([complex(x, y)]))
+            assert math.copysign(1.0, (c * sh)[0]) == math.copysign(1.0, y)
+        assert 0.0 < c[0] < 1e-15
 
 
 class TestLogGamma:
