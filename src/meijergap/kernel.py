@@ -78,11 +78,20 @@ _MIN_EXPONENT = -600.0
 
 
 # Residue-series oracle: Gauss-Legendre points of the t-integral, residue
-# clusters per pole family, and trapezoidal points on each residue ring
+# clusters per pole chain, and trapezoidal points on each residue ring
 # (even: the ring sums fold each ring over its conjugate symmetry).
 _SERIES_T_POINTS = 80
 _SERIES_TERMS = 48
 _RING_POINTS = 40
+
+# Rings at the head of each pole chain whose amplitudes come from ln F; the
+# functional equation fills the rest of the chain from the last of them.  A
+# chain's first rings carry its largest residues, and where two chains' poles
+# nearly coincide those residues cancel: a rounding error carried down a
+# chain from one head ring then adds up over them.  For nu = (0.5, 0.5005)
+# the second factor's sums are off the rings evaluated one by one by up to
+# 7e-14, 2e-14 and 6e-16 of their magnitude sums with 1, 2 and 3 head rings.
+_SERIES_HEAD_RINGS = 3
 
 # Bound on the residue-series ring-resolution estimate: it reads at most
 # 1.7e-6 on the verify and benchmark families over x, y in [0.05, 2], and
@@ -411,58 +420,66 @@ class MeijerKernel:
 # Residue-series oracle
 # ---------------------------------------------------------------------------
 
-def _cluster_poles(bases):
-    """Pole positions {b + k : b in bases, 0 <= k < _SERIES_TERMS} grouped into
-    coincidence clusters, plus a safe circle radius for residue extraction."""
-    pts = np.sort(np.concatenate([np.asarray(bases, dtype=float) + k for k in range(_SERIES_TERMS)]))
-    locs = [pts[0]]
-    for p in pts[1:]:
-        if abs(p - locs[-1]) >= 1e-9:
-            locs.append(p)
-    locs = np.asarray(locs)
-    gaps = np.diff(locs)
-    radius = 0.25 if gaps.size == 0 else min(0.25, 0.35 * float(gaps.min()))
+def _cluster_poles(bases, radius):
+    """The pole chains b, b + 1, ..., b + _SERIES_TERMS - 1, one per distinct
+    base b, grouped into residue clusters, and the radius of the residue
+    rings.
+
+    Returns the poles as a (chain, step) table, the flat indices into it of
+    the poles that stand for the clusters, in ascending order of location,
+    and the ring radius: the given one, or 0.35 of the smallest gap between
+    clusters if that is smaller.  Poles closer than 1e-9 form one cluster,
+    located at its lowest pole; where chains meet exactly, the pole fewest
+    steps from its chain's head stands for the cluster.  ConvergenceError is
+    raised where the radius falls below 1e-6: the pole families nearly
+    coincide.
+    """
+    poles = np.array(sorted(set(bases)), dtype=float)[:, None] + np.arange(_SERIES_TERMS)
+    flat, steps = poles.ravel(), np.tile(np.arange(_SERIES_TERMS), poles.shape[0])
+    keep = []
+    for i in np.lexsort((steps, flat)):
+        if not keep or abs(flat[i] - flat[keep[-1]]) >= 1e-9:
+            keep.append(i)
+    radius = min(radius, 0.35 * float(np.diff(flat[keep]).min()))
     if radius < 1e-6:
         raise ConvergenceError("pole families nearly coincide; residue extraction is ill-conditioned")
-    return locs, radius
+    return poles, np.asarray(keep), radius
 
 
-def _sum_residues(locs, radius, ln_num, z):
-    """-(sum of residues) of exp(ln_num(t)) * z^t over the listed pole
-    clusters, each extracted by trapezoidal integration on a small circle.
-    ``z`` may be a vector; returns one value per z, and per z the gap
-    between that value and the same sum over every other ring point.  The
-    circle rule is spectrally accurate and handles higher-order
-    (logarithmic) poles with no special casing, but only while z^t varies
-    slowly around the ring; the gap grows where |ln z| is too large for the
-    ring to resolve.  The leading minus sign matches the orientation of the
-    defining loop contour.
+def _sum_residues(locs, ring, amps, z):
+    """-(sum of residues) of amp(t) z^t over the listed pole clusters, each
+    extracted by trapezoidal integration on a small circle.  ``ring`` holds
+    the offsets t - loc of the upper half k = 0..M/2 of an M-point circle,
+    M = _RING_POINTS, and ``amps`` the amplitudes amp(t) at those points of
+    each cluster's circle, shape (cluster, ring point).  ``z`` may be a
+    vector; returns one value per z, and per z the gap between that value
+    and the same sum over every other ring point.  The circle rule is
+    spectrally accurate and handles higher-order (logarithmic) poles with no
+    special casing, but only while z^t varies slowly around the ring; the
+    gap grows where |ln z| is too large for the ring to resolve.  The
+    leading minus sign matches the orientation of the defining loop contour.
 
     The powers separate, z^t = z^loc z^(t - loc), so each cluster's ring
-    mean is one complex matrix product, amplitudes exp(ln_num(t)) (t - loc)
-    over (cluster, ring point) times the ring powers z^(t - loc) over
+    mean is one complex matrix product, amplitudes amp(t) (t - loc) over
+    (cluster, ring point) times the ring powers z^(t - loc) over
     (ring point, z), scaled by the real z^loc: one exp per (cluster, z) and
     one per (ring point, z).  The parameters and pole locations are real and
-    z > 0, so the term at conj(t) is the conjugate of the term at t
-    (log_gamma is conjugation-symmetric to the bit).  ln_num is therefore
-    evaluated on the upper half k = 0..M/2 of each M-point ring only, and a
+    z > 0, so the term at conj(t) is the conjugate of the term at t, and a
     ring sum is the real part of the half sum with weights 1 at the real
     points k = 0, M/2 and 2 in between; the every-other-point sum keeps the
-    weights of even k only.  This needs M = _RING_POINTS even, so that
-    k = M/2 is the second real point of the ring.
+    weights of even k only.  This needs M even, so that k = M/2 is the
+    second real point of the ring.
 
     Its exponentials are numpy's complex ``exp``, not the half-angle
     :func:`~meijergap.specfun.cexp` of the contour build and fill: the
     oracle stays an independent route, so the kernel-oracle check of
     ``meijergap verify`` checks cexp too.
     """
-    k = np.arange(_RING_POINTS // 2 + 1)
-    ring = radius * np.exp(2j * math.pi * k / _RING_POINTS)
+    k = np.arange(ring.size)
     full = np.where((k == 0) | (k == k[-1]), 1.0, 2.0) / _RING_POINTS
     weights = np.stack((full, np.where(k % 2 == 0, 2.0 * full, 0.0)))
-    amps = np.exp(ln_num((locs[:, None] + ring).ravel())).reshape(locs.size, -1) * ring
     ln_z = np.log(np.asarray(z, dtype=float))
-    means = ((amps * weights[:, None]) @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs, ln_z))
+    means = ((amps * ring * weights[:, None]) @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs, ln_z))
     per_cluster, per_cluster_even = means  # (n_locs, nz) each: full ring, every other point
     totals = -per_cluster.sum(axis=0)
     gap = np.abs(totals + per_cluster_even.sum(axis=0))
@@ -473,21 +490,54 @@ def _sum_residues(locs, radius, ln_num, z):
     return totals, gap
 
 
-def _g_first(z, params: ProcessParams):
-    """Series value of the first kernel factor: pole family at 0, 1, 2, ...,
-    integrand Gamma(-t) prod_k Gamma(1+mu_k+t) / prod_j Gamma(1+nu_j+t) z^t,
-    which is F(-t) z^t."""
-    locs, radius = _cluster_poles([0.0])
-    return _sum_residues(locs, radius, lambda t: log_big_f(-t, params), z)
+def _series_factors(z1, z2, params: ProcessParams):
+    """Series values of the two kernel factors, G1 at ``z1`` and G2 at
+    ``z2``, each with its ring gap (see :func:`_sum_residues`).
 
+    G1 sums the residues of F(-t) z^t = Gamma(-t) prod_k Gamma(1+mu_k+t) /
+    prod_j Gamma(1+nu_j+t) z^t over the chain t = 0, 1, 2, ...; its rings
+    stay within 0.35 (1 + mu_min) of 0, clear of the poles of
+    Gamma(1+mu_k+t) at -1-mu_k.  G2 sums those of z^t / F(1+t) =
+    prod_j Gamma(nu_j-t) / (Gamma(1+t) prod_k Gamma(mu_k-t)) z^t over the
+    chains t = nu_j, nu_j + 1, ....
 
-def _g_second(z, params: ProcessParams):
-    """Series value of the second kernel factor: pole families at
-    nu_j, nu_j + 1, ..., integrand
-    prod_j Gamma(nu_j - t) / (Gamma(1+t) prod_k Gamma(mu_k - t)) z^t,
-    which is z^t / F(1+t)."""
-    locs, radius = _cluster_poles(params.nu)
-    return _sum_residues(locs, radius, lambda t: -log_big_f(1.0 + t, params), z)
+    One :func:`log_big_f` call gives the amplitudes F(-t) and 1/F(1+t) on
+    the upper half of the first _SERIES_HEAD_RINGS rings of every chain.
+    The others follow by Gamma(z+1) = z Gamma(z): on F's argument z (-t for
+    G1, 1 + t for G2) one step along a chain is z -> z - 1 for G1 and
+    z -> z + 1 for G2, and
+
+        F(z) / F(z + 1) = prod_k (mu_k - z) / (z prod_j (nu_j - z)),
+
+    so a cumulative product of these ratios down each chain fills its
+    remaining rings.  The parameters enter the ratios as (1 + p) - 1, the
+    value that log_big_f's arguments 1 + p - z carry, so a pole of another
+    chain near a ring sits where log_big_f puts it.
+    """
+    half = np.exp(2j * math.pi * np.arange(_RING_POINTS // 2 + 1) / _RING_POINTS)
+    room = min(0.25, 0.35 * (1.0 + min(params.mu))) if params.q else 0.25
+    chains = (_cluster_poles((0.0,), room), _cluster_poles(params.nu, 0.25))
+    # F's argument on every ring of every chain, shape (chain, step, ring point)
+    t1, t2 = (poles[:, :, None] + radius * half for poles, _, radius in chains)
+    args = (-t1, 1.0 + t2)
+    heads = [a[:, :_SERIES_HEAD_RINGS] for a in args]
+    ln_f = log_big_f(np.concatenate((heads[0].ravel(), heads[1].ravel())), params)
+    n1 = heads[0].size
+    amp_heads = (np.exp(ln_f[:n1]).reshape(heads[0].shape), np.exp(-ln_f[n1:]).reshape(heads[1].shape))
+    # the z of F(z) / F(z + 1) that links ring k to ring k + 1: ring k + 1's for G1, ring k's for G2
+    links = (args[0][:, _SERIES_HEAD_RINGS:], args[1][:, _SERIES_HEAD_RINGS - 1 : -1])
+    mu, nu = ((1.0 + np.asarray(p)) - 1.0 for p in (params.mu, params.nu))
+    out = []
+    for (poles, keep, radius), amp, link, z in zip(chains, amp_heads, links, (z1, z2)):
+        num, den = np.ones_like(link), link.copy()
+        for m in mu:
+            num *= m - link
+        for v in nu:
+            den *= v - link
+        amps = np.concatenate((amp, num / den), axis=1)
+        amps[:, _SERIES_HEAD_RINGS - 1 :] = np.cumprod(amps[:, _SERIES_HEAD_RINGS - 1 :], axis=1)
+        out.append(_sum_residues(poles.ravel()[keep], radius * half, amps.reshape(-1, half.size)[keep], z))
+    return out
 
 
 def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
@@ -495,15 +545,15 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
 
     Evaluates K(x, y) = int_0^1 G_1(t x) G_2(t y) dt where each factor is the
     single-contour series of a Meijer G-function, summed over _SERIES_TERMS
-    residue clusters per pole family, with both integrands taken from
-    :func:`log_big_f`.  The t-integrand behaves like t^nu_min near 0, so the
-    integral is computed by _SERIES_T_POINTS-point Gauss-Legendre quadrature
-    after the regularizing substitution t = tau^kappa with
-    kappa = max(4, ceil(4 / (1 + nu_min))).  Both factors are evaluated at
-    all t-nodes at once: ln F on the upper half of each cluster's
-    _RING_POINTS-point ring, folded over its conjugate symmetry, and one
-    exp per (cluster, node) and per (ring point, node) (see
-    :func:`_sum_residues`).
+    residue clusters per pole chain (see :func:`_series_factors`).  The
+    t-integrand behaves like t^nu_min near 0, so the integral is computed by
+    _SERIES_T_POINTS-point Gauss-Legendre quadrature after the regularizing
+    substitution t = tau^kappa with kappa = max(4, ceil(4 / (1 + nu_min))).
+    Both factors are evaluated at all t-nodes at once: one
+    :func:`log_big_f` call on the upper halves of the first
+    _SERIES_HEAD_RINGS rings of each chain, a cumulative product of gamma
+    ratios down the rest of each chain, and one exp per (cluster, node) and
+    per (ring point, node) (see :func:`_sum_residues`).
 
     The ring-resolution gaps of the two factors, weighted by the quadrature
     weights and the other factor, bound the error the residue rings add to
@@ -518,8 +568,7 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     grid = gauss_legendre_grid(1.0, _SERIES_T_POINTS, kappa)
     t, dt = grid.nodes, grid.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        g1, gap1 = _g_first(t * x, params)
-        g2, gap2 = _g_second(t * y, params)
+        (g1, gap1), (g2, gap2) = _series_factors(t * x, t * y, params)
         ring_err = float(np.sum(dt * (gap1 * np.abs(g2) + np.abs(g1) * gap2)))
     if not ring_err <= _SERIES_RING_TOL:  # unresolved rings overflow: inf and NaN included
         raise ConvergenceError(

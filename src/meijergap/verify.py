@@ -159,12 +159,14 @@ def check_kernel_oracle() -> CheckResult:
     The check therefore covers the two G-sums and two t-rules.  It does not
     cover the Cauchy factor 1/(v - u) of the double contour integral, which
     neither route forms; the kernel tests check the factored fill against
-    the double sum with that factor.
+    the double sum with that factor.  The cases reach r - q = 6 (q = 0,
+    nu = 0, 1, ..., 5), twice the benchmark catalogue's largest r - q.
     """
     cases = (
         kernel.ProcessParams(2, 0, (0.3, 0.8)),
         kernel.ProcessParams(2, 1, (0.5, 1.2), (0.7,)),
         kernel.ProcessParams(3, 2, (1.31, 2.15, 3.19), (1.87, 2.61)),
+        kernel.ProcessParams(6, 0, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)),
     )
     rng = np.random.default_rng(5)
     resid = 0.0

@@ -15,8 +15,8 @@ from meijergap.kernel import (
     BesselKernel,
     MeijerKernel,
     ProcessParams,
-    _g_first,
-    _g_second,
+    _cluster_poles,
+    _series_factors,
     build_contours,
     kernel_eval,
     kernel_eval_series,
@@ -32,6 +32,8 @@ BES = ProcessParams(1, 0, (0.5,))
 GIN2 = ProcessParams(2, 0, (0.0, 1.0))
 NEAR = ProcessParams(2, 0, (0.5, 0.5005))
 NU4 = ProcessParams(1, 0, (4.0,))
+# r = 6, q = 5: nu = 0.3, 1.1, ..., 4.3 and mu = 0.8, 1.6, ..., 4.0, in steps of 0.8
+R6Q5 = ProcessParams(6, 5, tuple(0.3 + 0.8 * j for j in range(6)), tuple(0.8 + 0.8 * k for k in range(5)))
 
 
 def _hyperbolas(params, x_lo):
@@ -607,7 +609,7 @@ class TestKernelSeries:
         p = ProcessParams(1, 0, (0.5,))
         z = 0.25
         ref = z ** (-0.25) * bessel_j(0.5, 2.0 * math.sqrt(z))
-        got, _ = _g_first(np.array([z]), p)
+        (got, _), _ = _series_factors(np.array([z]), np.array([z]), p)
         assert abs(got[0] - ref) < 1e-13
 
     def test_factors_against_mpmath(self):
@@ -616,24 +618,45 @@ class TestKernelSeries:
         z = 0.35
         g1_ref = complex(mp.meijerg([[-0.7], []], [[0], [-0.5, -1.2]], z))
         g2_ref = complex(mp.meijerg([[], [0.7]], [[0.5, 1.2], [0]], z))
-        g1, _ = _g_first(np.array([z]), p)
-        g2, _ = _g_second(np.array([z]), p)
+        (g1, _), (g2, _) = _series_factors(np.array([z]), np.array([z]), p)
         assert abs(g1[0] - g1_ref) < 1e-12
         assert abs(g2[0] - g2_ref) < 1e-12
+
+    @pytest.mark.parametrize("mu", [-0.7, -0.8, -0.9])
+    def test_mu_near_minus_one_against_mpmath(self, mu):
+        # the first factor's integrand F(-t) has a pole of Gamma(1 + mu + t)
+        # at t = -1 - mu, inside a ring of radius 0.25 around t = 0 for
+        # mu < -0.75; its rings must keep within 0.35 (1 + mu_min) of 0
+        mp.mp.dps = 30
+        p = ProcessParams(2, 1, (0.5, 1.2), (mu,))
+        z = 0.35
+        g1_ref = complex(mp.meijerg([[-mu], []], [[0], [-0.5, -1.2]], z))
+        (g1, _), _ = _series_factors(np.array([z]), np.array([z]), p)
+        assert abs(g1[0] - g1_ref) < 1e-12
 
     def test_double_pole_case_against_mpmath(self):
         mp.mp.dps = 30
         p = ProcessParams(2, 0, (0.0, 0.0))
         z = 0.5
         g2_ref = complex(mp.meijerg([[], []], [[0.0, 0.0], [0]], z))
-        g2, _ = _g_second(np.array([z]), p)
+        _, (g2, _) = _series_factors(np.array([z]), np.array([z]), p)
         assert abs(g2[0] - g2_ref) < 1e-12
 
+    def test_mu_near_minus_one_agrees_with_contour(self):
+        # a first-factor ring of radius 0.25 around t = 0 would enclose the
+        # pole at t = -0.2
+        params = ProcessParams(2, 1, (0.5, 1.2), (-0.8,))
+        cq = build_contours(params, (0.45, 0.77))
+        assert abs(kernel_eval_series(0.5, 0.7, params) - kernel_eval(0.5, 0.7, cq)) < 1e-12
+
     @pytest.mark.parametrize(
-        "params", [GIN2, ProcessParams(2, 0, (0.0, 0.0)), BES], ids=["logarithmic", "double-pole", "BES"]
+        "params",
+        [GIN2, ProcessParams(2, 0, (0.0, 0.0)), BES, R6Q5],
+        ids=["logarithmic", "double-pole", "BES", "r6q5"],
     )
     def test_agrees_with_contour(self, params):
-        # BES adds r = 1 to the r = 2, 3 shapes of the verify oracle check
+        # BES adds r = 1 to the r = 2, 3 shapes of the verify oracle check,
+        # and r = 6, q = 5 a family with six pole chains in the second factor
         cq = build_contours(params, (0.25, 1.0), 1e-12)
         assert abs(kernel_eval_series(0.5, 0.5, params) - kernel_eval(0.5, 0.5, cq)) < 1e-8
 
@@ -650,24 +673,32 @@ class TestKernelSeries:
                 kernel_eval_series(x, y, LEFT)
 
     @pytest.mark.parametrize("x", [0.05, 2.0])
-    @pytest.mark.parametrize("params", [GIN2, LEFT, RIGHT, NEAR], ids=["GIN2", "LEFT", "RIGHT", "NEAR"])
-    def test_folded_rings_match_full_rings(self, params, x, monkeypatch):
-        # the separable, conjugate-folded ring sums against one exp per
-        # (ring point, z) over every point of each ring, over the oracle's
-        # t-rule; near z = 0 (and for NEAR's ring radius 1.75e-4) the ring
-        # terms exceed the value by up to 1e7, so the differences, at most
-        # 2.7e-15 of the magnitude sum, are measured on that sum
+    @pytest.mark.parametrize(
+        "params",
+        [GIN2, LEFT, RIGHT, NEAR, ProcessParams(2, 0, (0.0, 0.0))],
+        ids=["GIN2", "LEFT", "RIGHT", "NEAR", "double-pole"],
+    )
+    def test_folded_rings_match_full_rings(self, params, x):
+        # the chained, conjugate-folded ring sums against ln F evaluated by
+        # log_big_f at every point of every full ring, one exp per
+        # (ring point, z), over the oracle's t-rule; near z = 0 (and for
+        # NEAR's ring radius 1.75e-4) the ring terms exceed the value by up
+        # to 1e7, so the differences, at most 3.3e-15 of the magnitude sum,
+        # are measured on that sum
         kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
         z = x * gauss_legendre_grid(1.0, kernel._SERIES_T_POINTS, kappa).nodes
-        got = (_g_first(z, params), _g_second(z, params))
-        monkeypatch.setattr(kernel, "_sum_residues", _sum_residues_full_ring)
-        for (total, gap), (ref_total, ref_gap, magnitude) in zip(got, (_g_first(z, params), _g_second(z, params))):
+        got = _series_factors(z, z, params)
+        integrands = (((0.0,), lambda t: log_big_f(-t, params)), (params.nu, lambda t: -log_big_f(1.0 + t, params)))
+        for (total, gap), (bases, ln_num) in zip(got, integrands):
+            poles, keep, radius = _cluster_poles(bases, 0.25)
+            ref_total, ref_gap, magnitude = _sum_residues_full_ring(poles.ravel()[keep], radius, ln_num, z)
             assert np.all(np.abs(total - ref_total) <= 1e-14 * magnitude)
             assert np.all(np.abs(gap - ref_gap) <= 1e-14 * magnitude)
 
     def test_ring_points_are_folded(self, monkeypatch):
-        # LEFT has 48 clusters at 0, 1, ... and 3 x 48 at nu_j + k; each ring
-        # is evaluated on its upper half, 21 of its 40 points
+        # LEFT has one pole chain at 0, 1, ... and three at nu_j + k; ln F is
+        # evaluated on the first _SERIES_HEAD_RINGS = 3 rings of each chain,
+        # on the upper half of each ring (21 of its 40 points), in one call
         points = []
 
         def counting(z, params):
@@ -676,7 +707,7 @@ class TestKernelSeries:
 
         monkeypatch.setattr(kernel, "log_big_f", counting)
         kernel_eval_series(0.5, 0.7, LEFT)
-        assert points == [48 * 21, 144 * 21]
+        assert points == [(1 + 3) * 3 * 21]
 
     def test_unresolved_rings_raise(self):
         # at nu_min <= -0.6 the graded t-nodes send t x far below 1e-40,
