@@ -30,7 +30,6 @@ from .kernel import (
     build_contours,
     kernel_eval,
     kernel_eval_series,
-    kernel_matrix,
     log_big_f,
 )
 from .specfun import (
@@ -62,7 +61,6 @@ __all__ = [
     "kappa_for_nu_min",
     "kernel_eval",
     "kernel_eval_series",
-    "kernel_matrix",
     "log_barnes_g",
     "log_big_f",
     "log_constant_bessel",

@@ -63,7 +63,7 @@ _T_GRADING = 9.0
 # for r = 1 down to nu = -0.88 on det's grids, and at 1.5e-8 for r = 1,
 # nu = 4 over (1e-6, 256), where K cancels: the limit keeps a margin of 6.
 # The screen eps a_i b_j >= E_ij that clears a fill without forming E (see
-# kernel_matrix) must stay below half the limit: it peaks at 3.6e-11 over
+# _kernel_matrix) must stay below half the limit: it peaks at 3.6e-11 over
 # the catalogues and at 2.0e-8 for nu = 4 over (1e-6, 256).
 _ROUNDING_LIMIT = 1e-7
 _EPS = float(np.finfo(float).eps)
@@ -181,7 +181,7 @@ class ContourQuadrature:
     holds their 1-norms, shape ((Nu + Nv)/2, n_t), for the rounding bound,
     and ``magnitude_norms`` the 2-norm over the t-rule of each of those
     rows, shape ((Nu + Nv)/2,), for the screen that clears most fills
-    without forming that bound (see :func:`kernel_matrix`).
+    without forming that bound (see :func:`_kernel_matrix`).
     """
 
     gamma_nodes: np.ndarray
@@ -338,16 +338,17 @@ def _power_table(ln_arg, exponents):
     return p, np.abs(p.real) + np.abs(p.imag)
 
 
-def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
-    """K(x_i, y_j) on the grid xs x ys via the factored integrable form.
+def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
+    """K(x_i, x_j) on the grid xs via the factored integrable form: the one
+    Meijer kernel fill.
 
-    One table z^-u over the arguments z (the grid once for a square fill,
-    ``ys is xs``) and the first max(n_u, n_v) upper-half nodes, n_u of gamma
-    and n_v of gammatilde as stored (either contour can be the longer),
-    gives both contours' powers (see :class:`ContourQuadrature`); three real
-    matrix products of its blocks and the stored rows give G1, G2 and
-    K = G1 G2^T.  Every fill multiplies every stored node, also for
-    arguments in the 0.1% slack around ``x_range``.
+    One table x^-u over the grid and the first max(n_u, n_v) upper-half
+    nodes, n_u of gamma and n_v of gammatilde as stored (either contour can
+    be the longer), gives both contours' powers (see
+    :class:`ContourQuadrature`); three real matrix products of its blocks
+    and the stored rows give G1, G2 and K = G1 G2^T.  Every fill multiplies
+    every stored node, also for arguments in the 0.1% slack around
+    ``x_range``.
 
     Every entry is checked against its rounding bound
     E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, the magnitude sum of its terms with
@@ -363,19 +364,16 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
     power table; a NaN or an inf fails both screens.
     """
     ln_x = _log_args(xs, cq)
-    ln_y = ln_x if ys is xs else _log_args(ys, cq)
     n_u, n_v = cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2  # gammatilde's rows start at row 2 n_u
     span = cq.gamma_nodes[0].real + cq.gammatilde_nodes[0].real  # 1 + nu_min; -u = conj(v) - span
     exponents = -cq.gamma_nodes[:n_u] if n_v <= n_u else np.conj(cq.gammatilde_nodes[:n_v]) - span
-    ln_z = ln_x if ln_y is ln_x else np.concatenate((ln_x, ln_y))
-    x_rows, y_rows = slice(ln_x.size), slice(-ln_y.size, None)  # of the table
     rows, norms = cq.separable_coeffs, cq.magnitude_norms
     with np.errstate(over="ignore", invalid="ignore"):
-        p, p_norms = _power_table(ln_z, exponents)
-        p_u, p_v = p_norms[x_rows, :n_u], p_norms[y_rows, :n_v]
-        g1, g2 = p[x_rows, :n_u].view(float) @ rows[: 2 * n_u], p[y_rows, :n_v].view(float) @ rows[2 * n_u :]
+        p, p_norms = _power_table(ln_x, exponents)
+        p_u, p_v = p_norms[:, :n_u], p_norms[:, :n_v]
+        g1, g2 = p[:, :n_u].view(float) @ rows[: 2 * n_u], p[:, :n_v].view(float) @ rows[2 * n_u :]
         del p  # free the table before the m x m products; the guard reads its norms
-        scale = np.exp((span - 1.0) * ln_y)  # y^nu_min
+        scale = np.exp((span - 1.0) * ln_x)  # y^nu_min of Q_h, y on the same grid
         vals = g1 @ (scale[:, None] * g2).T
         # |P| rho bounds the t-rule 2-norm of each row of |P| |T| (triangle inequality)
         a = (2.0 * _EPS / _ROUNDING_LIMIT) * (p_u @ norms[:n_u])  # a_i b_j is eps a_i b_j / (_ROUNDING_LIMIT / 2)
@@ -400,9 +398,10 @@ def kernel_matrix(xs, ys, cq: ContourQuadrature) -> np.ndarray:
 
 
 def kernel_eval(x: float, y: float, cq: ContourQuadrature) -> float:
-    """K(x, y) from the precomputed double-contour discretization: the 1x1
-    view of :func:`kernel_matrix`, with its rounding guard."""
-    return float(kernel_matrix([x], [y], cq)[0, 0])
+    """K(x, y) from the precomputed double-contour discretization: the
+    ``[0, 1]`` entry of the two-point fill on ``[x, y]``, with its rounding
+    guard."""
+    return float(_kernel_matrix([x, y], cq)[0, 1])
 
 
 class MeijerKernel:
@@ -413,7 +412,7 @@ class MeijerKernel:
         self.cq = build_contours(params, x_range, tol)
 
     def matrix(self, xs) -> np.ndarray:
-        return kernel_matrix(xs, xs, self.cq)
+        return _kernel_matrix(xs, self.cq)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,7 @@ def check_bessel_reduction() -> CheckResult:
     resid = 0.0
     grid = np.linspace(0.1, 5.0, 5)
     for nu in (0.0, 0.5, 2.0):
-        cq = kernel.build_contours(kernel.ProcessParams(1, 0, (nu,)), (0.1, 5.0))
-        k = kernel.kernel_matrix(grid, grid, cq)
+        k = kernel.MeijerKernel(kernel.ProcessParams(1, 0, (nu,)), (0.1, 5.0)).matrix(grid)
         kb = 4.0 * (grid[None, :] / grid[:, None]) ** (nu / 2.0) * kernel.BesselKernel(nu).matrix(4.0 * grid)
         resid = max(resid, np.abs(k - kb).max())
     return _result("double-contour kernel reduces to the Bessel kernel at r=1, q=0", resid, 1e-7)

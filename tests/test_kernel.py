@@ -16,11 +16,11 @@ from meijergap.kernel import (
     MeijerKernel,
     ProcessParams,
     _cluster_poles,
+    _kernel_matrix,
     _series_factors,
     build_contours,
     kernel_eval,
     kernel_eval_series,
-    kernel_matrix,
     log_big_f,
 )
 from meijergap.specfun import bessel_j, log_gamma
@@ -183,7 +183,7 @@ class TestBuildContours:
             n = min(coarse.size, even.size)
             assert np.array_equal(even[:n], coarse[:n])
         xs = np.geomspace(*x_range, 30)
-        k, k_fine = kernel_matrix(xs, xs, base), kernel_matrix(xs, xs, fine)
+        k, k_fine = _kernel_matrix(xs, base), _kernel_matrix(xs, fine)
         assert np.all(np.abs(k - k_fine) <= 1e-14 * np.maximum(1.0, np.abs(k_fine)))
 
     def test_node_cap(self, monkeypatch):
@@ -301,14 +301,15 @@ class TestKernelEval:
             assert kernel_eval(x, x, cq) >= 0.0
 
     def test_outside_range_rejected(self):
+        # either argument of a kernel value, or any node of a fill, outside
+        # x_range or NaN
         cq = build_contours(LEFT, (0.5, 2.0), 1e-12)
-        with pytest.raises(DomainError):
-            kernel_eval(5.0, 1.0, cq)
-        for xs, ys in (([math.nan], [1.0]), ([1.0], [math.nan]), ([0.7, math.nan], [1.0])):
+        for x, y in ((5.0, 1.0), (1.0, 5.0), (math.nan, 1.0), (1.0, math.nan)):
             with pytest.raises(DomainError):
-                kernel_matrix(xs, ys, cq)
-        with pytest.raises(DomainError):
-            kernel_eval(math.nan, 1.0, cq)
+                kernel_eval(x, y, cq)
+        for xs in ([math.nan], [0.7, math.nan]):
+            with pytest.raises(DomainError):
+                _kernel_matrix(xs, cq)
 
     @pytest.mark.parametrize(
         "params, x_lo, rtol",
@@ -337,7 +338,7 @@ class TestKernelEval:
         c = np.outer(gu, gv) / (v[None, :] - u[:, None]) / (2j * math.pi) ** 2
         ln_x = np.log(np.geomspace(x_lo, 16.0, 40))
         ref = (np.exp(-np.outer(ln_x, u)) @ c @ np.exp(np.outer(ln_x, v - 1.0)).T).real
-        k = kernel_matrix(np.exp(ln_x), np.exp(ln_x), cq)
+        k = _kernel_matrix(np.exp(ln_x), cq)
         assert np.all(np.abs(k - ref) <= rtol * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize(
@@ -349,12 +350,12 @@ class TestKernelEval:
         # the t-rule against one with twice the points and twice the grading
         # exponent; measured at most 3.8e-14 of max(1, |K|), 6.4e-12 for NEG
         xs = np.geomspace(x_lo, 16.0, 40)
-        k = kernel_matrix(xs, xs, build_contours(params, (x_lo, 16.0), 1e-12))
+        k = _kernel_matrix(xs, build_contours(params, (x_lo, 16.0), 1e-12))
         monkeypatch.setattr(kernel, "_T_POINTS", 2 * kernel._T_POINTS)
         monkeypatch.setattr(kernel, "_T_GRADING", 2 * kernel._T_GRADING)
         fine = build_contours(params, (x_lo, 16.0), 1e-12)
         assert fine.separable_coeffs.shape[1] == 160
-        k_fine = kernel_matrix(xs, xs, fine)
+        k_fine = _kernel_matrix(xs, fine)
         assert np.all(np.abs(k - k_fine) <= rtol * np.maximum(1.0, np.abs(k_fine)))
 
     @pytest.mark.parametrize(
@@ -406,7 +407,7 @@ class TestKernelEval:
         ref = (p @ t_u).imag @ (q @ t_v).imag.T
         p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
-        assert np.all(np.abs(kernel_matrix(xs, xs, cq) - ref) <= 10.0 * bound)
+        assert np.all(np.abs(_kernel_matrix(xs, cq) - ref) <= 10.0 * bound)
 
     @pytest.mark.parametrize("x_range", [(1e-4, 16.0), (1e-6, 256.0), (0.01, 256.0)])
     @pytest.mark.parametrize(
@@ -451,10 +452,10 @@ class TestKernelEval:
         # below the shipped one
         cq = build_contours(NU4, (0.01, 256.0), 1e-12)
         xs = np.geomspace(0.01, 256.0, 20)
-        kernel_matrix(xs, xs, cq)
+        _kernel_matrix(xs, cq)
         monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e-9)
         with pytest.raises(AccuracyError, match="rounding bound"):
-            kernel_matrix(xs, xs, cq)
+            _kernel_matrix(xs, cq)
 
     @pytest.mark.parametrize("limit", [1e-9, 4e-9, 1e-8])
     def test_rounding_guard_forms_exact_bound(self, limit, monkeypatch):
@@ -465,7 +466,7 @@ class TestKernelEval:
         # exceeds the limit, reporting E's ratio, not the screen's
         cq = build_contours(NU4, (0.01, 256.0), 1e-12)
         xs = np.geomspace(0.01, 256.0, 20)
-        vals = kernel_matrix(xs, xs, cq)
+        vals = _kernel_matrix(xs, cq)
         p_norms, q_norms, n_u, n_v = _power_norms(cq, np.log(xs))
         mags = cq.separable_magnitudes
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
@@ -475,10 +476,10 @@ class TestKernelEval:
         used = _spy_tables(monkeypatch)
         if ratio > limit:
             with pytest.raises(AccuracyError, match="rounding bound") as err:
-                kernel_matrix(xs, xs, cq)
+                _kernel_matrix(xs, cq)
             assert float(str(err.value).split()[2]) == pytest.approx(ratio, rel=1e-3)
         else:
-            assert np.array_equal(kernel_matrix(xs, xs, cq), vals)
+            assert np.array_equal(_kernel_matrix(xs, cq), vals)
         assert used == [max(n_u, n_v)]  # one table, E included
 
     def test_pointwise_fill_forms_exact_bound(self, monkeypatch):
@@ -499,7 +500,7 @@ class TestKernelEval:
         xs = np.geomspace(0.5, 1e6, 20)
         monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", 1e300)
         with pytest.raises(AccuracyError, match="80 of 400 kernel entries or bounds not finite"):
-            kernel_matrix(xs, xs, cq)
+            _kernel_matrix(xs, cq)
 
     def test_neg_crossing_determinants(self):
         # ln det(1 - K|[0,s]) for NEG, settled to 13 digits on fine panel
@@ -551,8 +552,8 @@ class TestCallTip:
         # contours built up to 256 and filled on [x_lo, 16] against contours
         # built for [x_lo, 16]
         xs = np.geomspace(x_lo, 16.0, 40)
-        wide = kernel_matrix(xs, xs, build_contours(params, (x_lo, 256.0)))
-        narrow = kernel_matrix(xs, xs, build_contours(params, (x_lo, 16.0)))
+        wide = _kernel_matrix(xs, build_contours(params, (x_lo, 256.0)))
+        narrow = _kernel_matrix(xs, build_contours(params, (x_lo, 16.0)))
         assert np.all(np.abs(wide - narrow) <= 1e-14 * np.maximum(1.0, np.abs(narrow)))
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-12])
@@ -566,30 +567,33 @@ class TestCallTip:
         for lo, hi in ((1e-6, 256.0), (0.01, 256.0), (0.5, 2.0), (1e-6, 1.0), (4.0, 256.0)):
             args = np.geomspace(lo, hi, 7)
             used.clear()
-            kernel_matrix(args, args, cq)
+            _kernel_matrix(args, cq)
             assert used == [max(_stored_halves(cq))]
 
-    def test_rectangular_fills_match_square_block(self):
-        # narrow x wide and wide x narrow fills against the block of the wide
-        # square fill: the same nodes and table entries (measured 0 apart).
-        # kernel_eval against every entry of the square fill: a 1 x 1 fill
-        # sums the same terms in another order, within 2.2e-16 of
-        # max(1, |K|) on narrow x narrow and within 0.47 E everywhere (the
-        # y = 256 column cancels, E up to 1e-11 of max(1, |K|))
+    def test_pointwise_matches_square_entries(self):
+        # kernel_eval, the [0, 1] entry of the two-point fill on [x, y],
+        # against every entry of the square fill on a wider grid: the same
+        # nodes and table entries, summed by products of another shape,
+        # within 1e-14 of max(1, |K|) on narrow x narrow and within E
+        # everywhere (the y = 256 column cancels, E up to 1e-11 of
+        # max(1, |K|)); the two-point fill's diagonal entries, which its
+        # guard reads too, within E as well
         cq = build_contours(LEFT, (0.01, 256.0))
         narrow = np.geomspace(0.01, 16.0, 5)
         wide = np.concatenate((narrow, [64.0, 256.0]))
-        full = kernel_matrix(wide, wide, cq)
-        for xs, ys in ((narrow, wide), (wide, narrow)):
-            ref = full[: xs.size, : ys.size]
-            assert np.all(np.abs(kernel_matrix(xs, ys, cq) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        full = _kernel_matrix(wide, cq)
         p_norms, q_norms, n_u, _ = _power_norms(cq, np.log(wide))
         mags = cq.separable_magnitudes
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
+        pairs = np.array([[_kernel_matrix([x, y], cq) for y in wide] for x in wide])
         pointwise = np.array([[kernel_eval(x, y, cq) for y in wide] for x in wide])
+        assert np.array_equal(pointwise, pairs[:, :, 0, 1])
         err, block = np.abs(pointwise - full), (slice(narrow.size), slice(narrow.size))
         assert np.all(err[block] <= 1e-14 * np.maximum(1.0, np.abs(full[block])))
         assert np.all(err <= bound)
+        diag = np.diagonal(full)
+        assert np.all(np.abs(pairs[:, :, 0, 0] - diag[:, None]) <= np.diagonal(bound)[:, None])
+        assert np.all(np.abs(pairs[:, :, 1, 1] - diag[None, :]) <= np.diagonal(bound)[None, :])
 
     def test_slack_around_x_range(self):
         # arguments up to 0.1% outside x_range are accepted and filled on the
@@ -597,7 +601,7 @@ class TestCallTip:
         x_range = (0.01, 16.0)
         cq = build_contours(LEFT, x_range)
         args = np.geomspace(0.999 * x_range[0], 1.001 * x_range[1], 9)
-        assert np.all(np.isfinite(kernel_matrix(args, args, cq)))
+        assert np.all(np.isfinite(_kernel_matrix(args, cq)))
         for x in (0.9989 * x_range[0], 1.0011 * x_range[1]):
             with pytest.raises(DomainError, match="outside the x_range"):
                 kernel_eval(x, 1.0, cq)
