@@ -38,14 +38,18 @@ from .specfun import bessel_j, cexp, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
 
-# Contour discretization: the trapezoidal step h in the hyperbola parameter
-# theta, the ratio a / c of each hyperbola's width to its crossing, the
-# distance from the crossing that the candidate nodes reach before the build
-# gives up (enough for x_range = (1e-50, 4096) at tol = 1e-12 on r = 1 and
-# NEG), and the default truncation tolerance of build_contours.
-# Over the benchmark catalogues' builds the kernel at h = 0.05 agrees with
-# the rule at h/4 to 4.9e-14 of max(1, |K|); h = 0.075 leaves NEG and RIGHT
-# 3e-12 off, and h = 0.1 4.4e-9.
+# Contour discretization: the largest trapezoidal step h in the hyperbola
+# parameter theta, the ratio a / c of each hyperbola's width to its
+# crossing, the distance from the crossing that the candidate nodes reach
+# before the build gives up (enough for x_range = (1e-50, 4096) at
+# tol = 1e-12 on r = 1 and NEG), and the default truncation tolerance of
+# build_contours.  Over the benchmark catalogues' builds the kernel at
+# h = 0.05 agrees with the rule at h/4 to 4.9e-14 of max(1, |K|); h = 0.075
+# leaves NEG and RIGHT 3e-12 off, and h = 0.1 4.4e-9.  F grows with r - q
+# as Gamma(z)^(r - q + 1), and the step shrinks with it:
+# h = min(_STEP, 0.2 / (r - q + 1)), 0.05 up to r - q = 3.  With all
+# nu_j = 0.5 and q = 0 the kernel is off the residue series by 1.6e-5 of
+# max |K| at r = 8 with h = 0.05, and by 5.4e-11 with h = 0.2/9.
 _STEP = 0.05
 _WIDTH = 0.75
 _REACH = 150.0
@@ -208,8 +212,9 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     over x_range: so the terms of the contour sums are not far larger than
     their sum.  Scaling both hyperbolas by c keeps the poles at 0 and at
     1 + nu_min at a fixed distance in theta, so the trapezoidal rule at
-    theta = k _STEP, k = 0, 1, ..., converges at the same geometric rate
-    for every c.
+    theta = k h, k = 0, 1, ..., converges at the same geometric rate for
+    every c.  The step is h = min(_STEP, 0.2 / (r - q + 1)): F's decay
+    along the contours steepens with r - q.
 
     The parameters are real, so F(conj z) = conj F(z) and both contours are
     symmetric about the real axis: each is built, and ln F evaluated, on its
@@ -221,10 +226,13 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     theta = 0 up to where they lie about _REACH from the crossing, gives the
     truncation bounds and the weights.  The integrand factors |F(u) x^-u|
     and |y^(v-1) / F(v)| decay super-exponentially along the contours.
-    Each contour ends at its first node from which on the factor's largest
-    value over ``x_range`` is below ``tol`` at every candidate
-    (:func:`_first_tip`); if the last candidate is not below it,
-    ConvergenceError is raised.  Every fill on the handle uses all the
+    K is unchanged under F -> lambda F, and so is the cut: each factor is
+    measured against the crossing of the other contour, whose factor it
+    multiplies, as |F(u) / F(v_0) x^-u| on gamma and |F(u_0) / F(v) y^(v-1)|
+    on gammatilde, with u_0, v_0 the crossings (node 0).  Each contour ends
+    at its first node from which on that bound's largest value over
+    ``x_range`` is below ``tol`` at every candidate (:func:`_first_tip`);
+    if the last candidate is not below it, ConvergenceError is raised.  Every fill on the handle uses all the
     nodes kept: along the hyperbolas the decay of F, not the argument
     range, sets the node count, so a fill over a narrower range would need
     nearly as many.  ``tol`` must lie in (0, 1): a bound of 1 or more
@@ -247,21 +255,21 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     span = 1.0 + params.nu_min
     ln_lo, ln_hi = math.log(x_lo), math.log(x_hi)
     c = span / max(3.0, span * abs(ln_lo))  # min(span/3, 1/|ln x_lo|)
-    a = _WIDTH * c
+    a, h = _WIDTH * c, min(_STEP, 0.2 / (params.r - params.q + 1))
     # far out |u - c| ~ a e^theta: the candidates run up to about _REACH
-    theta = _STEP * np.arange(int(math.log1p(_REACH / a) / _STEP) + 1)
+    theta = h * np.arange(int(math.log1p(_REACH / a) / h) + 1)
     bend, rise = a * (np.cosh(theta) - 1.0), (math.sqrt(3.0) * a) * np.sinh(theta)
     u, v = (c - bend) + 1j * rise, (span - c + bend) + 1j * rise
     # du/dtheta = -a sinh + i sqrt(3) a cosh, and dv/dtheta = -conj(du/dtheta)
-    du = _STEP * a * (-np.sinh(theta) + 1j * math.sqrt(3.0) * np.cosh(theta))
+    du = h * a * (-np.sinh(theta) + 1j * math.sqrt(3.0) * np.cosh(theta))
     du[0] /= 2.0
 
-    # truncation: each contour's first node from which on ln |F(u) x^-u|
-    # (gamma) or ln |y^(v-1) / F(v)| (gammatilde), at its largest over
+    # truncation: each contour's first node from which on ln |F(u) / F(v_0) x^-u|
+    # (gamma) or ln |F(u_0) / F(v) y^(v-1)| (gammatilde), at its largest over
     # x_range, is below ln tol at every candidate
     ln_f = log_big_f(np.concatenate((u, v)), params)
     ln_fu, ln_fv = ln_f[: u.size], ln_f[u.size :]
-    bounds = (np.stack((ln_fu.real, -u.real)), np.stack((-ln_fv.real, v.real - 1.0)))
+    bounds = (np.stack((ln_fu.real - ln_fv.real[0], -u.real)), np.stack((ln_fu.real[0] - ln_fv.real, v.real - 1.0)))
     ends = [_first_tip(b, ln_lo, ln_hi, math.log(tol)) for b in bounds]
     if None in ends:
         raise ConvergenceError(f"contour truncation bound {tol} not reached within {_REACH:g} of the crossing")
@@ -427,22 +435,21 @@ def _cluster_poles(bases, radius):
     Returns the poles as a (chain, step) table, the flat indices into it of
     the poles that stand for the clusters, in ascending order of location,
     and the ring radius: the given one, or 0.35 of the smallest gap between
-    clusters if that is smaller.  Poles closer than 1e-9 form one cluster,
-    located at its lowest pole; where chains meet exactly, the pole fewest
-    steps from its chain's head stands for the cluster.  ConvergenceError is
-    raised where the radius falls below 1e-6: the pole families nearly
-    coincide.
+    clusters if that is smaller.  One sort puts the poles in ascending
+    order, and a pole less than 1e-9 above the one before it joins that
+    pole's cluster, which is located at its lowest pole; where chains meet
+    exactly, the pole fewest steps from its chain's head stands for the
+    cluster.  ConvergenceError is raised where the radius falls below 1e-6:
+    the pole families nearly coincide.
     """
     poles = np.array(sorted(set(bases)), dtype=float)[:, None] + np.arange(_SERIES_TERMS)
     flat, steps = poles.ravel(), np.tile(np.arange(_SERIES_TERMS), poles.shape[0])
-    keep = []
-    for i in np.lexsort((steps, flat)):
-        if not keep or abs(flat[i] - flat[keep[-1]]) >= 1e-9:
-            keep.append(i)
+    order = np.lexsort((steps, flat))
+    keep = order[np.diff(flat[order], prepend=-np.inf) >= 1e-9]
     radius = min(radius, 0.35 * float(np.diff(flat[keep]).min()))
     if radius < 1e-6:
         raise ConvergenceError("pole families nearly coincide; residue extraction is ill-conditioned")
-    return poles, np.asarray(keep), radius
+    return poles, keep, radius
 
 
 def _sum_residues(locs, ring, amps, z):

@@ -39,13 +39,14 @@ R6Q5 = ProcessParams(6, 5, tuple(0.3 + 0.8 * j for j in range(6)), tuple(0.8 + 0
 def _hyperbolas(params, x_lo):
     """The candidate nodes u of gamma and v of gammatilde, and gamma's
     trapezoidal weights h du/dtheta (unhalved), from the formulas of
-    build_contours: theta = k h up to about _REACH from the crossing,
+    build_contours: theta = k h up to about _REACH from the crossing, with
+    h = min(_STEP, 0.2 / (r - q + 1)),
     u = c + a (1 - cosh theta) + i sqrt(3) a sinh theta and
     v = (span - c) + a (cosh theta - 1) + i sqrt(3) a sinh theta, with
     c = min(span/3, 1/|ln x_lo|) and a = _WIDTH c."""
     span, ln_lo = 1.0 + params.nu_min, abs(math.log(x_lo))
     c = span / 3.0 if ln_lo == 0.0 else min(span / 3.0, 1.0 / ln_lo)
-    a, h = kernel._WIDTH * c, kernel._STEP
+    a, h = kernel._WIDTH * c, min(kernel._STEP, 0.2 / (params.r - params.q + 1))
     theta = h * np.arange(int(math.log1p(kernel._REACH / a) / h) + 1)
     rise = math.sqrt(3.0) * a * np.sinh(theta)
     u = c + a * (1.0 - np.cosh(theta)) + 1j * rise
@@ -56,12 +57,15 @@ def _hyperbolas(params, x_lo):
 def _scalar_nodes(params, ray, x_lo, x_min, x_max, tol):
     """The upper-half node count of gamma (ray 0) or gammatilde (ray 1) on
     the hyperbolas for x_lo: up to the first candidate from which on
-    ln |F(u) x^-u|, or ln |y^(v-1) / F(v)|, at its largest over
-    [x_min, x_max], is below ln tol at every candidate."""
-    z = _hyperbolas(params, x_lo)[ray]
+    ln |F(u) / F(v_0) x^-u|, or ln |F(u_0) / F(v) y^(v-1)|, with u_0 and
+    v_0 the crossings, at its largest over [x_min, x_max], is below ln tol
+    at every candidate."""
+    u, v, _ = _hyperbolas(params, x_lo)
+    z = (u, v)[ray]
     ln_f = log_big_f(z, params).real
+    other = log_big_f((v, u)[ray][0], params).real  # ln |F| at the other contour's crossing
     bounds = [
-        (lf if ray == 0 else -lf) + max(power * math.log(x) for x in (x_min, x_max))
+        (lf - other if ray == 0 else other - lf) + max(power * math.log(x) for x in (x_min, x_max))
         for lf, power in zip(ln_f, -z.real if ray == 0 else z.real - 1.0)
     ]
     above = [k for k, b in enumerate(bounds) if b >= math.log(tol)]
@@ -232,11 +236,12 @@ class TestBuildContours:
     @pytest.mark.parametrize("x_range", [(1e-6, 256.0), (0.5, 2.0)])
     @pytest.mark.parametrize("params", [LEFT, NEG, NU4], ids=["LEFT", "NEG", "NU4"])
     def test_tip_is_first_below_tol(self, params, x_range, tol):
-        # each contour ends at its first node from which on ln |F(u) x^-u|
-        # on gamma, or ln |y^(v-1) / F(v)| on gammatilde, at its largest over
-        # x_range, is below ln tol at every candidate; checked on hyperbolas
-        # formed here.  For NU4 the first nodes of gamma have Re u > 0, so
-        # there the x_lo side of the bound is the larger one
+        # each contour ends at its first node from which on
+        # ln |F(u) / F(v_0) x^-u| on gamma, or ln |F(u_0) / F(v) y^(v-1)| on
+        # gammatilde, at its largest over x_range, is below ln tol at every
+        # candidate; checked on hyperbolas formed here.  For NU4 the first
+        # nodes of gamma have Re u > 0, so there the x_lo side of the bound
+        # is the larger one
         cq = build_contours(params, x_range, tol)
         for ray, z in enumerate((cq.gamma_nodes, cq.gammatilde_nodes)):
             assert z.size // 2 == _scalar_nodes(params, ray, x_range[0], *x_range, tol)
@@ -699,6 +704,37 @@ class TestKernelSeries:
             assert np.all(np.abs(total - ref_total) <= 1e-14 * magnitude)
             assert np.all(np.abs(gap - ref_gap) <= 1e-14 * magnitude)
 
+    @pytest.mark.parametrize(
+        "bases",
+        [(0.0,), LEFT.nu, NEG.nu, NEAR.nu, (0.0, 0.0), (0.5, 0.5, 0.5), R6Q5.nu, tuple(float(j) for j in range(10))],
+        ids=["G1", "LEFT", "NEG", "NEAR", "double", "triple", "r6q5", "GIN10"],
+    )
+    def test_cluster_merge_matches_loop(self, bases):
+        # the one-sort merge against a loop over the poles in ascending
+        # order, ties broken by the step, that starts a cluster at each pole
+        # 1e-9 or more above the one before it
+        poles, keep, radius = _cluster_poles(bases, 0.25)
+        flat = poles.ravel()
+        order = sorted(range(flat.size), key=lambda i: (flat[i], i % kernel._SERIES_TERMS))
+        ref = [order[0]] + [i for prev, i in zip(order, order[1:]) if flat[i] - flat[prev] >= 1e-9]
+        assert keep.tolist() == ref
+        assert radius == min(0.25, 0.35 * min(b - a for a, b in zip(flat[ref], flat[ref][1:])))
+
+    def test_chained_near_poles_form_one_cluster(self):
+        # poles 6e-10 apart chain across 1.2e-9: each joins the cluster of
+        # the pole below it, so one ring of radius 0.25 encloses all three
+        # chains' poles at each step (a merge against the cluster's lowest
+        # pole split them and raised on a radius of 4e-10); measured at most
+        # 2.0e-14 off the contour route
+        nu = (0.5, 0.5 + 6e-10, 0.5 + 1.2e-9)
+        poles, keep, radius = _cluster_poles(nu, 0.25)
+        assert poles.shape == (3, kernel._SERIES_TERMS)
+        assert np.array_equal(keep, np.arange(kernel._SERIES_TERMS)) and radius == 0.25
+        params = ProcessParams(3, 0, nu)
+        cq = build_contours(params, (0.05, 2.0))
+        for x, y in ((0.05, 2.0), (2.0, 0.05), (0.5, 0.7), (1.3, 1.3)):
+            assert abs(kernel_eval_series(x, y, params) - kernel_eval(x, y, cq)) < 1e-13
+
     def test_ring_points_are_folded(self, monkeypatch):
         # LEFT has one pole chain at 0, 1, ... and three at nu_j + k; ln F is
         # evaluated on the first _SERIES_HEAD_RINGS = 3 rings of each chain,
@@ -722,6 +758,31 @@ class TestKernelSeries:
         nu = -0.5
         reduction = 4.0 * (0.7 / 0.5) ** (nu / 2.0) * BesselKernel(nu).matrix([2.0, 2.8])[0, 1]
         assert abs(kernel_eval_series(0.5, 0.7, ProcessParams(1, 0, (nu,))) - reduction) < 1e-12
+
+
+class TestPastCatalogue:
+    """The contour kernel at r - q from 5 to 10, past the benchmark
+    catalogue's 3, against the residue series."""
+
+    @pytest.mark.parametrize(
+        "params, rtol",
+        [(ProcessParams(r, 0, tuple(float(j) for j in range(r))), 1e-10) for r in (6, 8, 10)]
+        + [(ProcessParams(r, 0, (0.5,) * r), 1e-9) for r in (5, 6, 7, 8)],
+        ids=["GIN6", "GIN8", "GIN10", "HALF5", "HALF6", "HALF7", "HALF8"],
+    )
+    def test_agrees_with_series(self, params, rtol):
+        # GIN_r (nu = 0, 1, ..., r - 1): |F| at gamma's crossing is 3.6e-10
+        # for r = 8, so a cut on |F(u) x^-u| alone, not measured against
+        # F(v_0), kept 3 digits of gamma's terms (2.5e-4 off at r = 8, 1.7 at
+        # r = 10, one node of gamma).  All nu_j = 0.5: the step 0.05 was
+        # 1.6e-5 off at r = 8, h = 0.2/9 is not.  Measured at most 6.3e-12
+        # (GIN10) and 5.9e-11 (HALF8) of max |K|; the series' own ring spread
+        # is about 2e-10 of max |K| at r = 8
+        cq = build_contours(params, (0.05, 2.0))
+        points = ((0.05, 2.0), (2.0, 0.05), (0.5, 0.7), (1.3, 1.3), (0.05, 0.05), (2.0, 2.0))
+        ref = np.array([kernel_eval_series(x, y, params) for x, y in points])
+        got = np.array([kernel_eval(x, y, cq) for x, y in points])
+        assert np.all(np.abs(got - ref) <= rtol * np.abs(ref).max())
 
 
 class TestBesselKernel:
