@@ -45,8 +45,9 @@ _TWO_PI_I_SQ = (2j * math.pi) ** 2
 # tol = 1e-12 on r = 1 and NEG), and the default truncation tolerance of
 # build_contours.  Over the benchmark catalogues' builds the kernel at
 # h = 0.05 agrees with the rule at h/4 to 4.9e-14 of max(1, |K|); h = 0.075
-# leaves NEG and RIGHT 3e-12 off, and h = 0.1 4.4e-9.  F grows with r - q
-# as Gamma(z)^(r - q + 1), and the step shrinks with it:
+# leaves NEG and RIGHT 3e-12 off, and h = 0.1 4.4e-9.  Along the contours F
+# behaves like Gamma(z)^(r - q + 1) up to sine and power factors, so its
+# decay steepens with r - q and the step shrinks with it:
 # h = min(_STEP, 0.2 / (r - q + 1)), 0.05 up to r - q = 3.  With all
 # nu_j = 0.5 and q = 0 the kernel is off the residue series by 1.6e-5 of
 # max |K| at r = 8 with h = 0.05, and by 5.4e-11 with h = 0.2/9.
@@ -232,10 +233,10 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     on gammatilde, with u_0, v_0 the crossings (node 0).  Each contour ends
     at its first node from which on that bound's largest value over
     ``x_range`` is below ``tol`` at every candidate (:func:`_first_tip`);
-    if the last candidate is not below it, ConvergenceError is raised.  Every fill on the handle uses all the
-    nodes kept: along the hyperbolas the decay of F, not the argument
-    range, sets the node count, so a fill over a narrower range would need
-    nearly as many.  ``tol`` must lie in (0, 1): a bound of 1 or more
+    if the last candidate is not below it, ConvergenceError is raised.
+    Every fill on the handle uses all the nodes kept: along the hyperbolas
+    the decay of F, not the argument range, sets the node count, so a fill
+    over a narrower range would need nearly as many.  ``tol`` must lie in (0, 1): a bound of 1 or more
     truncates nothing reliably.
 
     The t-integral of the factored kernel (see :class:`ContourQuadrature`)
@@ -264,9 +265,10 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     du = h * a * (-np.sinh(theta) + 1j * math.sqrt(3.0) * np.cosh(theta))
     du[0] /= 2.0
 
-    # truncation: each contour's first node from which on ln |F(u) / F(v_0) x^-u|
-    # (gamma) or ln |F(u_0) / F(v) y^(v-1)| (gammatilde), at its largest over
-    # x_range, is below ln tol at every candidate
+    # truncation: each contour's first node from which on
+    # ln |F(u) / F(v_0) x^-u| (gamma) or ln |F(u_0) / F(v) y^(v-1)|
+    # (gammatilde), at its largest over x_range, is below ln tol at every
+    # candidate; u_0 and v_0 are the crossings, node 0
     ln_f = log_big_f(np.concatenate((u, v)), params)
     ln_fu, ln_fv = ln_f[: u.size], ln_f[u.size :]
     bounds = (np.stack((ln_fu.real - ln_fv.real[0], -u.real)), np.stack((ln_fu.real[0] - ln_fv.real, v.real - 1.0)))

@@ -32,6 +32,7 @@ BES = ProcessParams(1, 0, (0.5,))
 GIN2 = ProcessParams(2, 0, (0.0, 1.0))
 NEAR = ProcessParams(2, 0, (0.5, 0.5005))
 NU4 = ProcessParams(1, 0, (4.0,))
+GIN8 = ProcessParams(8, 0, tuple(float(j) for j in range(8)))
 # r = 6, q = 5: nu = 0.3, 1.1, ..., 4.3 and mu = 0.8, 1.6, ..., 4.0, in steps of 0.8
 R6Q5 = ProcessParams(6, 5, tuple(0.3 + 0.8 * j for j in range(6)), tuple(0.8 + 0.8 * k for k in range(5)))
 
@@ -234,14 +235,15 @@ class TestBuildContours:
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-12])
     @pytest.mark.parametrize("x_range", [(1e-6, 256.0), (0.5, 2.0)])
-    @pytest.mark.parametrize("params", [LEFT, NEG, NU4], ids=["LEFT", "NEG", "NU4"])
+    @pytest.mark.parametrize("params", [LEFT, NEG, NU4, GIN8], ids=["LEFT", "NEG", "NU4", "GIN8"])
     def test_tip_is_first_below_tol(self, params, x_range, tol):
         # each contour ends at its first node from which on
         # ln |F(u) / F(v_0) x^-u| on gamma, or ln |F(u_0) / F(v) y^(v-1)| on
         # gammatilde, at its largest over x_range, is below ln tol at every
         # candidate; checked on hyperbolas formed here.  For NU4 the first
         # nodes of gamma have Re u > 0, so there the x_lo side of the bound
-        # is the larger one
+        # is the larger one.  For GIN8 |F(u_0)| is 2.0e-10 and 3.6e-10, far
+        # from 1: a cut without the other crossing ends gamma too early
         cq = build_contours(params, x_range, tol)
         for ray, z in enumerate((cq.gamma_nodes, cq.gammatilde_nodes)):
             assert z.size // 2 == _scalar_nodes(params, ray, x_range[0], *x_range, tol)
