@@ -42,9 +42,6 @@ def _fmt(x: float) -> str:
 
 
 def _parse_float_list(text: str):
-    text = text.strip()
-    if not text:
-        return ()
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 

@@ -285,14 +285,16 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
         raise DomainError(f"nu_min = {params.nu_min} is too close to -1: the graded t-rule underflows") from None
     ln_t = np.log(rule.nodes)
     # T_u and -conj T_v (conj dv = -du) share the phases e^(-i Im u ln t); each magnitude is
-    # one real exp of its whole exponent (|Re ln F| < 148 at the benchmark nodes); the check below catches overflow
+    # one real exp of its whole exponent (|Re ln F| < 148 at the benchmark nodes); an overflow
+    # is left to the typed check below, with no numpy warning
     phase = np.outer(-rise[: max(n_u, n_v)], ln_t)
     phase = cexp(np.zeros_like(phase), phase)
     f_uv = cexp(np.zeros(n_u + n_v), np.concatenate((ln_fu.imag[:n_u], ln_fv.imag[:n_v])))  # F's phases
     f_uv *= np.concatenate((du[:n_u] / _TWO_PI_I_SQ, -4.0 * du[:n_v]))
     f_u, f_v = f_uv[:n_u], f_uv[n_u:]
-    t_u = np.exp(ln_fu.real[:n_u, None] - np.outer(u.real, ln_t)) * (phase[:n_u] * f_u[:, None])
-    t_v = np.exp(np.outer(v.real - 1.0, ln_t) - ln_fv.real[:n_v, None]) * rule.weights * (phase[:n_v] * f_v[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_u = np.exp(ln_fu.real[:n_u, None] - np.outer(u.real, ln_t)) * (phase[:n_u] * f_u[:, None])
+        t_v = np.exp(np.outer(v.real - 1.0, ln_t) - ln_fv.real[:n_v, None]) * rule.weights * (phase[:n_v] * f_v[:, None])
     coeffs = np.empty((2 * (n_u + n_v), _T_POINTS))
     for rows, t in ((coeffs[: 2 * n_u], t_u), (coeffs[2 * n_u :], t_v)):
         rows[0::2], rows[1::2] = t.imag, t.real

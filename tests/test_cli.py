@@ -17,6 +17,7 @@ from meijergap.asymptotics import compute_coeffs
 from meijergap.errors import SingularityError
 from meijergap.fredholm import gauss_legendre_grid, log_gap_determinant
 from meijergap.kernel import BesselKernel, ProcessParams
+from meijergap.verify import run_checks
 
 LEFT_FLAGS = ["--r", "3", "--q", "2", "--nu", "1.31,2.15,3.19", "--mu", "1.87,2.61"]
 BESSEL_FLAGS = ["--r", "1", "--q", "0", "--nu", "0"]
@@ -244,6 +245,20 @@ class TestConfig:
         payload = json.loads(capsys.readouterr().out)  # flag overrode the config format
         assert payload["r"] == 3
 
+    def test_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "commented.cfg"
+        cfg.write_text("# Bessel case\n\nr = 1  # trailing comment\n   \nq = 0\nnu = 0\n")
+        assert cli.main(["coeffs", "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert cli.main(["coeffs", *BESSEL_FLAGS]) == 0
+        assert from_file == capsys.readouterr().out
+
+    def test_line_without_equals_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("r = 1\nq 0\n")
+        assert cli.main(["coeffs", "--config", str(cfg), "--nu", "0"]) == 2
+        assert "malformed config line: 'q 0'" in capsys.readouterr().err
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -341,6 +356,16 @@ def test_overflowing_parameter_exits_2():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_overflowing_contour_factors_exit_2():
+    """Contour factors past the largest double (mu = 200) are reported by
+    the build's typed AccuracyError alone: exit 2 with no numpy warning,
+    under -W error too."""
+    proc = _run_module("kernel", "--r", "2", "--q", "1", "--nu", "0.5,1", "--mu", "200", "--x", "0.5", "--y", "0.7")
+    assert proc.returncode == 2, proc.stderr
+    assert "non-finite separable coefficients" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_overflowing_fill_exits_2():
     """Powers x^-u past the largest double in the kernel fill are reported
     by the typed AccuracyError alone: exit 2 with no numpy warning, under
@@ -359,6 +384,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("[PASS]") >= 10
         assert "[FAIL]" not in out
+
+    def test_unknown_level_raises(self):
+        with pytest.raises(ValueError, match="level must be 'fast' or 'full'"):
+            run_checks("medium")
 
     def test_detects_injected_fault(self, monkeypatch, capsys):
         import meijergap.asymptotics

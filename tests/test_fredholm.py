@@ -64,7 +64,7 @@ class TestGrid:
         table = {-0.9: 21, -0.5: 4, 0.0: 2, 0.5: 2, 0.999: 2, 1.0: 1, 1.31: 1, 5.0: 1}
         assert {nu_min: kappa_for_nu_min(nu_min) for nu_min in table} == table
 
-    @pytest.mark.parametrize("bad", [(0.0, 10), (-1.0, 10), (2.0, 1), (math.inf, 10)])
+    @pytest.mark.parametrize("bad", [(0.0, 10), (-1.0, 10), (2.0, 1), (math.inf, 10), (1.0, 10, 0)])
     def test_invalid_inputs(self, bad):
         with pytest.raises(DomainError):
             gauss_legendre_grid(*bad)
@@ -72,6 +72,12 @@ class TestGrid:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             FredholmGrid(s=1.0, m=2, nodes=np.array([0.2, 0.1]), weights=np.array([0.5, 0.5]))
+        nodes = np.array([0.25, 0.75])
+        for weights in ([1.0, 0.0], [1.5, -0.5]):
+            with pytest.raises(DomainError, match="weights must be positive"):
+                FredholmGrid(s=1.0, m=2, nodes=nodes, weights=np.array(weights))
+        with pytest.raises(DomainError, match="weights must sum to s"):
+            FredholmGrid(s=1.0, m=2, nodes=nodes, weights=np.array([0.5, 0.6]))
 
 
 class TestLegendreRule:
@@ -175,6 +181,15 @@ class _SingularHandle:
         return np.diag(1.0 / self.grid.weights)
 
 
+class _NegativeHandle(_SingularHandle):
+    """Makes I - sqrt(w) K sqrt(w) = diag(-1, 1, ..., 1), determinant -1."""
+
+    def matrix(self, nodes):
+        k = np.zeros((self.grid.m, self.grid.m))
+        k[0, 0] = 2.0 / self.grid.weights[0]
+        return k
+
+
 class TestLogGapDeterminant:
     def test_negative_and_decreasing(self):
         kernel = BesselKernel(0.0)
@@ -186,3 +201,8 @@ class TestLogGapDeterminant:
         g = gauss_legendre_grid(1.0, 8)
         with pytest.raises(SingularityError):
             log_gap_determinant(1.0, g, _SingularHandle(g))
+
+    def test_negative_determinant_raises(self):
+        g = gauss_legendre_grid(1.0, 8)
+        with pytest.raises(SingularityError, match="negative discretized determinant"):
+            log_gap_determinant(1.0, g, _NegativeHandle(g))

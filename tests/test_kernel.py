@@ -16,6 +16,7 @@ from meijergap.kernel import (
     MeijerKernel,
     ProcessParams,
     _cluster_poles,
+    _first_tip,
     _kernel_matrix,
     _series_factors,
     build_contours,
@@ -143,6 +144,12 @@ class TestProcessParams:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             ProcessParams(2, 0, (0.5,))
+        with pytest.raises(DomainError, match="mu must have length q = 1"):
+            ProcessParams(2, 1, (0.5, 1.0), (0.3, 0.4))
+
+    def test_non_integer_r(self):
+        with pytest.raises(DomainError, match="r and q must be integers"):
+            ProcessParams(2.5, 0, (0.5, 1.0))
 
 
 class TestLogBigF:
@@ -269,6 +276,19 @@ class TestBuildContours:
         # the smallest double
         with pytest.raises(DomainError, match="too close to -1"):
             build_contours(ProcessParams(1, 0, (-0.9,)), (0.1, 1.0), 1e-12)
+
+    def test_overflowing_factors_raise_accuracy_error(self):
+        # mu = 200 puts |F| near e^1000 on the crossing: the stored factors
+        # overflow and the finiteness check raises, with no numpy warning
+        # (the suite turns warnings into errors)
+        with pytest.raises(AccuracyError, match="non-finite separable coefficients"):
+            build_contours(ProcessParams(2, 1, (0.5, 1.0), (200.0,)), (0.1, 1.0))
+
+    def test_first_tip_when_every_bound_is_below_tol(self):
+        # rows (ln |F| part, power): every node's bound is below ln tol
+        # over [0.1, 10], so the contour keeps node 0 alone
+        bounds = np.array([[-40.0, -50.0, -60.0], [1.0, 2.0, 3.0]])
+        assert _first_tip(bounds, math.log(0.1), math.log(10.0), math.log(1e-12)) == 0
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -682,6 +702,20 @@ class TestKernelSeries:
         for x, y in ((-1.0, 0.5), (math.nan, 0.5), (0.5, math.nan)):
             with pytest.raises(DomainError, match="must be positive"):
                 kernel_eval_series(x, y, LEFT)
+
+    def test_nearly_coincident_pole_families_raise(self):
+        # the ring radius is 0.35 of the smallest gap between clusters and
+        # must stay at 1e-6 or more: nu_2 - nu_1 = 1e-6 raises, 3e-6 does not
+        with pytest.raises(ConvergenceError, match="pole families nearly coincide"):
+            kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (0.5, 0.5 + 1e-6)))
+        assert math.isfinite(kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (0.5, 0.5 + 3e-6))))
+
+    def test_truncated_series_raises(self, monkeypatch):
+        # six residue clusters per chain leave a last term far above 1e-14
+        # of the partial sum
+        monkeypatch.setattr(kernel, "_SERIES_TERMS", 6)
+        with pytest.raises(ConvergenceError, match="residue series not converged"):
+            kernel_eval_series(0.5, 0.7, BES)
 
     @pytest.mark.parametrize("x", [0.05, 2.0])
     @pytest.mark.parametrize(

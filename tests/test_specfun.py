@@ -5,6 +5,7 @@ oracles use scipy where a routine exists and mpmath otherwise.
 """
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -90,6 +91,10 @@ class TestLogGamma:
     def test_overflow_guard(self):
         with pytest.raises(RangeError):
             log_gamma(1e307)
+
+    def test_non_finite_argument(self):
+        with pytest.raises(DomainError, match="finite real and imaginary parts"):
+            log_gamma(complex(math.inf, 0.0))
 
     def test_conjugation_symmetry(self):
         rng = np.random.default_rng(5)
@@ -206,6 +211,15 @@ class TestLogBarnesG:
     def test_pole_error(self):
         with pytest.raises(PoleError):
             log_barnes_g(0.0)
+
+    @pytest.mark.parametrize(
+        "z, where", [(-2.0, "(-2+0j)"), (-3.0 + 1e-14j, "(-3+1e-14j)"), (np.array([2.5, -1.0, -4.0]), "(-1+0j)")]
+    )
+    def test_pole_error_names_the_first_pole(self, z, where):
+        # log_gamma catches the pole at the entry's first shift point, which
+        # is the entry itself, so the message names the first pole given
+        with pytest.raises(PoleError, match=re.escape(f"argument {where} is at")):
+            log_barnes_g(z)
 
     def test_overflow_raises_range_error_without_warnings(self):
         with warnings.catch_warnings():
