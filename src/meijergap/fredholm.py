@@ -25,9 +25,23 @@ _WEIGHT_SUM_TOL = 1e-12
 def _legendre_rule(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
 
-    Every caller shares the returned arrays, so they are read-only.
+    The nodes are numpy's ``leggauss`` nodes, within 7e-17 of mpmath's up to
+    n = 400.  Its weights are not: they are 1.1e-12, 2.2e-11 and 5.7e-10
+    relative off mpmath's at n = 80, 200 and 400.  Each weight is therefore
+    recomputed as 2 / ((1 - x^2) P_n'(x)^2), with P_n-1(x) and P_n(x) from
+    the three-term recurrence and P_n' = n (P_n-1 - x P_n) / (1 - x^2), and
+    the rule is symmetrized; measured against mpmath at 40 digits the
+    weights are 1.6e-15, 1.4e-14, 5.1e-14 and 1.9e-12 relative off at
+    n = 13, 80, 200 and 400.  Every caller shares the returned arrays, so
+    they are read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, _ = np.polynomial.legendre.leggauss(n)
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    dp = n * (p_prev - x * p) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 0.5 * (w + w[::-1])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

