@@ -27,6 +27,7 @@ oracle keeps numpy's complex ``exp``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -506,21 +507,24 @@ def _cluster_poles(bases, radius):
     return poles, keep, radius
 
 
-def _sum_residues(locs, ring, amps, z):
+def _sum_residues(locs, ring, coeffs, z):
     """-(sum of residues) of amp(t) z^t over the listed pole clusters, each
     extracted by trapezoidal integration on a small circle.  ``ring`` holds
     the offsets t - loc of the upper half k = 0..M/2 of an M-point circle,
-    M = _RING_POINTS, and ``amps`` the amplitudes amp(t) at those points of
-    each cluster's circle, shape (cluster, ring point).  ``z`` may be a
-    vector; returns one value per z, and per z the gap between that value
-    and the same sum over every other ring point.  The circle rule is
-    spectrally accurate and handles higher-order (logarithmic) poles with no
-    special casing, but only while z^t varies slowly around the ring; the
-    gap grows where |ln z| is too large for the ring to resolve.  The
-    leading minus sign matches the orientation of the defining loop contour.
+    M = _RING_POINTS, and ``coeffs`` the amplitudes amp(t) at those points
+    of each cluster's circle times the offsets and the fold weights below,
+    shape (2, cluster, ring point): the full ring's weights, then the
+    every-other-point ones (see :func:`_series_rings`, which builds them
+    once per parameter set).  ``z`` may be a vector; returns one value per
+    z, and per z the gap between that value and the same sum over every
+    other ring point.  The circle rule is spectrally accurate and handles
+    higher-order (logarithmic) poles with no special casing, but only while
+    z^t varies slowly around the ring; the gap grows where |ln z| is too
+    large for the ring to resolve.  The leading minus sign matches the
+    orientation of the defining loop contour.
 
     The powers separate, z^t = z^loc z^(t - loc), so each cluster's ring
-    mean is one complex matrix product, amplitudes amp(t) (t - loc) over
+    mean is one complex matrix product, the coefficients over
     (cluster, ring point) times the ring powers z^(t - loc) over
     (ring point, z), scaled by the real z^loc: one exp per (cluster, z) and
     one per (ring point, z).  The parameters and pole locations are real and
@@ -535,11 +539,8 @@ def _sum_residues(locs, ring, amps, z):
     oracle stays an independent route, so the kernel-oracle check of
     ``meijergap verify`` checks cexp too.
     """
-    k = np.arange(ring.size)
-    full = np.where((k == 0) | (k == k[-1]), 1.0, 2.0) / _RING_POINTS
-    weights = np.stack((full, np.where(k % 2 == 0, 2.0 * full, 0.0)))
     ln_z = np.log(np.asarray(z, dtype=float))
-    means = ((amps * ring * weights[:, None]) @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs, ln_z))
+    means = (coeffs @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs, ln_z))
     per_cluster, per_cluster_even = means  # (n_locs, nz) each: full ring, every other point
     totals = -per_cluster.sum(axis=0)
     gap = np.abs(totals + per_cluster_even.sum(axis=0))
@@ -550,9 +551,13 @@ def _sum_residues(locs, ring, amps, z):
     return totals, gap
 
 
-def _series_factors(z1, z2, params: ProcessParams):
-    """Series values of the two kernel factors, G1 at ``z1`` and G2 at
-    ``z2``, each with its ring gap (see :func:`_sum_residues`).
+@functools.lru_cache(maxsize=8)
+@np.errstate(over="ignore", invalid="ignore")
+def _series_rings(params: ProcessParams):
+    """The parts of :func:`kernel_eval_series` that depend on ``params``
+    alone, computed once per parameter set: the residue rings of the two
+    kernel factors, each as the ``(locs, ring, coeffs)`` that
+    :func:`_sum_residues` takes, and the oracle's t-rule (nodes, weights).
 
     G1 sums the residues of F(-t) z^t = Gamma(-t) prod_k Gamma(1+mu_k+t) /
     prod_j Gamma(1+nu_j+t) z^t over the chain t = 0, 1, 2, ...; its rings
@@ -573,8 +578,20 @@ def _series_factors(z1, z2, params: ProcessParams):
     remaining rings.  The parameters enter the ratios as (1 + p) - 1, the
     value that log_big_f's arguments 1 + p - z carry, so a pole of another
     chain near a ring sits where log_big_f puts it.
+
+    The cache is keyed on the ``ProcessParams``, whose fields are
+    normalized to ints and floats, so parameters given as ints or as floats
+    share an entry; it keeps the 8 most recent parameter sets.  Every
+    returned array is shared by the calls on that entry and is read-only.
+    Errors are not cached: a parameter set that raises (nearly coincident
+    pole families, an underflowing t-rule) raises on every call.
     """
+    kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
+    grid = gauss_legendre_grid(1.0, _SERIES_T_POINTS, kappa)
     half = np.exp(2j * math.pi * np.arange(_RING_POINTS // 2 + 1) / _RING_POINTS)
+    k = np.arange(half.size)
+    full = np.where((k == 0) | (k == k[-1]), 1.0, 2.0) / _RING_POINTS
+    weights = np.stack((full, np.where(k % 2 == 0, 2.0 * full, 0.0)))  # full ring, every other point
     room = min(0.25, 0.35 * (1.0 + min(params.mu))) if params.q else 0.25
     chains = (_cluster_poles((0.0,), room), _cluster_poles(params.nu, 0.25))
     # F's argument on every ring of every chain, shape (chain, step, ring point)
@@ -588,7 +605,7 @@ def _series_factors(z1, z2, params: ProcessParams):
     links = (args[0][:, _SERIES_HEAD_RINGS:], args[1][:, _SERIES_HEAD_RINGS - 1 : -1])
     mu, nu = ((1.0 + np.asarray(p)) - 1.0 for p in (params.mu, params.nu))
     out = []
-    for (poles, keep, radius), amp, link, z in zip(chains, amp_heads, links, (z1, z2)):
+    for (poles, keep, radius), amp, link in zip(chains, amp_heads, links):
         num, den = np.ones_like(link), link.copy()
         for m in mu:
             num *= m - link
@@ -596,8 +613,13 @@ def _series_factors(z1, z2, params: ProcessParams):
             den *= v - link
         amps = np.concatenate((amp, num / den), axis=1)
         amps[:, _SERIES_HEAD_RINGS - 1 :] = np.cumprod(amps[:, _SERIES_HEAD_RINGS - 1 :], axis=1)
-        out.append(_sum_residues(poles.ravel()[keep], radius * half, amps.reshape(-1, half.size)[keep], z))
-    return out
+        ring = radius * half
+        out.append((poles.ravel()[keep], ring, amps.reshape(-1, half.size)[keep] * ring * weights[:, None]))
+    out.append((grid.nodes, grid.weights))
+    for arrays in out:
+        for a in arrays:
+            a.setflags(write=False)
+    return tuple(out)
 
 
 def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
@@ -605,15 +627,18 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
 
     Evaluates K(x, y) = int_0^1 G_1(t x) G_2(t y) dt where each factor is the
     single-contour series of a Meijer G-function, summed over _SERIES_TERMS
-    residue clusters per pole chain (see :func:`_series_factors`).  The
+    residue clusters per pole chain (see :func:`_series_rings`).  The
     t-integrand behaves like t^nu_min near 0, so the integral is computed by
     _SERIES_T_POINTS-point Gauss-Legendre quadrature after the regularizing
     substitution t = tau^kappa with kappa = max(4, ceil(4 / (1 + nu_min))).
-    Both factors are evaluated at all t-nodes at once: one
-    :func:`log_big_f` call on the upper halves of the first
-    _SERIES_HEAD_RINGS rings of each chain, a cumulative product of gamma
-    ratios down the rest of each chain, and one exp per (cluster, node) and
-    per (ring point, node) (see :func:`_sum_residues`).
+    The rings' amplitudes (one :func:`log_big_f` call on the upper halves
+    of the first _SERIES_HEAD_RINGS rings of each chain, a cumulative
+    product of gamma ratios down the rest of each chain) and the t-rule
+    depend on ``params`` alone: :func:`_series_rings` computes them once
+    per parameter set and keeps the 8 most recent sets, as read-only
+    arrays.  Each call evaluates both factors at all t-nodes at once, with
+    one exp per (cluster, node) and per (ring point, node) (see
+    :func:`_sum_residues`).
 
     The ring-resolution gaps of the two factors, weighted by the quadrature
     weights and the other factor, bound the error the residue rings add to
@@ -622,13 +647,11 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     ConvergenceError is raised.
     """
     x, y = float(x), float(y)
-    if not (x > 0.0 and y > 0.0):  # NaN fails too
-        raise DomainError("kernel arguments must be positive")
-    kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
-    grid = gauss_legendre_grid(1.0, _SERIES_T_POINTS, kappa)
-    t, dt = grid.nodes, grid.weights
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):  # NaN fails too
+        raise DomainError("kernel arguments must be positive and finite")
+    rings1, rings2, (t, dt) = _series_rings(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        (g1, gap1), (g2, gap2) = _series_factors(t * x, t * y, params)
+        (g1, gap1), (g2, gap2) = _sum_residues(*rings1, t * x), _sum_residues(*rings2, t * y)
         ring_err = float(np.sum(dt * (gap1 * np.abs(g2) + np.abs(g1) * gap2)))
     if not ring_err <= _SERIES_RING_TOL:  # unresolved rings overflow: inf and NaN included
         raise ConvergenceError(

@@ -18,7 +18,8 @@ from meijergap.kernel import (
     _cluster_poles,
     _first_tip,
     _kernel_matrix,
-    _series_factors,
+    _series_rings,
+    _sum_residues,
     build_contours,
     kernel_eval,
     kernel_eval_series,
@@ -122,6 +123,23 @@ def _power_norms(cq, ln_x):
     q = np.exp(np.outer(ln_x, cq.gammatilde_nodes[:n_v] - 1.0))
     p_norms, q_norms = (np.abs(z.real) + np.abs(z.imag) for z in (p, q))
     return p_norms, q_norms, n_u, n_v
+
+
+def _series_factors(z, params):
+    """The residue series of both kernel factors, G1 and G2, at the points z,
+    each as (values, ring gaps), from the cached rings of ``params``."""
+    rings1, rings2, _ = _series_rings(params)
+    return _sum_residues(*rings1, z), _sum_residues(*rings2, z)
+
+
+@pytest.fixture
+def fresh_series_rings():
+    """An empty residue-ring cache before and after the test: a test that
+    patches what the rings are built from must neither read an entry built
+    without its patch nor leave one built with it."""
+    _series_rings.cache_clear()
+    yield
+    _series_rings.cache_clear()
 
 
 def _sum_residues_full_ring(locs, radius, ln_num, z):
@@ -694,7 +712,7 @@ class TestKernelSeries:
         p = ProcessParams(1, 0, (0.5,))
         z = 0.25
         ref = z ** (-0.25) * bessel_j(0.5, 2.0 * math.sqrt(z))
-        (got, _), _ = _series_factors(np.array([z]), np.array([z]), p)
+        (got, _), _ = _series_factors(np.array([z]), p)
         assert abs(got[0] - ref) < 1e-13
 
     def test_factors_against_mpmath(self):
@@ -703,7 +721,7 @@ class TestKernelSeries:
         z = 0.35
         g1_ref = complex(mp.meijerg([[-0.7], []], [[0], [-0.5, -1.2]], z))
         g2_ref = complex(mp.meijerg([[], [0.7]], [[0.5, 1.2], [0]], z))
-        (g1, _), (g2, _) = _series_factors(np.array([z]), np.array([z]), p)
+        (g1, _), (g2, _) = _series_factors(np.array([z]), p)
         assert abs(g1[0] - g1_ref) < 1e-12
         assert abs(g2[0] - g2_ref) < 1e-12
 
@@ -716,7 +734,7 @@ class TestKernelSeries:
         p = ProcessParams(2, 1, (0.5, 1.2), (mu,))
         z = 0.35
         g1_ref = complex(mp.meijerg([[-mu], []], [[0], [-0.5, -1.2]], z))
-        (g1, _), _ = _series_factors(np.array([z]), np.array([z]), p)
+        (g1, _), _ = _series_factors(np.array([z]), p)
         assert abs(g1[0] - g1_ref) < 1e-12
 
     def test_double_pole_case_against_mpmath(self):
@@ -724,7 +742,7 @@ class TestKernelSeries:
         p = ProcessParams(2, 0, (0.0, 0.0))
         z = 0.5
         g2_ref = complex(mp.meijerg([[], []], [[0.0, 0.0], [0]], z))
-        _, (g2, _) = _series_factors(np.array([z]), np.array([z]), p)
+        _, (g2, _) = _series_factors(np.array([z]), p)
         assert abs(g2[0] - g2_ref) < 1e-12
 
     def test_mu_near_minus_one_agrees_with_contour(self):
@@ -745,17 +763,66 @@ class TestKernelSeries:
         cq = build_contours(params, (0.25, 1.0), 1e-12)
         assert abs(kernel_eval_series(0.5, 0.5, params) - kernel_eval(0.5, 0.5, cq)) < 1e-8
 
-    def test_t_quadrature_refinement(self, monkeypatch):
+    def test_t_quadrature_refinement(self, monkeypatch, fresh_series_rings):
         p = ProcessParams(2, 0, (0.0, 1.0))
         fine = kernel_eval_series(0.5, 0.8, p)
         monkeypatch.setattr(kernel, "_SERIES_T_POINTS", 40)
+        _series_rings.cache_clear()
         coarse = kernel_eval_series(0.5, 0.8, p)
+        # the coarse value comes from a 40-point rule, not the cached 80-point one
+        assert _series_rings.cache_info().misses == 1
+        assert _series_rings.cache_info().currsize == 1
+        assert _series_rings(p)[2][0].size == 40
         assert abs(coarse - fine) < 1e-10
 
     def test_positive_arguments_required(self):
-        for x, y in ((-1.0, 0.5), (math.nan, 0.5), (0.5, math.nan)):
-            with pytest.raises(DomainError, match="must be positive"):
+        bad = (-1.0, 0.0, math.nan, math.inf, -math.inf)
+        for x, y in [(b, 0.5) for b in bad] + [(0.5, b) for b in bad]:
+            with pytest.raises(DomainError, match="must be positive and finite"):
                 kernel_eval_series(x, y, LEFT)
+
+    def test_second_call_reuses_rings(self, monkeypatch, fresh_series_rings):
+        # the rings and the t-rule are built once per parameter set: a second
+        # call makes no log_big_f call and keeps the bits of a call on an
+        # empty cache
+        first = kernel_eval_series(0.5, 0.7, LEFT)
+        calls = []
+
+        def counting(z, params):
+            calls.append(np.size(z))
+            return log_big_f(z, params)
+
+        monkeypatch.setattr(kernel, "log_big_f", counting)
+        again = kernel_eval_series(0.5, 0.7, LEFT)
+        assert calls == [] and _series_rings.cache_info().hits == 1
+        monkeypatch.undo()
+        _series_rings.cache_clear()
+        assert first == again == kernel_eval_series(0.5, 0.7, LEFT)
+
+    def test_int_and_float_parameters_share_rings(self, fresh_series_rings):
+        as_ints = kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (0, 1)))
+        as_floats = kernel_eval_series(0.5, 0.7, ProcessParams(2.0, 0.0, (0.0, 1.0)))
+        info = _series_rings.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert as_ints == as_floats
+
+    def test_cached_rings_are_read_only(self, fresh_series_rings):
+        entry = _series_rings(LEFT)
+        arrays = [a for part in entry for a in part]
+        assert len(arrays) == 8
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+        assert _series_rings(LEFT) is entry
+
+    def test_errors_are_not_cached(self, fresh_series_rings):
+        # a parameter set that raises while its rings are built raises again
+        # on the next call, and leaves no entry
+        for params, error in ((ProcessParams(2, 0, (0.5, 0.5 + 1e-6)), ConvergenceError), (ProcessParams(1, 0, (-0.99,)), DomainError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    kernel_eval_series(0.5, 0.7, params)
+        assert _series_rings.cache_info().currsize == 0
 
     def test_nearly_coincident_pole_families_raise(self):
         # the ring radius is 0.35 of the smallest gap between clusters and
@@ -764,7 +831,7 @@ class TestKernelSeries:
             kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (0.5, 0.5 + 1e-6)))
         assert math.isfinite(kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (0.5, 0.5 + 3e-6))))
 
-    def test_truncated_series_raises(self, monkeypatch):
+    def test_truncated_series_raises(self, monkeypatch, fresh_series_rings):
         # six residue clusters per chain leave a last term far above 1e-14
         # of the partial sum
         monkeypatch.setattr(kernel, "_SERIES_TERMS", 6)
@@ -786,7 +853,7 @@ class TestKernelSeries:
         # are measured on that sum
         kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
         z = x * gauss_legendre_grid(1.0, kernel._SERIES_T_POINTS, kappa).nodes
-        got = _series_factors(z, z, params)
+        got = _series_factors(z, params)
         integrands = (((0.0,), lambda t: log_big_f(-t, params)), (params.nu, lambda t: -log_big_f(1.0 + t, params)))
         for (total, gap), (bases, ln_num) in zip(got, integrands):
             poles, keep, radius = _cluster_poles(bases, 0.25)
@@ -825,7 +892,7 @@ class TestKernelSeries:
         for x, y in ((0.05, 2.0), (2.0, 0.05), (0.5, 0.7), (1.3, 1.3)):
             assert abs(kernel_eval_series(x, y, params) - kernel_eval(x, y, cq)) < 1e-13
 
-    def test_ring_points_are_folded(self, monkeypatch):
+    def test_ring_points_are_folded(self, monkeypatch, fresh_series_rings):
         # LEFT has one pole chain at 0, 1, ... and three at nu_j + k; ln F is
         # evaluated on the first _SERIES_HEAD_RINGS = 3 rings of each chain,
         # on the upper half of each ring (21 of its 40 points), in one call
