@@ -507,6 +507,22 @@ def _cluster_poles(bases, radius):
     return poles, keep, radius
 
 
+def _clusters_needed(locs, ring, coeffs, ln_top):
+    """How many leading clusters a call of :func:`_sum_residues` whose
+    largest argument is z_top = e^ln_top sums.  Each cluster's term at
+    z_top is formed, and the count runs to the last term above 1e-17 of
+    their sum (floored, as in the tail check, by 1e-16 of the largest
+    term), plus one cluster for that check.  Every term past it is below a
+    quarter of an ulp of the sum at z_top, and as z falls a later
+    cluster's term, whose location is higher, falls faster than the terms
+    before it.  Where the terms are not finite, every cluster is summed."""
+    top = (coeffs[0] @ np.exp(ring * ln_top)).real * np.exp(locs * ln_top)
+    cut = 1e-17 * (abs(top.sum()) + 1e-16 * np.abs(top).max())
+    if not np.isfinite(cut):
+        return locs.size
+    return min(locs.size, int(np.flatnonzero(np.abs(top) > cut).max(initial=-1)) + 2)
+
+
 def _sum_residues(locs, ring, coeffs, z):
     """-(sum of residues) of amp(t) z^t over the listed pole clusters, each
     extracted by trapezoidal integration on a small circle.  ``ring`` holds
@@ -517,11 +533,15 @@ def _sum_residues(locs, ring, coeffs, z):
     every-other-point ones (see :func:`_series_rings`, which builds them
     once per parameter set).  ``z`` may be a vector; returns one value per
     z, and per z the gap between that value and the same sum over every
-    other ring point.  The circle rule is spectrally accurate and handles
-    higher-order (logarithmic) poles with no special casing, but only while
-    z^t varies slowly around the ring; the gap grows where |ln z| is too
-    large for the ring to resolve.  The leading minus sign matches the
-    orientation of the defining loop contour.
+    other ring point.  Only the leading clusters that the largest z needs
+    are summed (:func:`_clusters_needed`), and the last cluster summed is
+    the one the tail check measures.  The clusters left out sit below
+    rounding: on the tested families the sums and gaps keep the bits of the
+    sums over every cluster.  The circle rule is spectrally accurate and
+    handles higher-order (logarithmic) poles with no special casing, but
+    only while z^t varies slowly around the ring; the gap grows where
+    |ln z| is too large for the ring to resolve.  The leading minus sign
+    matches the orientation of the defining loop contour.
 
     The powers separate, z^t = z^loc z^(t - loc), so each cluster's ring
     mean is one complex matrix product, the coefficients over
@@ -540,8 +560,9 @@ def _sum_residues(locs, ring, coeffs, z):
     ``meijergap verify`` checks cexp too.
     """
     ln_z = np.log(np.asarray(z, dtype=float))
-    means = (coeffs @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs, ln_z))
-    per_cluster, per_cluster_even = means  # (n_locs, nz) each: full ring, every other point
+    n = _clusters_needed(locs, ring, coeffs, ln_z.max())
+    means = (coeffs[:, :n] @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs[:n], ln_z))
+    per_cluster, per_cluster_even = means  # (n, nz) each: full ring, every other point
     totals = -per_cluster.sum(axis=0)
     gap = np.abs(totals + per_cluster_even.sum(axis=0))
     tail = np.abs(per_cluster[-1])
@@ -637,8 +658,8 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     depend on ``params`` alone: :func:`_series_rings` computes them once
     per parameter set and keeps the 8 most recent sets, as read-only
     arrays.  Each call evaluates both factors at all t-nodes at once, with
-    one exp per (cluster, node) and per (ring point, node) (see
-    :func:`_sum_residues`).
+    one exp per (ring point, node) and per (cluster, node), over the
+    clusters the largest t x or t y needs (see :func:`_sum_residues`).
 
     The ring-resolution gaps of the two factors, weighted by the quadrature
     weights and the other factor, bound the error the residue rings add to

@@ -5,12 +5,14 @@ The gamma-family routines run no data-dependent loop.  ``log_gamma`` and
 ``digamma`` do a fixed amount of numpy work per point: they apply their
 Stirling series directly where Re z >= 10 or |Im z| >= 10; inside the strip
 |Im z| < 10 they reflect Re z < 1/2 to 1 - z and shift the rest once, by at
-most 10, with an exact recurrence.  ``log_barnes_g`` shifts by its own
-recurrence, one log-gamma point per step, and takes every log-gamma it
-needs from one ``log_gamma`` call; it raises RangeError where Re z < -1000,
-so its work is bounded by 1012 log-gamma points per argument.
-This keeps the accuracy uniform on the vertical strips and far rays
-traversed by the kernel contours.
+most 10, with an exact recurrence.  This keeps the accuracy uniform on
+the vertical strips and far rays traversed by the kernel contours.
+``log_barnes_g`` shifts by its own recurrence, n = ceil(11 - Re z) steps,
+and writes the shift's log-gammas through ln Gamma(z + n) and principal
+logs: one Stirling point and n logs per argument, and no ``log_gamma``
+call.  It raises RangeError where Re z < -1000, so n is at most 1011.
+Stirling's series for ln Gamma is one private helper, which both
+functions call.
 
 No complex ``np.log`` runs in them: each principal log is
 ln|z| + i arctan2(Im z, Re z), the recurrence shift is summed in real
@@ -68,7 +70,7 @@ _SHIFT_STEPS.flags.writeable = False
 
 _POLE_TOL = 1e-12
 
-# log_barnes_g shifts by ceil(11 - Re z) steps, one log-gamma point each;
+# log_barnes_g shifts by ceil(11 - Re z) steps, one principal log each;
 # below this bound (a shift of more than 1011 steps) it raises RangeError
 _BARNES_RE_MIN = -1000.0
 
@@ -203,6 +205,13 @@ def _accumulate(op, rows):
     return rows
 
 
+def _stirling(v):
+    """ln Gamma(v) by Stirling's series through B_16, for Re v >= 10 or
+    |Im v| >= 10, its sum by Horner's rule in 1/v^2."""
+    vinv = 1.0 / v
+    return (v - 0.5) * _log(v) - v + 0.5 * _LN_2PI + _horner(_LOG_GAMMA_SERIES, vinv * vinv) * vinv
+
+
 def log_gamma(z):
     """Principal branch of ln Gamma(z), analytic on C minus (-inf, 0].
 
@@ -235,9 +244,7 @@ def log_gamma(z):
     refl, w, n = _strip(z)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        v = w + n
-        vinv = 1.0 / v
-        res = (v - 0.5) * _log(v) - v + 0.5 * _LN_2PI + _horner(_LOG_GAMMA_SERIES, vinv * vinv) * vinv
+        res = _stirling(w + n)
         near, b, x, last = _shift_rows(w, n)
         arg = _accumulate(np.add, np.arctan2(b, x))[last]
         x *= x  # in place, |w + j|^2
@@ -291,31 +298,40 @@ def log_barnes_g(z):
         ln G(w+1) = w^2/4 + w ln Gamma(w+1) - (w(w+1)/2 + 1/12) ln w
                     - 1/12 + zeta'(-1) + sum_k B_{2k+2}/(2k(2k+1)(2k+2) w^{2k})
 
-    is evaluated at w = z + n - 1, its sum by Horner's rule in 1/w^2 and
-    ln w as ln|w| + i arctan2 of the parts.  Every log-gamma, the sum(n)
-    shift points and the expansion's own, comes from one :func:`log_gamma`
-    call; the shift is summed per entry in order of j.  The imaginary part
-    inherits a consistent branch from the principal log-gammas used in the
-    shift.  Re z < -1000 raises RangeError before anything is sized by the
-    shift, so the work stays bounded.
+    is evaluated at w = z + n - 1, its sum by Horner's rule in 1/w^2.
+    Since ln Gamma(v+1) = ln Gamma(v) + ln v for the principal branches,
+    the shift is
+
+        sum_{j<n} ln Gamma(z+j) = n ln Gamma(z+n) - sum_{i<n} (i+1) ln(z+i),
+
+    so each argument takes one Stirling evaluation, at z + n (Re >= 11),
+    and n principal logs, each ln|z+i| + i arctan2 of the parts, summed
+    per entry in order of i; no :func:`log_gamma` call is made.  The
+    imaginary part inherits the branch of those principal log-gammas, and
+    a signed-zero imaginary part picks the side of the cut, as in
+    :func:`log_gamma`.  Re z < -1000 raises RangeError before anything is
+    sized by the shift, so the work stays bounded.
     """
     arr = _as_complex_array(z)
     scalar = arr.ndim == 0
     w = np.atleast_1d(arr).ravel()
     if np.any(w.real < _BARNES_RE_MIN):
         raise RangeError(f"log_barnes_g supports Re z >= {_BARNES_RE_MIN:g}; got {w[w.real < _BARNES_RE_MIN][0]}")
+    _check_poles(w)
 
-    # each entry with Re z < 11 is its own first shift point, so the log_gamma
-    # call below raises PoleError at the poles of G (z = 0, -1, -2, ...)
     n = np.maximum(np.ceil(_SHIFT_THRESHOLD + 1 - w.real), 0.0).astype(np.intp)
     entry = np.repeat(np.arange(w.size), n)
-    j = np.arange(entry.size) - np.repeat(np.cumsum(n) - n, n)
+    i = np.arange(entry.size) - np.repeat(np.cumsum(n) - n, n)
+    x, b = w.real[entry] + i, w.imag[entry]
+    weight = i + 1.0  # ln(z + i) enters the shift i + 1 times
     v = w + n - 1.0  # expansion variable: ln G(z) = ln G(v+1) - shift
-    lg = log_gamma(np.concatenate((w[entry] + j, v + 1.0)))
-    lg_shift, lg_v = lg[: entry.size], lg[entry.size :]
-    shift = _complex(np.bincount(entry, lg_shift.real, w.size), np.bincount(entry, lg_shift.imag, w.size))
 
     with np.errstate(over="ignore", invalid="ignore"):
+        logs = _complex(
+            np.bincount(entry, weight * (0.5 * np.log(x * x + b * b)), w.size),
+            np.bincount(entry, weight * np.arctan2(b, x), w.size),
+        )
+        lg_v = _stirling(v + 1.0)
         u = 1.0 / (v * v)
         res = (
             v * v / 4.0
@@ -324,7 +340,7 @@ def log_barnes_g(z):
             - 1.0 / 12.0
             + zeta_prime_minus1()
             + u * _horner(_BARNES_SERIES, u)
-            - shift
+            - (n * lg_v - logs)
         )
     _guard_finite(res)
     return complex(res[0]) if scalar else res.reshape(arr.shape)

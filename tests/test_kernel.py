@@ -16,6 +16,7 @@ from meijergap.kernel import (
     MeijerKernel,
     ProcessParams,
     _cluster_poles,
+    _clusters_needed,
     _first_tip,
     _kernel_matrix,
     _series_rings,
@@ -36,8 +37,13 @@ NEAR = ProcessParams(2, 0, (0.5, 0.5005))
 NU4 = ProcessParams(1, 0, (4.0,))
 GIN6 = ProcessParams(6, 0, tuple(float(j) for j in range(6)))
 GIN8 = ProcessParams(8, 0, tuple(float(j) for j in range(8)))
+HALF8 = ProcessParams(8, 0, (0.5,) * 8)
 # r = 6, q = 5: nu = 0.3, 1.1, ..., 4.3 and mu = 0.8, 1.6, ..., 4.0, in steps of 0.8
 R6Q5 = ProcessParams(6, 5, tuple(0.3 + 0.8 * j for j in range(6)), tuple(0.8 + 0.8 * k for k in range(5)))
+# the families on which the residue sums' cluster cut is checked
+CUT_FAMILIES = pytest.mark.parametrize(
+    "params", [BES, GIN2, LEFT, RIGHT, GIN6, HALF8, NEAR], ids=["BES", "GIN2", "LEFT", "RIGHT", "GIN6", "HALF8", "NEAR"]
+)
 
 
 def _hyperbolas(params, x_lo):
@@ -140,6 +146,15 @@ def fresh_series_rings():
     _series_rings.cache_clear()
     yield
     _series_rings.cache_clear()
+
+
+def _sum_residues_every_cluster(locs, ring, coeffs, z):
+    """The sums and gaps of :func:`_sum_residues` over every cluster of the
+    rings, with no cut and no tail check."""
+    ln_z = np.log(z)
+    per_cluster, per_cluster_even = (coeffs @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs, ln_z))
+    totals = -per_cluster.sum(axis=0)
+    return totals, np.abs(totals + per_cluster_even.sum(axis=0))
 
 
 def _sum_residues_full_ring(locs, radius, ln_num, z):
@@ -826,17 +841,54 @@ class TestKernelSeries:
 
     def test_nearly_coincident_pole_families_raise(self):
         # the ring radius is 0.35 of the smallest gap between clusters and
-        # must stay at 1e-6 or more: nu_2 - nu_1 = 1e-6 raises, 3e-6 does not
+        # must stay at 1e-6 or more: nu_2 - nu_1 = 1e-6 raises, 3e-6 does
+        # not.  At 3e-6 the residues of each pole pair cancel: at (0.5, 0.7)
+        # the second factor's largest term is 1.4e6 times its sum.  So the
+        # cluster cut is measured against the sum; a cut at 1e-17 of the
+        # largest term left the tail check's cluster above 1e-14 of the sum,
+        # and this call raised
         with pytest.raises(ConvergenceError, match="pole families nearly coincide"):
             kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (0.5, 0.5 + 1e-6)))
         assert math.isfinite(kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (0.5, 0.5 + 3e-6))))
 
     def test_truncated_series_raises(self, monkeypatch, fresh_series_rings):
         # six residue clusters per chain leave a last term far above 1e-14
-        # of the partial sum
+        # of the partial sum: every cluster is above the cut, so the tail
+        # check measures the sixth
         monkeypatch.setattr(kernel, "_SERIES_TERMS", 6)
+        rings, _, (t, _) = _series_rings(BES)
+        assert _clusters_needed(*rings, math.log(t.max() * 0.7)) == 6
         with pytest.raises(ConvergenceError, match="residue series not converged"):
             kernel_eval_series(0.5, 0.7, BES)
+
+    @pytest.mark.parametrize("x", [0.05, 1.0, 2.1])
+    @CUT_FAMILIES
+    def test_cut_keeps_the_bits_of_every_cluster(self, params, x, monkeypatch):
+        # each call sums only the leading clusters its largest z needs; over
+        # the oracle's t-rule its sums and gaps equal those over every
+        # cluster bit for bit, and each factor leaves clusters out
+        needed, counts = _clusters_needed, []
+
+        def counting(locs, ring, coeffs, ln_top):
+            counts.append((needed(locs, ring, coeffs, ln_top), locs.size))
+            return counts[-1][0]
+
+        monkeypatch.setattr(kernel, "_clusters_needed", counting)
+        rings1, rings2, (t, _) = _series_rings(params)
+        for rings in (rings1, rings2):
+            got = _sum_residues(*rings, t * x)
+            ref = _sum_residues_every_cluster(*rings, t * x)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert len(counts) == 2 and all(n < size for n, size in counts)
+
+    @CUT_FAMILIES
+    def test_clusters_needed_grow_with_x(self, params):
+        # the largest t x sets the cut: later clusters' terms grow faster
+        # with z, so larger arguments need more of them
+        rings1, rings2, (t, _) = _series_rings(params)
+        for rings in (rings1, rings2):
+            counts = [_clusters_needed(*rings, math.log(t.max() * x)) for x in (0.05, 0.3, 1.0, 2.1, 4.0)]
+            assert counts == sorted(counts) and counts[0] < counts[-1] < rings[0].size
 
     @pytest.mark.parametrize("x", [0.05, 2.0])
     @pytest.mark.parametrize(

@@ -185,6 +185,21 @@ class TestDigamma:
         assert np.max(np.abs(digamma(z) - scipy_psi(z)) / np.abs(scipy_psi(z))) < 1e-13
 
 
+def _assert_near_mpmath(z, bound):
+    """log_barnes_g(z) against mpmath's log G at 30 digits: each part within
+    ``bound`` of max(1, |ln G|), the imaginary part modulo 2 pi, since
+    mpmath takes the principal log of G.  Each bound is about three times
+    the largest error measured on its points, which leaves room for another
+    platform's libm."""
+    with mp.workdps(30):
+        ref = np.array([complex(mp.log(mp.barnesg(mp.mpc(v.real, v.imag)))) for v in z])
+    val = log_barnes_g(z)
+    scale = np.maximum(1.0, np.abs(ref))
+    assert np.max(np.abs(val.real - ref.real) / scale) < bound
+    turns = np.remainder(val.imag - ref.imag + np.pi, 2 * np.pi) - np.pi
+    assert np.max(np.abs(turns) / scale) < bound
+
+
 class TestLogBarnesG:
     def test_trivial_values(self):
         assert abs(log_barnes_g(1.0)) < 1e-12
@@ -216,8 +231,8 @@ class TestLogBarnesG:
         "z, where", [(-2.0, "(-2+0j)"), (-3.0 + 1e-14j, "(-3+1e-14j)"), (np.array([2.5, -1.0, -4.0]), "(-1+0j)")]
     )
     def test_pole_error_names_the_first_pole(self, z, where):
-        # log_gamma catches the pole at the entry's first shift point, which
-        # is the entry itself, so the message names the first pole given
+        # the entries are checked for poles in order, before the shift, so
+        # the message names the first pole given
         with pytest.raises(PoleError, match=re.escape(f"argument {where} is at")):
             log_barnes_g(z)
 
@@ -228,7 +243,7 @@ class TestLogBarnesG:
                 log_barnes_g(1e200)
 
     def test_far_left_raises_range_error_without_warnings(self):
-        # the shift takes one log-gamma point per step; Re z < -1000 is
+        # the shift takes one principal log per step; Re z < -1000 is
         # refused before the step count is sized, not allocated for
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -238,19 +253,60 @@ class TestLogBarnesG:
             assert math.isfinite(log_barnes_g(-999.5).real)
 
     def test_complex_against_mpmath(self):
-        # the oracle batch range; the imaginary part is compared modulo 2 pi,
-        # since mpmath's log G takes the principal log of G.  Both parts read
-        # at most 6.9e-14 of max(1, |ln G|) on these points; the bound leaves
-        # a factor 3 for another platform's libm.
+        # the oracle batch range, Re in (0.5, 20) and |Im| < 20: 2.6e-14
+        # measured
         rng = np.random.default_rng(23)
-        z = rng.uniform(0.5, 20.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
-        with mp.workdps(30):
-            ref = np.array([complex(mp.log(mp.barnesg(mp.mpc(v)))) for v in z])
-        val = log_barnes_g(z)
-        scale = np.maximum(1.0, np.abs(ref))
-        assert np.max(np.abs(val.real - ref.real) / scale) < 2e-13
-        turns = np.remainder(val.imag - ref.imag + np.pi, 2 * np.pi) - np.pi
-        assert np.max(np.abs(turns) / scale) < 2e-13
+        _assert_near_mpmath(rng.uniform(0.5, 20.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40), 8e-14)
+
+    @pytest.mark.parametrize(
+        "re_range, im_max, bound",
+        [((0.01, 6.0), 0.0, 1.5e-13), ((-60.0, 0.5), 15.0, 5e-14), ((-900.0, -60.0), 15.0, 4e-15)],
+        ids=["real", "left", "far left"],
+    )
+    def test_against_mpmath_by_region(self, re_range, im_max, bound):
+        # measured: 6.1e-14 on the real interval (0.01, 6), 1.6e-14 on
+        # Re in (-60, 0.5) and 1.2e-15 on Re in (-900, -60), |Im| < 15
+        rng = np.random.default_rng(29)
+        _assert_near_mpmath(rng.uniform(*re_range, 60) + 1j * rng.uniform(-im_max, im_max, 60), bound)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            complex(-999.5, 0.0),
+            complex(-999.5, -0.0),
+            complex(-3.25, 0.0),
+            complex(-3.25, -0.0),
+            complex(-0.5, 0.0),
+            complex(-7.5, 2.0),
+            complex(-40.3, -0.5),
+            complex(-612.7, 14.0),
+            complex(2.5, 3.0),
+        ],
+    )
+    def test_branch_matches_log_gamma_shift(self, z):
+        # ln G(z) = ln G(z + n) - sum_{j<n} ln Gamma(z + j) with principal
+        # log-gammas, n = ceil(11 - Re z), and no reduction modulo 2 pi: the
+        # imaginary part carries the branch those log-gammas give, a
+        # signed-zero imaginary part included
+        n = math.ceil(11.0 - z.real)
+        shifted = np.empty(n, dtype=complex)
+        shifted.real, shifted.imag = z.real + np.arange(n), z.imag  # keeps the sign of a zero Im z
+        lg = log_gamma(shifted)
+        ref = log_barnes_g(complex(z.real + n, z.imag)) - complex(math.fsum(lg.real), math.fsum(lg.imag))
+        assert abs(log_barnes_g(z) - ref) <= 1e-13 * abs(ref)
+
+    def test_conjugation_symmetry(self):
+        # bit for bit, on the shifted strip, the far left and the real axis
+        # with both signs of a zero imaginary part
+        rng = np.random.default_rng(29)
+        z = np.concatenate(
+            [
+                rng.uniform(-60.0, 20.0, 200) + 1j * rng.uniform(-20.0, 20.0, 200),
+                rng.uniform(-1000.0, -60.0, 40) + 1j * rng.uniform(-15.0, 15.0, 40),
+                rng.uniform(-60.0, 20.0, 40) + 0j,
+            ]
+        )
+        assert np.array_equal(log_barnes_g(np.conj(z)), np.conj(log_barnes_g(z)))
 
 
 class TestHurwitzZetaPrime:
