@@ -49,8 +49,8 @@ def _legendre_rule(n: int):
 
 @dataclass(frozen=True)
 class FredholmGrid:
-    """Quadrature rule on (0, s): strictly increasing nodes, positive weights
-    summing to s."""
+    """Quadrature rule on (0, s): m strictly increasing nodes and m positive
+    weights summing to s."""
 
     s: float
     m: int
@@ -58,6 +58,8 @@ class FredholmGrid:
     weights: np.ndarray
 
     def __post_init__(self):
+        if self.nodes.shape != (self.m,) or self.weights.shape != self.nodes.shape:
+            raise DomainError("grid nodes and weights must be m values each")
         if not (np.all(np.diff(self.nodes) > 0) and self.nodes[0] > 0 and self.nodes[-1] < self.s):
             raise DomainError("grid nodes must increase strictly inside (0, s)")
         if np.any(self.weights <= 0):

@@ -103,6 +103,17 @@ def _t_points(kappa: int, rho: float, x_hi: float) -> int:
     return 8 * math.ceil(max(16.0 + 5.0 * math.sqrt(kappa * x_hi**rho), min(4.0 * kappa, 72.0)) / 8.0)
 
 
+def _graded_t_rule(n: int, kappa: int, nu_min: float):
+    """The n-point t-rule on (0, 1) graded as t = tau^kappa, for the builds
+    and for the residue-series oracle.  Near nu_min = -1 kappa is so large
+    that the first node underflows to 0; that is reported in terms of
+    nu_min, not of the grid."""
+    try:
+        return gauss_legendre_grid(1.0, n, kappa)
+    except DomainError:
+        raise DomainError(f"nu_min = {nu_min} is too close to -1: the graded t-rule underflows") from None
+
+
 # Rounding guard of the fill: the largest admitted ratio of an entry's
 # rounding bound E to max(1, |K|).  E / max(1, |K|) peaks at 2.6e-11 over
 # every fill of the benchmark catalogues (LEFT, sweep at s = 256), at 1.1e-12
@@ -329,11 +340,7 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     u, v = u[:n_u], v[:n_v]
 
     kappa = math.ceil(_T_GRADING / span)
-    n_t = _t_points(kappa, 1.0 / (params.r - params.q + 1), x_hi)
-    try:
-        rule = gauss_legendre_grid(1.0, n_t, kappa)
-    except DomainError:
-        raise DomainError(f"nu_min = {params.nu_min} is too close to -1: the graded t-rule underflows") from None
+    rule = _graded_t_rule(_t_points(kappa, 1.0 / (params.r - params.q + 1), x_hi), kappa, params.nu_min)
     ln_t = np.log(rule.nodes)
     # T_u and -conj T_v (conj dv = -du) share the phases e^(-i Im u ln t); each magnitude is
     # one real exp of its whole exponent (|Re ln F| < 148 at the benchmark nodes); an overflow
@@ -346,7 +353,7 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     with np.errstate(over="ignore", invalid="ignore"):
         t_u = np.exp(ln_fu.real[:n_u, None] - np.outer(u.real, ln_t)) * (phase[:n_u] * f_u[:, None])
         t_v = np.exp(np.outer(v.real - 1.0, ln_t) - ln_fv.real[:n_v, None]) * rule.weights * (phase[:n_v] * f_v[:, None])
-    coeffs = np.empty((2 * (n_u + n_v), n_t))
+    coeffs = np.empty((2 * (n_u + n_v), rule.m))
     for rows, t in ((coeffs[: 2 * n_u], t_u), (coeffs[2 * n_u :], t_v)):
         rows[0::2], rows[1::2] = t.imag, t.real
     coeffs[np.abs(coeffs) < _TINY] = 0.0
@@ -607,8 +614,7 @@ def _series_rings(params: ProcessParams):
     Errors are not cached: a parameter set that raises (nearly coincident
     pole families, an underflowing t-rule) raises on every call.
     """
-    kappa = max(4, math.ceil(4.0 / (1.0 + params.nu_min)))
-    grid = gauss_legendre_grid(1.0, _SERIES_T_POINTS, kappa)
+    grid = _graded_t_rule(_SERIES_T_POINTS, max(4, math.ceil(4.0 / (1.0 + params.nu_min))), params.nu_min)
     half = np.exp(2j * math.pi * np.arange(_RING_POINTS // 2 + 1) / _RING_POINTS)
     k = np.arange(half.size)
     full = np.where((k == 0) | (k == k[-1]), 1.0, 2.0) / _RING_POINTS

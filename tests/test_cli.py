@@ -16,12 +16,15 @@ from meijergap import cli
 from meijergap.asymptotics import compute_coeffs
 from meijergap.errors import SingularityError
 from meijergap.fredholm import gauss_legendre_grid, log_gap_determinant
-from meijergap.kernel import BesselKernel, ProcessParams
+from meijergap.kernel import BesselKernel, ProcessParams, _series_rings, kernel_eval_series
 from meijergap.verify import run_checks
 
 LEFT_FLAGS = ["--r", "3", "--q", "2", "--nu", "1.31,2.15,3.19", "--mu", "1.87,2.61"]
 BESSEL_FLAGS = ["--r", "1", "--q", "0", "--nu", "0"]
+NEG_FLAGS = ["--r", "2", "--q", "0", "--nu=-0.5,0.7"]
 NEG_LN_C = compute_coeffs(ProcessParams(2, 0, (-0.5, 0.7))).ln_c
+RIGHT_LN_C = compute_coeffs(ProcessParams(4, 1, (1.31, 2.15, 2.61, 3.19), (1.87,))).ln_c
+SWEEP_FLAGS = ["--s-min", "1", "--s-max", "256", "--points", "9"]
 
 
 class TestCoeffs:
@@ -79,11 +82,12 @@ class TestKernelCmd:
     @pytest.mark.parametrize("nu, x", [("0.5", 1e-18), ("2", 1e-16)])
     def test_near_zero_matches_bessel_reduction(self, capsys, nu, x):
         # K(x, 1) = 4 x^(-nu/2) K_Be(4x, 4) at r = 1: 0.554365664794229 and
-        # 0.0644716247372014 here; the earlier panel contours printed 4.2165
-        # for nu = 0.5 and exited 2 for nu = 2
+        # 0.0644716247372014 here, which the kernel meets to 1e-14; the
+        # earlier panel contours printed 4.2165 for nu = 0.5 and exited 2
+        # for nu = 2
         assert cli.main(["kernel", "--r", "1", "--q", "0", "--nu", nu, "--x", str(x), "--y", "1"]) == 0
         ref = 4.0 * x ** (-float(nu) / 2.0) * BesselKernel(float(nu)).matrix([4.0 * x, 4.0])[0, 1]
-        assert abs(float(capsys.readouterr().out) - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(float(capsys.readouterr().out) - ref) <= 1e-12 * abs(ref)
 
     def test_heavy_grading_matches_bessel_reduction(self, capsys):
         # r = 1, nu = -0.8: the t-rule is graded as t = tau^46, and on
@@ -301,6 +305,111 @@ class TestConfig:
         assert from_file == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "60")
         assert from_file != det(*BESSEL_FLAGS, "--s", "4")
         assert det("--config", str(cfg), "--nodes", "80") == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "80")
+
+
+def _printed(argv, capsys, tmp_path):
+    """The number a run prints on stdout."""
+    assert cli.main(argv) == 0
+    return float(capsys.readouterr().out)
+
+
+def _ln_c(argv, capsys, tmp_path):
+    """lnC from a ``coeffs --format json`` run."""
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)["lnC"]
+
+
+def _log_det_at_1(argv, capsys, tmp_path):
+    """ln det on the s = 1 row of a ``converge`` run's CSV."""
+    out = tmp_path / "run.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows = (line.split(",") for line in out.read_text().splitlines()[1:])
+    return next(float(log_det) for s, log_det, *_ in rows if float(s) == 1.0)
+
+
+def _series_twice(params, capsys, tmp_path):
+    """kernel_eval_series(0.5, 0.7) twice on an empty ring cache: the first
+    call builds the parameter set's residue rings and t-rule, the second
+    reuses them (one miss, one hit) and keeps the first call's bits."""
+    first, again = (kernel_eval_series(0.5, 0.7, params) for _ in range(2))
+    info = _series_rings.cache_info()
+    assert (info.misses, info.hits, again) == (1, 1, first)
+    return first
+
+
+PINNED = [
+    # a 9-point sweep on one shared kernel handle built for s_max, whose
+    # fills all multiply every stored contour node
+    pytest.param(
+        _log_det_at_1, ["converge", *LEFT_FLAGS, *SWEEP_FLAGS, "--nodes", "100"], -0.0355654591394162, 1e-10,
+        id="converge-LEFT",
+    ),
+    # the same sweep near x = 0: NEG's kappa = 4 grids reach x = 1.7e-18 and
+    # |K| = 5e8, so no fill is cleared by the rounding guard's scalar screen
+    # and each takes the entrywise one
+    pytest.param(
+        _log_det_at_1, ["converge", *NEG_FLAGS, *SWEEP_FLAGS, "--nodes", "200"], -1.86517667113037, 1e-10,
+        id="converge-NEG",
+    ),
+    # grid, contour build, fill and slogdet, as a user's `meijergap det`
+    # runs them; only a finite positive value is checked until the grading
+    # of ROADMAP item 1 moves it (LEFT at s = 32 is on an ungraded kappa = 1
+    # grid; it prints 1.31477424424167e-07)
+    pytest.param(_printed, ["det", *LEFT_FLAGS, "--s", "32", "--nodes", "200"], None, None, id="det-LEFT"),
+    # NEG's kappa = 4 grid puts its first node at x = 1.7e-18, where the
+    # fill's phases Im(u) ln x are largest
+    pytest.param(
+        _printed, ["det", *NEG_FLAGS, "--s", "1", "--nodes", "200"], 0.154868846613637, 1e-10, id="det-NEG"
+    ),
+    # a contour build on (0.9 x, 1.1 y) and one pointwise fill
+    pytest.param(
+        _printed, ["kernel", *LEFT_FLAGS, "--x", "0.5", "--y", "1.5"], 0.140871742376504, 1e-10, id="kernel-LEFT"
+    ),
+    # r - q = 6, twice the benchmark catalogue's largest r - q, on the finer
+    # step h = 0.2/7: it prints 0.00792590367238966, and the residue series
+    # gives 0.007925903672389647 (1.3e-15 apart)
+    pytest.param(
+        _printed, ["kernel", "--r", "6", "--q", "0", "--nu", "0,1,2,3,4,5", "--x", "0.5", "--y", "0.7"],
+        0.007925903672389647, 1e-10, id="kernel-r6",
+    ),
+    # the residue series quoted above, bit for bit
+    pytest.param(
+        _series_twice, ProcessParams(6, 0, (0, 1, 2, 3, 4, 5)), 0.007925903672389647, 0.0, id="series-r6"
+    ),
+    # r - q = 8, where |F| at gamma's crossing is 3.6e-10: the truncation
+    # measures each contour's terms against the other contour's crossing,
+    # so gamma keeps its digits; it prints 0.000197795776450792, and the
+    # residue series gives 0.00019779577645079929
+    pytest.param(
+        _printed, ["kernel", "--r", "8", "--q", "0", "--nu", "0,1,2,3,4,5,6,7", "--x", "0.5", "--y", "0.7"],
+        0.00019779577645079929, 1e-10, id="kernel-r8",
+    ),
+    # the entry point prints the library's value; TestComputeCoeffs pins
+    # that to 1e-12 of the closed form in mpmath at 40 digits
+    pytest.param(
+        _ln_c, ["coeffs", "--r", "4", "--q", "1", "--nu", "1.31,2.15,2.61,3.19", "--mu", "1.87", "--format", "json"],
+        RIGHT_LN_C, 0.0, id="coeffs-RIGHT",
+    ),
+    # nu_1 = -0.9 puts G(1 + nu_1) at G(0.1), shifted by 11 recurrence
+    # steps; lnC reads -5.044303703287843, and the closed form in mpmath at
+    # 40 digits gives -5.0443037032878310
+    pytest.param(
+        _ln_c, ["coeffs", "--r", "2", "--q", "1", "--nu=-0.9,3.5", "--mu", "0.2", "--format", "json"],
+        -5.0443037032878310, 1e-12, id="coeffs-near-pole",
+    ),
+]
+
+
+@pytest.mark.parametrize("read, args, ref, rtol", PINNED)
+def test_pinned_value(read, args, ref, rtol, capsys, tmp_path, fresh_series_rings):
+    """The values the subcommands print on the showcase sets, past the
+    benchmark catalogue and near a pole of G, each pinned to its reference
+    under -W error; every row starts on an empty residue-ring cache."""
+    value = read(args, capsys, tmp_path)
+    if ref is None:
+        assert 0.0 < value < math.inf
+    else:
+        assert abs(value - ref) <= rtol * abs(ref), f"{value!r} is not {ref!r} to {rtol:g}"
 
 
 def _run_module(*argv, stdout=subprocess.PIPE):

@@ -80,6 +80,14 @@ class TestGrid:
         with pytest.raises(DomainError, match="weights must sum to s"):
             FredholmGrid(s=1.0, m=2, nodes=nodes, weights=np.array([0.5, 0.6]))
 
+    def test_grid_sizes_must_match_m(self):
+        # the determinant strides the diagonal by m: on a 6-point rule
+        # labelled m = 5, BesselKernel(0) gave ln det -94.596, not -0.500
+        g = gauss_legendre_grid(2.0, 6)
+        for m, weights in ((5, g.weights), (7, g.weights), (6, g.weights[:5]), (6, g.weights[:, None])):
+            with pytest.raises(DomainError, match="must be m values each"):
+                FredholmGrid(s=2.0, m=m, nodes=g.nodes, weights=weights)
+
 
 class TestLegendreRule:
     def test_shared_arrays_are_read_only(self):

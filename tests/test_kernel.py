@@ -138,16 +138,6 @@ def _series_factors(z, params):
     return _sum_residues(*rings1, z), _sum_residues(*rings2, z)
 
 
-@pytest.fixture
-def fresh_series_rings():
-    """An empty residue-ring cache before and after the test: a test that
-    patches what the rings are built from must neither read an entry built
-    without its patch nor leave one built with it."""
-    _series_rings.cache_clear()
-    yield
-    _series_rings.cache_clear()
-
-
 def _sum_residues_every_cluster(locs, ring, coeffs, z):
     """The sums and gaps of :func:`_sum_residues` over every cluster of the
     rings, with no cut and no tail check."""
@@ -839,6 +829,19 @@ class TestKernelSeries:
                     kernel_eval_series(0.5, 0.7, params)
         assert _series_rings.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("nu", [-0.97, -0.99])
+    def test_t_rule_underflow_raises(self, nu, fresh_series_rings):
+        # kappa = ceil(4 / (1 + nu)) = 134 and 400 send the first node of
+        # the 80-point t-rule below the smallest double; the oracle reports
+        # it in the build's words, not the grid's, and caches nothing
+        params = ProcessParams(1, 0, (nu,))
+        with pytest.raises(DomainError, match="too close to -1: the graded t-rule underflows") as series:
+            kernel_eval_series(0.5, 0.7, params)
+        with pytest.raises(DomainError) as build:
+            build_contours(params, (0.1, 1.0))
+        assert str(series.value) == str(build.value)
+        assert _series_rings.cache_info().currsize == 0
+
     def test_nearly_coincident_pole_families_raise(self):
         # the ring radius is 0.35 of the smallest gap between clusters and
         # must stay at 1e-6 or more: nu_2 - nu_1 = 1e-6 raises, 3e-6 does
@@ -880,6 +883,22 @@ class TestKernelSeries:
             ref = _sum_residues_every_cluster(*rings, t * x)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
         assert len(counts) == 2 and all(n < size for n, size in counts)
+
+    def test_non_finite_terms_sum_every_cluster(self, monkeypatch):
+        # at t x up to 1e300 the first factor's terms overflow, so the cut
+        # is not finite and every cluster is summed; the NaN that follows
+        # fails the ring check as a ConvergenceError, with no numpy warning
+        # (the suite turns warnings into errors)
+        needed, counts = _clusters_needed, []
+
+        def counting(locs, ring, coeffs, ln_top):
+            counts.append((needed(locs, ring, coeffs, ln_top), locs.size))
+            return counts[-1][0]
+
+        monkeypatch.setattr(kernel, "_clusters_needed", counting)
+        with pytest.raises(ConvergenceError, match="residue rings unresolved"):
+            kernel_eval_series(1e300, 0.5, BES)
+        assert counts[0] == (48, 48)
 
     @CUT_FAMILIES
     def test_clusters_needed_grow_with_x(self, params):
