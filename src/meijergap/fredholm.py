@@ -50,15 +50,14 @@ def _legendre_rule(n: int):
 @dataclass(frozen=True)
 class FredholmGrid:
     """Quadrature rule on (0, s): m strictly increasing nodes and m positive
-    weights summing to s."""
+    weights summing to s, with m the size of ``nodes``."""
 
     s: float
-    m: int
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.nodes.shape != (self.m,) or self.weights.shape != self.nodes.shape:
+        if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
             raise DomainError("grid nodes and weights must be m values each")
         if not (np.all(np.diff(self.nodes) > 0) and self.nodes[0] > 0 and self.nodes[-1] < self.s):
             raise DomainError("grid nodes must increase strictly inside (0, s)")
@@ -66,6 +65,10 @@ class FredholmGrid:
             raise DomainError("grid weights must be positive")
         if abs(float(np.sum(self.weights)) - self.s) > _WEIGHT_SUM_TOL * max(1.0, self.s):
             raise DomainError("grid weights must sum to s")
+
+    @property
+    def m(self) -> int:
+        return self.nodes.size
 
 
 def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
@@ -89,7 +92,7 @@ def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
     edge = s ** (1.0 / kappa)
     eta = edge * (t + 1) / 2
     w_eta = edge * w / 2
-    return FredholmGrid(s=s, m=m, nodes=eta**kappa, weights=kappa * eta ** (kappa - 1) * w_eta)
+    return FredholmGrid(s=s, nodes=eta**kappa, weights=kappa * eta ** (kappa - 1) * w_eta)
 
 
 def kappa_for_nu_min(nu_min: float) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 from .fredholm import gauss_legendre_grid
-from .specfun import bessel_j, cexp, log_gamma
+from .specfun import _at_poles, bessel_j, cexp, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
 
@@ -135,22 +135,14 @@ _MIN_EXPONENT = -600.0
 
 
 # Residue-series oracle: Gauss-Legendre points of the t-integral, residue
-# clusters per pole chain, and trapezoidal points on each residue ring
-# (even: the ring sums fold each ring over its conjugate symmetry).  The
-# oracle's t-rule stays at a fixed 80 points, apart from the contour
-# build's _t_points, so that the kernel-oracle checks test that rule.
+# clusters per pole chain (and per log_big_f call on the rings), and
+# trapezoidal points on each residue ring (even: the ring sums fold each
+# ring over its conjugate symmetry).  The oracle's t-rule stays at a fixed
+# 80 points, apart from the contour build's _t_points, so that the
+# kernel-oracle checks test that rule.
 _SERIES_T_POINTS = 80
 _SERIES_TERMS = 48
 _RING_POINTS = 40
-
-# Rings at the head of each pole chain whose amplitudes come from ln F; the
-# functional equation fills the rest of the chain from the last of them.  A
-# chain's first rings carry its largest residues, and where two chains' poles
-# nearly coincide those residues cancel: a rounding error carried down a
-# chain from one head ring then adds up over them.  For nu = (0.5, 0.5005)
-# the second factor's sums are off the rings evaluated one by one by up to
-# 7e-14, 2e-14 and 6e-16 of their magnitude sums with 1, 2 and 3 head rings.
-_SERIES_HEAD_RINGS = 3
 
 # Bound on the residue-series ring-resolution estimate: it reads at most
 # 1.7e-6 on the verify and benchmark families over x, y in [0.05, 2], and
@@ -238,18 +230,16 @@ class ContourQuadrature:
     and then -conj T_v, ready for that conj, as real rows, shape
     (Nu + Nv, n_t): row 2i is Im and row 2i + 1 Re of upper-half row i, so
     that the interleaved (real, imaginary) view of z^-u times a contour's
-    rows is Im(P_h T_u), or Im(Q_h T_v) / y^nu_min.  ``separable_magnitudes``
-    holds their 1-norms, shape ((Nu + Nv)/2, n_t), for the rounding bound,
-    and ``magnitude_norms`` the 2-norm over the t-rule of each of those
+    rows is Im(P_h T_u), or Im(Q_h T_v) / y^nu_min.  ``magnitude_norms``
+    holds the 2-norm over the t-rule of the 1-norms |Re| + |Im| of those
     rows, shape ((Nu + Nv)/2,), for the screen that clears most fills
-    without forming that bound (see :func:`_kernel_matrix`).
+    without forming the rounding bound (see :func:`_kernel_matrix`).
     """
 
     gamma_nodes: np.ndarray
     gammatilde_nodes: np.ndarray
     x_range: tuple
     separable_coeffs: np.ndarray = field(repr=False)
-    separable_magnitudes: np.ndarray = field(repr=False)
     magnitude_norms: np.ndarray = field(repr=False)
 
 
@@ -366,7 +356,6 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
         gammatilde_nodes=np.concatenate((v, np.conj(v))),
         x_range=(x_lo, x_hi),
         separable_coeffs=coeffs,
-        separable_magnitudes=mags,
         magnitude_norms=np.sqrt(np.einsum("ij,ij->i", mags, mags)),
     )
 
@@ -454,8 +443,8 @@ def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
         np.maximum(k_scale, 1.0, out=k_scale)  # max(1, |K|), NaN kept
         if np.all(np.outer(a, b) <= k_scale):  # NaN fails
             return vals
-        # neither screen clears the fill: form E
-        mags = cq.separable_magnitudes
+        # neither screen clears the fill: form E from the rows' 1-norms
+        mags = np.abs(rows[0::2]) + np.abs(rows[1::2])
         bound = (_EPS / _ROUNDING_LIMIT * (p_u @ mags[:n_u])) @ (scale[:, None] * (p_v @ mags[n_u:])).T
         if not np.all(bound <= k_scale):  # NaN fails too; bound is E / _ROUNDING_LIMIT
             ratio = _ROUNDING_LIMIT * bound / k_scale
@@ -490,28 +479,23 @@ class MeijerKernel:
 # ---------------------------------------------------------------------------
 
 def _cluster_poles(bases, radius):
-    """The pole chains b, b + 1, ..., b + _SERIES_TERMS - 1, one per distinct
-    base b, grouped into residue clusters, and the radius of the residue
+    """The pole chains b, b + 1, ..., b + _SERIES_TERMS - 1 of the given
+    bases, grouped into residue clusters, and the radius of the residue
     rings.
 
-    Returns the poles as a (chain, step) table, the flat indices into it of
-    the poles that stand for the clusters, in ascending order of location,
-    and the ring radius: the given one, or 0.35 of the smallest gap between
-    clusters if that is smaller.  One sort puts the poles in ascending
-    order, and a pole less than 1e-9 above the one before it joins that
-    pole's cluster, which is located at its lowest pole; where chains meet
-    exactly, the pole fewest steps from its chain's head stands for the
-    cluster.  ConvergenceError is raised where the radius falls below 1e-6:
-    the pole families nearly coincide.
+    Returns the cluster locations in ascending order and the ring radius:
+    the given one, or 0.35 of the smallest gap between clusters if that is
+    smaller.  One sort puts the poles in ascending order, and a pole less
+    than 1e-9 above the one before it joins that pole's cluster, which is
+    located at its lowest pole.  ConvergenceError is raised where the radius
+    falls below 1e-6: the pole families nearly coincide.
     """
-    poles = np.array(sorted(set(bases)), dtype=float)[:, None] + np.arange(_SERIES_TERMS)
-    flat, steps = poles.ravel(), np.tile(np.arange(_SERIES_TERMS), poles.shape[0])
-    order = np.lexsort((steps, flat))
-    keep = order[np.diff(flat[order], prepend=-np.inf) >= 1e-9]
-    radius = min(radius, 0.35 * float(np.diff(flat[keep]).min()))
+    poles = np.sort((np.asarray(bases, dtype=float)[:, None] + np.arange(_SERIES_TERMS)).ravel())
+    locs = poles[np.diff(poles, prepend=-np.inf) >= 1e-9]
+    radius = min(radius, 0.35 * float(np.diff(locs).min()))
     if radius < 1e-6:
         raise ConvergenceError("pole families nearly coincide; residue extraction is ill-conditioned")
-    return poles, keep, radius
+    return locs, radius
 
 
 def _clusters_needed(locs, ring, coeffs, ln_top):
@@ -594,18 +578,13 @@ def _series_rings(params: ProcessParams):
     prod_j Gamma(nu_j-t) / (Gamma(1+t) prod_k Gamma(mu_k-t)) z^t over the
     chains t = nu_j, nu_j + 1, ....
 
-    One :func:`log_big_f` call gives the amplitudes F(-t) and 1/F(1+t) on
-    the upper half of the first _SERIES_HEAD_RINGS rings of every chain.
-    The others follow by Gamma(z+1) = z Gamma(z): on F's argument z (-t for
-    G1, 1 + t for G2) one step along a chain is z -> z - 1 for G1 and
-    z -> z + 1 for G2, and
-
-        F(z) / F(z + 1) = prod_k (mu_k - z) / (z prod_j (nu_j - z)),
-
-    so a cumulative product of these ratios down each chain fills its
-    remaining rings.  The parameters enter the ratios as (1 + p) - 1, the
-    value that log_big_f's arguments 1 + p - z carry, so a pole of another
-    chain near a ring sits where log_big_f puts it.
+    The amplitudes F(-t) and 1/F(1+t) on the upper half of every cluster's
+    ring are exp(+-ln F) from :func:`log_big_f`, one call per block of at
+    most _SERIES_TERMS clusters, which keeps a first call's temporaries
+    small (RIGHT's G2 has 192 clusters).  A real ring point can fall on a
+    pole of a gamma function that divides the amplitude, 1/Gamma(1+nu_j+t)
+    in G1 or 1/Gamma(1+t) and 1/Gamma(mu_k-t) in G2, where log_big_f
+    raises: the amplitude there is 0, and ln F is taken at the other points.
 
     The cache is keyed on the ``ProcessParams``, whose fields are
     normalized to ints and floats, so parameters given as ints or as floats
@@ -620,28 +599,22 @@ def _series_rings(params: ProcessParams):
     full = np.where((k == 0) | (k == k[-1]), 1.0, 2.0) / _RING_POINTS
     weights = np.stack((full, np.where(k % 2 == 0, 2.0 * full, 0.0)))  # full ring, every other point
     room = min(0.25, 0.35 * (1.0 + min(params.mu))) if params.q else 0.25
-    chains = (_cluster_poles((0.0,), room), _cluster_poles(params.nu, 0.25))
-    # F's argument on every ring of every chain, shape (chain, step, ring point)
-    t1, t2 = (poles[:, :, None] + radius * half for poles, _, radius in chains)
-    args = (-t1, 1.0 + t2)
-    heads = [a[:, :_SERIES_HEAD_RINGS] for a in args]
-    ln_f = log_big_f(np.concatenate((heads[0].ravel(), heads[1].ravel())), params)
-    n1 = heads[0].size
-    amp_heads = (np.exp(ln_f[:n1]).reshape(heads[0].shape), np.exp(-ln_f[n1:]).reshape(heads[1].shape))
-    # the z of F(z) / F(z + 1) that links ring k to ring k + 1: ring k + 1's for G1, ring k's for G2
-    links = (args[0][:, _SERIES_HEAD_RINGS:], args[1][:, _SERIES_HEAD_RINGS - 1 : -1])
-    mu, nu = ((1.0 + np.asarray(p)) - 1.0 for p in (params.mu, params.nu))
     out = []
-    for (poles, keep, radius), amp, link in zip(chains, amp_heads, links):
-        num, den = np.ones_like(link), link.copy()
-        for m in mu:
-            num *= m - link
-        for v in nu:
-            den *= v - link
-        amps = np.concatenate((amp, num / den), axis=1)
-        amps[:, _SERIES_HEAD_RINGS - 1 :] = np.cumprod(amps[:, _SERIES_HEAD_RINGS - 1 :], axis=1)
+    # F's argument z on the rings is -t for G1 and 1 + t for G2, the amplitude F(z)^sign; its
+    # zeros are the poles of log_big_f's log-gammas of 1 + nu_j - z (G1), or of z and 1 + mu_k - z (G2)
+    for bases, radius, sign in (((0.0,), room, 1.0), (params.nu, 0.25, -1.0)):
+        locs, radius = _cluster_poles(bases, radius)
         ring = radius * half
-        out.append((poles.ravel()[keep], ring, amps.reshape(-1, half.size)[keep] * ring * weights[:, None]))
+        z = -(locs[:, None] + ring) if sign > 0 else 1.0 + (locs[:, None] + ring)
+        zeros = [_at_poles(1.0 + p - z) for p in (params.nu if sign > 0 else params.mu)]
+        if sign < 0:
+            zeros.append(_at_poles(z))
+        live = ~np.any(zeros, axis=0)
+        amps = np.zeros_like(z)
+        for block in range(0, locs.size, _SERIES_TERMS):
+            rows = slice(block, block + _SERIES_TERMS)
+            amps[rows][live[rows]] = np.exp(sign * log_big_f(z[rows][live[rows]], params))
+        out.append((locs, ring, amps * ring * weights[:, None]))
     out.append((grid.nodes, grid.weights))
     for arrays in out:
         for a in arrays:
@@ -658,14 +631,13 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     t-integrand behaves like t^nu_min near 0, so the integral is computed by
     _SERIES_T_POINTS-point Gauss-Legendre quadrature after the regularizing
     substitution t = tau^kappa with kappa = max(4, ceil(4 / (1 + nu_min))).
-    The rings' amplitudes (one :func:`log_big_f` call on the upper halves
-    of the first _SERIES_HEAD_RINGS rings of each chain, a cumulative
-    product of gamma ratios down the rest of each chain) and the t-rule
-    depend on ``params`` alone: :func:`_series_rings` computes them once
-    per parameter set and keeps the 8 most recent sets, as read-only
-    arrays.  Each call evaluates both factors at all t-nodes at once, with
-    one exp per (ring point, node) and per (cluster, node), over the
-    clusters the largest t x or t y needs (see :func:`_sum_residues`).
+    The rings' amplitudes (exp(+-ln F) from :func:`log_big_f` on the upper
+    half of every ring) and the t-rule depend on ``params`` alone:
+    :func:`_series_rings` computes them once per parameter set and keeps
+    the 8 most recent sets, as read-only arrays.  Each call evaluates both
+    factors at all t-nodes at once, with one exp per (ring point, node) and
+    per (cluster, node), over the clusters the largest t x or t y needs
+    (see :func:`_sum_residues`).
 
     The ring-resolution gaps of the two factors, weighted by the quadrature
     weights and the other factor, bound the error the residue rings add to

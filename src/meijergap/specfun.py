@@ -75,10 +75,16 @@ _POLE_TOL = 1e-12
 _BARNES_RE_MIN = -1000.0
 
 
+def _at_poles(z) -> np.ndarray:
+    """Mask of the entries within tolerance of 0, -1, -2, ...: the poles
+    :func:`log_gamma` refuses."""
+    n0 = np.round(z.real)
+    return (n0 <= 0) & (np.abs(z - n0) < _POLE_TOL)
+
+
 def _check_poles(z: np.ndarray) -> None:
     """Raise PoleError if any entry is within tolerance of 0, -1, -2, ..."""
-    n0 = np.round(z.real)
-    bad = (n0 <= 0) & (np.abs(z - n0) < _POLE_TOL)
+    bad = _at_poles(z)
     if np.any(bad):
         where = np.asarray(z)[bad].ravel()[0]
         raise PoleError(f"argument {where} is at (or within {_POLE_TOL} of) a nonpositive-integer pole")

@@ -72,21 +72,22 @@ class TestGrid:
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            FredholmGrid(s=1.0, m=2, nodes=np.array([0.2, 0.1]), weights=np.array([0.5, 0.5]))
+            FredholmGrid(s=1.0, nodes=np.array([0.2, 0.1]), weights=np.array([0.5, 0.5]))
         nodes = np.array([0.25, 0.75])
         for weights in ([1.0, 0.0], [1.5, -0.5]):
             with pytest.raises(DomainError, match="weights must be positive"):
-                FredholmGrid(s=1.0, m=2, nodes=nodes, weights=np.array(weights))
+                FredholmGrid(s=1.0, nodes=nodes, weights=np.array(weights))
         with pytest.raises(DomainError, match="weights must sum to s"):
-            FredholmGrid(s=1.0, m=2, nodes=nodes, weights=np.array([0.5, 0.6]))
+            FredholmGrid(s=1.0, nodes=nodes, weights=np.array([0.5, 0.6]))
 
     def test_grid_sizes_must_match_m(self):
-        # the determinant strides the diagonal by m: on a 6-point rule
-        # labelled m = 5, BesselKernel(0) gave ln det -94.596, not -0.500
+        # m is the size of the nodes, which must be 1-D, and the weights
+        # must have their shape: the determinant strides the diagonal by m
         g = gauss_legendre_grid(2.0, 6)
-        for m, weights in ((5, g.weights), (7, g.weights), (6, g.weights[:5]), (6, g.weights[:, None])):
+        assert g.m == 6
+        for nodes, weights in ((g.nodes, g.weights[:5]), (g.nodes, g.weights[:, None]), (g.nodes[None, :], g.weights[None, :])):
             with pytest.raises(DomainError, match="must be m values each"):
-                FredholmGrid(s=2.0, m=m, nodes=g.nodes, weights=weights)
+                FredholmGrid(s=2.0, nodes=nodes, weights=weights)
 
 
 class TestLegendreRule:

@@ -3,6 +3,7 @@ double-contour evaluation against the residue-series oracle, mpmath's
 independent Meijer-G evaluator, and the Bessel specialization."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -118,6 +119,13 @@ def _spy_tables(monkeypatch):
 def _stored_halves(cq):
     """The upper-half node counts n_u of gamma and n_v of gammatilde."""
     return cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2
+
+
+def _magnitudes(cq):
+    """The 1-norms |Re| + |Im| of the stored rows, one row per upper-half
+    node of both contours, as the fill's exact rounding bound forms them."""
+    rows = cq.separable_coeffs
+    return np.abs(rows[0::2]) + np.abs(rows[1::2])
 
 
 def _power_norms(cq, ln_x):
@@ -502,7 +510,7 @@ class TestKernelEval:
         xs = np.geomspace(*x_range, 40)
         ln_x = np.log(xs)
         n_u, n_v = _stored_halves(cq)
-        rows, mags = cq.separable_coeffs, cq.separable_magnitudes
+        rows, mags = cq.separable_coeffs, _magnitudes(cq)
         t_u = rows[1 : 2 * n_u : 2] + 1j * rows[0 : 2 * n_u : 2]
         t_v = -np.conj(rows[2 * n_u + 1 :: 2] + 1j * rows[2 * n_u :: 2])
         p = np.exp(np.outer(ln_x, -cq.gamma_nodes[:n_u]))
@@ -524,7 +532,7 @@ class TestKernelEval:
         # max(1, |K|) (NEG over (0.01, 256), where E reads 1.3e-13)
         cq = build_contours(params, x_range)
         p_norms, q_norms, n_u, n_v = _power_norms(cq, np.log(np.geomspace(*x_range, 40)))
-        mags, norms = cq.separable_magnitudes, cq.magnitude_norms
+        mags, norms = _magnitudes(cq), cq.magnitude_norms
         assert norms.shape == (mags.shape[0],)
         assert np.allclose(norms, np.linalg.norm(mags, axis=1), rtol=1e-15, atol=0.0)
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
@@ -571,7 +579,7 @@ class TestKernelEval:
         xs = np.geomspace(0.01, 256.0, 20)
         vals = _kernel_matrix(xs, cq)
         p_norms, q_norms, n_u, n_v = _power_norms(cq, np.log(xs))
-        mags = cq.separable_magnitudes
+        mags = _magnitudes(cq)
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
         ratio = float(np.max(bound / np.maximum(1.0, np.abs(vals))))
         assert 3.0e-9 < ratio < 3.2e-9
@@ -687,7 +695,7 @@ class TestCallTip:
         wide = np.concatenate((narrow, [64.0, 256.0]))
         full = _kernel_matrix(wide, cq)
         p_norms, q_norms, n_u, _ = _power_norms(cq, np.log(wide))
-        mags = cq.separable_magnitudes
+        mags = _magnitudes(cq)
         bound = kernel._EPS * (p_norms @ mags[:n_u]) @ (q_norms @ mags[n_u:]).T
         pairs = np.array([[_kernel_matrix([x, y], cq) for y in wide] for x in wide])
         pointwise = np.array([[kernel_eval(x, y, cq) for y in wide] for x in wide])
@@ -756,6 +764,36 @@ class TestKernelSeries:
         params = ProcessParams(2, 1, (0.5, 1.2), (-0.8,))
         cq = build_contours(params, (0.45, 0.77))
         assert abs(kernel_eval_series(0.5, 0.7, params) - kernel_eval(0.5, 0.7, cq)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ProcessParams(2, 1, (0.0, 1.0), (0.25,)),
+            ProcessParams(2, 1, (0.0, 1.0), (3.25,)),
+            ProcessParams(2, 1, (0.5, 1.5), (0.75,)),
+            ProcessParams(2, 1, (0.5, 1.5), (0.25,)),
+            ProcessParams(3, 2, (0.0, 1.0, 2.0), (1.75, 2.25)),
+            ProcessParams(2, 1, (0.5, 0.0), (3.675,)),
+        ],
+        ids=["mu0.25", "mu3.25", "half-mu0.75", "half-mu0.25", "r3q2", "mu3.675"],
+    )
+    def test_ring_point_on_an_amplitude_zero(self, params):
+        # a real ring point of G2 falls on a pole of 1/Gamma(mu_k - t), where
+        # the amplitude is 0 and log_big_f raises PoleError: for mu = 0.25
+        # the ring of radius 0.25 around t = 0 passes t = 0.25, and for
+        # mu = 3.675 the ring of radius 0.175 around 3.5 passes 3.675.
+        # Measured at most 4.7e-14 off the contour route
+        cq = build_contours(params, (0.45, 2.0))
+        for x, y in ((0.5, 0.7), (1.5, 1.9)):
+            assert abs(kernel_eval_series(x, y, params) - kernel_eval(x, y, cq)) < 1e-12
+
+    def test_first_factor_ring_point_on_an_amplitude_zero(self):
+        # nu = -0.75: G1's ring of radius 0.25 around t = 0 passes t = -0.25,
+        # a pole of 1/Gamma(1 + nu + t), and G2's ring around -0.75 passes
+        # t = -1, a pole of 1/Gamma(1 + t); the amplitude there is 0, and the
+        # call fails as any nu_min below about -0.55 does, on its rings
+        with pytest.raises(ConvergenceError, match="residue rings unresolved"):
+            kernel_eval_series(0.5, 0.7, ProcessParams(2, 0, (-0.75, 0.5)))
 
     @pytest.mark.parametrize(
         "params",
@@ -916,7 +954,7 @@ class TestKernelSeries:
         ids=["GIN2", "LEFT", "RIGHT", "NEAR", "double-pole"],
     )
     def test_folded_rings_match_full_rings(self, params, x):
-        # the chained, conjugate-folded ring sums against ln F evaluated by
+        # the conjugate-folded ring sums against ln F evaluated by
         # log_big_f at every point of every full ring, one exp per
         # (ring point, z), over the oracle's t-rule; near z = 0 (and for
         # NEAR's ring radius 1.75e-4) the ring terms exceed the value by up
@@ -927,8 +965,7 @@ class TestKernelSeries:
         got = _series_factors(z, params)
         integrands = (((0.0,), lambda t: log_big_f(-t, params)), (params.nu, lambda t: -log_big_f(1.0 + t, params)))
         for (total, gap), (bases, ln_num) in zip(got, integrands):
-            poles, keep, radius = _cluster_poles(bases, 0.25)
-            ref_total, ref_gap, magnitude = _sum_residues_full_ring(poles.ravel()[keep], radius, ln_num, z)
+            ref_total, ref_gap, magnitude = _sum_residues_full_ring(*_cluster_poles(bases, 0.25), ln_num, z)
             assert np.all(np.abs(total - ref_total) <= 1e-14 * magnitude)
             assert np.all(np.abs(gap - ref_gap) <= 1e-14 * magnitude)
 
@@ -939,34 +976,33 @@ class TestKernelSeries:
     )
     def test_cluster_merge_matches_loop(self, bases):
         # the one-sort merge against a loop over the poles in ascending
-        # order, ties broken by the step, that starts a cluster at each pole
-        # 1e-9 or more above the one before it
-        poles, keep, radius = _cluster_poles(bases, 0.25)
-        flat = poles.ravel()
-        order = sorted(range(flat.size), key=lambda i: (flat[i], i % kernel._SERIES_TERMS))
-        ref = [order[0]] + [i for prev, i in zip(order, order[1:]) if flat[i] - flat[prev] >= 1e-9]
-        assert keep.tolist() == ref
-        assert radius == min(0.25, 0.35 * min(b - a for a, b in zip(flat[ref], flat[ref][1:])))
+        # order that starts a cluster, located at its lowest pole, at each
+        # pole 1e-9 or more above the one before it
+        locs, radius = _cluster_poles(bases, 0.25)
+        poles = sorted(b + k for b in bases for k in range(kernel._SERIES_TERMS))
+        ref = [poles[0]] + [b for a, b in zip(poles, poles[1:]) if b - a >= 1e-9]
+        assert locs.tolist() == ref
+        assert radius == min(0.25, 0.35 * min(b - a for a, b in zip(ref, ref[1:])))
 
     def test_chained_near_poles_form_one_cluster(self):
         # poles 6e-10 apart chain across 1.2e-9: each joins the cluster of
-        # the pole below it, so one ring of radius 0.25 encloses all three
-        # chains' poles at each step (a merge against the cluster's lowest
-        # pole split them and raised on a radius of 4e-10); measured at most
-        # 2.0e-14 off the contour route
+        # the pole below it, so one ring of radius 0.25 at the lowest pole
+        # encloses all three chains' poles at each step (a merge against the
+        # cluster's lowest pole split them and raised on a radius of 4e-10);
+        # measured at most 2.0e-14 off the contour route
         nu = (0.5, 0.5 + 6e-10, 0.5 + 1.2e-9)
-        poles, keep, radius = _cluster_poles(nu, 0.25)
-        assert poles.shape == (3, kernel._SERIES_TERMS)
-        assert np.array_equal(keep, np.arange(kernel._SERIES_TERMS)) and radius == 0.25
+        locs, radius = _cluster_poles(nu, 0.25)
+        assert np.array_equal(locs, 0.5 + np.arange(kernel._SERIES_TERMS)) and radius == 0.25
         params = ProcessParams(3, 0, nu)
         cq = build_contours(params, (0.05, 2.0))
         for x, y in ((0.05, 2.0), (2.0, 0.05), (0.5, 0.7), (1.3, 1.3)):
             assert abs(kernel_eval_series(x, y, params) - kernel_eval(x, y, cq)) < 1e-13
 
     def test_ring_points_are_folded(self, monkeypatch, fresh_series_rings):
-        # LEFT has one pole chain at 0, 1, ... and three at nu_j + k; ln F is
-        # evaluated on the first _SERIES_HEAD_RINGS = 3 rings of each chain,
-        # on the upper half of each ring (21 of its 40 points), in one call
+        # LEFT has 48 clusters in G1 (the chain 0, 1, ...) and 144 in G2
+        # (three chains at nu_j + k); ln F is evaluated on the upper half of
+        # every ring (21 of its 40 points), one call per block of at most
+        # _SERIES_TERMS = 48 clusters
         points = []
 
         def counting(z, params):
@@ -975,7 +1011,22 @@ class TestKernelSeries:
 
         monkeypatch.setattr(kernel, "log_big_f", counting)
         kernel_eval_series(0.5, 0.7, LEFT)
-        assert points == [(1 + 3) * 3 * 21]
+        assert points == [48 * 21] * 4 and sum(points) == (48 + 144) * 21
+
+    def test_first_call_memory(self, fresh_series_rings):
+        # RIGHT's G2 has 192 clusters; its amplitudes come from log_big_f
+        # in blocks of 48 clusters, and a first call peaks at 1.7 MB in
+        # tracemalloc (4.6 MB with one call per factor).  A BES call first
+        # builds what every parameter set shares, the 80-point Legendre rule
+        kernel_eval_series(0.5, 0.7, BES)
+        tracemalloc.start()
+        try:
+            kernel_eval_series(0.5, 0.7, RIGHT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _series_rings.cache_info().misses == 2
+        assert peak < 2e6
 
     def test_unresolved_rings_raise(self):
         # at nu_min <= -0.6 the graded t-nodes send t x far below 1e-40,
