@@ -105,10 +105,11 @@ def log_gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
     """ln det(1 - K|[0,s]) for the kernel handle on the given grid.
 
     ``kernel`` is any object with a ``matrix(nodes)`` method returning
-    K(x_i, x_j) on the grid nodes as a new array, such as the handles in
-    :mod:`meijergap.kernel`: the determinant overwrites that array with
-    I - M in place, the bits of ``np.eye(m) - M``.  The gap probability
-    itself is ``math.exp(log_gap_determinant(...))``.  Raises
+    K(x_i, x_j) on the grid nodes, or any diagonal similarity
+    d_i K(x_i, x_j) / d_j of it (the determinant is the same), as a new
+    array, such as the handles in :mod:`meijergap.kernel`: the determinant
+    overwrites that array with I - M in place, the bits of
+    ``np.eye(m) - M``.  The gap probability itself is ``math.exp(log_gap_determinant(...))``.  Raises
     SingularityError if the discretized determinant is zero, non-finite or
     negative (the log-determinant of a gap probability must be real).
     """

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from .fredholm import gauss_legendre_grid
+from .fredholm import _legendre_rule
 from .specfun import _at_poles, bessel_j, cexp, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
@@ -97,39 +97,42 @@ def _t_points(kappa: int, rho: float, x_hi: float) -> int:
     of max(1, |K|) for NEG at y near 1e-6, moves with the rule's size, and
     a handle built for (1e-6, 256) fills the values of one built for
     (1e-6, 16) to 3e-16 on one rule, but only to 3e-14 on rules of 56 and
-    64 points.  Every size is a multiple of 8, so the rules of all builds
-    up to 256 points fit ``_legendre_rule``'s 32-entry cache.
+    64 points.  Every size is a multiple of 8, so the rules of the builds up
+    to 256 points, the benchmark's among them, fit ``_legendre_rule``'s
+    32-entry cache; nu_min = -0.99 over (1e-3, 256) takes 616.
     """
     return 8 * math.ceil(max(16.0 + 5.0 * math.sqrt(kappa * x_hi**rho), min(4.0 * kappa, 72.0)) / 8.0)
 
 
-def _graded_t_rule(n: int, kappa: int, nu_min: float):
+def _log_t_rule(n: int, kappa: int):
     """The n-point t-rule on (0, 1) graded as t = tau^kappa, for the builds
-    and for the residue-series oracle.  Near nu_min = -1 kappa is so large
-    that the first node underflows to 0; that is reported in terms of
-    nu_min, not of the grid."""
-    try:
-        return gauss_legendre_grid(1.0, n, kappa)
-    except DomainError:
-        raise DomainError(f"nu_min = {nu_min} is too close to -1: the graded t-rule underflows") from None
+    and the residue-series oracle, as ln t = kappa ln tau and
+    ln W = ln(kappa/2) + (kappa - 1) ln tau + ln w, with tau = (1 + eta)/2
+    and eta, w the Gauss-Legendre rule on [-1, 1].  Near nu_min = -1, where
+    kappa reaches hundreds, t and W fall below the smallest double; their
+    logs do not."""
+    eta, w = _legendre_rule(n)
+    ln_tau = np.log((1.0 + eta) / 2.0)
+    return kappa * ln_tau, (kappa - 1) * ln_tau + np.log((0.5 * kappa) * w)
 
 
 # Rounding guard of the fill: the largest admitted ratio of an entry's
-# rounding bound E to max(1, |K|).  E / max(1, |K|) peaks at 2.6e-11 over
-# every fill of the benchmark catalogues (LEFT, sweep at s = 256), at 1.1e-12
-# for r = 1 down to nu = -0.88 on det's grids, and at 1.5e-8 for r = 1,
-# nu = 4 over (1e-6, 256), where K cancels: the limit keeps a margin of 6.
-# The screen eps a_i b_j >= E_ij that clears a fill without forming E (see
-# _kernel_matrix) must stay below half the limit: it peaks at 3.6e-11 over
-# the catalogues and at 2.0e-8 for nu = 4 over (1e-6, 256).
+# rounding bound E to max(1, |K|), both on the fill's scale (see
+# _kernel_matrix).  E / max(1, |K|) peaks at 2.6e-11 over every fill of the
+# benchmark catalogues (LEFT, sweep at s = 256), at 2.2e-12 for r = 1 down to
+# nu = -0.97 on det's grids, and at 1.5e-8 for r = 1, nu = 4 over
+# (1e-6, 256), where K cancels: the limit keeps a margin of 6.  The screen
+# eps a_i b_j >= E_ij that clears a fill without forming E must stay below
+# half the limit: it peaks at 8.2e-11 over the catalogues (NEG) and at
+# 2.0e-8 for nu = 4 over (1e-6, 256).
 _ROUNDING_LIMIT = 1e-7
 _EPS = float(np.finfo(float).eps)
 
 # Subnormal numbers slow every product they enter.  Stored factors below
 # the smallest normal number are set to 0, and so is an entry x^-u of the
 # fill's power table below e^_MIN_EXPONENT.  On the benchmark fills the
-# stored factors stay below e^1 and the scale y^nu_min of y^(v-1) below
-# e^21, so each term cut is below e^-578, far below rounding in any K.
+# stored factors stay below e^1 and each half x^(nu_min/2) of y^nu_min
+# below e^10.5: each term cut is below e^-578, far below rounding in any K.
 _TINY = float(np.finfo(float).tiny)
 _MIN_EXPONENT = -600.0
 
@@ -222,18 +225,19 @@ class ContourQuadrature:
     The lower halves carry -conj g, so each sum is 2i Im of its upper-half
     part.  With t_k, W_k the n_t-point t-rule (n_t from :func:`_t_points`,
     set by the grading and the argument range; see :func:`build_contours`),
-    T_u = g_u t_k^-u and
-    T_v = -4 W_k g_v t_k^(v-1) over the upper halves (shapes (Nu/2, n_t) and
-    (Nv/2, n_t)) give K = Im(P_h T_u) Im(Q_h T_v)^T, where P_h = x^-u and
-    Q_h = y^(v-1) = y^nu_min conj(y^-u) on the upper halves (node i of
-    gammatilde is 1 + nu_min - conj u_i).  ``separable_coeffs`` stores T_u
-    and then -conj T_v, ready for that conj, as real rows, shape
-    (Nu + Nv, n_t): row 2i is Im and row 2i + 1 Re of upper-half row i, so
-    that the interleaved (real, imaginary) view of z^-u times a contour's
-    rows is Im(P_h T_u), or Im(Q_h T_v) / y^nu_min.  ``magnitude_norms``
-    holds the 2-norm over the t-rule of the 1-norms |Re| + |Im| of those
-    rows, shape ((Nu + Nv)/2,), for the screen that clears most fills
-    without forming the rounding bound (see :func:`_kernel_matrix`).
+    T_u = g_u t_k^-u and T_v = -4 W_k g_v t_k^(v-1) over the upper halves
+    (shapes (Nu/2, n_t) and (Nv/2, n_t)) give K = Im(P_h T_u) Im(Q_h T_v)^T,
+    where P_h = x^-u and Q_h = y^(v-1) = y^nu_min conj(y^-u) on the upper
+    halves (node i of gammatilde is 1 + nu_min - conj u_i).
+    ``separable_coeffs`` stores T_u and then -conj T_v, ready for that conj,
+    as real rows, shape (Nu + Nv, n_t): row 2i is Im and row 2i + 1 Re of
+    upper-half row i, so that the interleaved (real, imaginary) view of z^-u
+    times a contour's rows is Im(P_h T_u), or Im(Q_h T_v) / y^nu_min; the
+    fill puts that scale as x^(nu_min/2) and y^(nu_min/2) on its two
+    factors.  ``magnitude_norms`` holds the 2-norm over the t-rule of the
+    1-norms |Re| + |Im| of those rows, shape ((Nu + Nv)/2,), for the screen
+    that clears most fills without forming the rounding bound (see
+    :func:`_kernel_matrix`).
     """
 
     gamma_nodes: np.ndarray
@@ -280,23 +284,21 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     at its first node from which on that bound's largest value over
     ``x_range`` is below ``tol`` at every candidate (:func:`_first_tip`);
     if the last candidate is not below it, ConvergenceError is raised.
-    Every fill on the handle uses all the nodes kept: along the hyperbolas
-    the decay of F, not the argument range, sets the node count, so a fill
-    over a narrower range would need nearly as many.  ``tol`` must lie in (0, 1): a bound of 1 or more
-    truncates nothing reliably.
+    Every fill on the handle uses all the nodes kept: the decay of F along
+    the hyperbolas, not the argument range, sets the node count.  ``tol``
+    must lie in (0, 1): a bound of 1 or more truncates nothing reliably.
 
     The t-integral of the factored kernel (see :class:`ContourQuadrature`)
     is an n_t-point Gauss-Legendre rule graded as t = tau^kappa with
     kappa = ceil(_T_GRADING / span): the t-integrand behaves like
     t^(Re(v - u) - 1) near 0, and Re(v - u) >= span/3.  n_t is
     :func:`_t_points` of kappa, rho = 1/(r - q + 1) and x_hi: the
-    t-integrand varies faster as x_hi grows.  Where kappa and n_t send the
-    first t-node below the smallest double, DomainError is raised: over
-    (0.1, 1) at nu_min = -0.9 (-0.89 builds), and over (1e-3, 256) at -0.88
-    (-0.87 builds).  Each stored factor
-    is one real exp of Re(ln F(u) - u ln t), or Re((v - 1) ln t - ln F(v)),
-    times F's phase and a phase e^(-i Im u ln t) that both contours share;
-    the phases come from :func:`~meijergap.specfun.cexp`.
+    t-integrand varies faster as x_hi grows.  The rule comes as ln t and
+    ln W (:func:`_log_t_rule`), so no t-node or weight underflows, however
+    close nu_min is to -1.  Each stored factor is one real exp of
+    Re(ln F(u) - u ln t), or Re((v - 1) ln t + ln W - ln F(v)), times F's
+    phase and a phase e^(-i Im u ln t) that both contours share; the phases
+    come from :func:`~meijergap.specfun.cexp`.
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi) or not math.isfinite(x_hi):
@@ -330,8 +332,7 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     u, v = u[:n_u], v[:n_v]
 
     kappa = math.ceil(_T_GRADING / span)
-    rule = _graded_t_rule(_t_points(kappa, 1.0 / (params.r - params.q + 1), x_hi), kappa, params.nu_min)
-    ln_t = np.log(rule.nodes)
+    ln_t, ln_w = _log_t_rule(_t_points(kappa, 1.0 / (params.r - params.q + 1), x_hi), kappa)
     # T_u and -conj T_v (conj dv = -du) share the phases e^(-i Im u ln t); each magnitude is
     # one real exp of its whole exponent (|Re ln F| < 148 at the benchmark nodes); an overflow
     # is left to the typed check below, with no numpy warning
@@ -342,8 +343,8 @@ def build_contours(params: ProcessParams, x_range: tuple, tol: float = CONTOUR_T
     f_u, f_v = f_uv[:n_u], f_uv[n_u:]
     with np.errstate(over="ignore", invalid="ignore"):
         t_u = np.exp(ln_fu.real[:n_u, None] - np.outer(u.real, ln_t)) * (phase[:n_u] * f_u[:, None])
-        t_v = np.exp(np.outer(v.real - 1.0, ln_t) - ln_fv.real[:n_v, None]) * rule.weights * (phase[:n_v] * f_v[:, None])
-    coeffs = np.empty((2 * (n_u + n_v), rule.m))
+        t_v = np.exp(np.outer(v.real - 1.0, ln_t) + ln_w - ln_fv.real[:n_v, None]) * (phase[:n_v] * f_v[:, None])
+    coeffs = np.empty((2 * (n_u + n_v), ln_t.size))
     for rows, t in ((coeffs[: 2 * n_u], t_u), (coeffs[2 * n_u :], t_v)):
         rows[0::2], rows[1::2] = t.imag, t.real
     coeffs[np.abs(coeffs) < _TINY] = 0.0
@@ -398,20 +399,23 @@ def _power_table(ln_arg, exponents):
 
 
 def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
-    """K(x_i, x_j) on the grid xs via the factored integrable form: the one
-    Meijer kernel fill.
+    """(x_i/x_j)^(nu_min/2) K(x_i, x_j) on the grid xs via the factored
+    integrable form: the one Meijer kernel fill.
 
     One table x^-u over the grid and the first max(n_u, n_v) upper-half
     nodes, n_u of gamma and n_v of gammatilde as stored (either contour can
     be the longer), gives both contours' powers (see
     :class:`ContourQuadrature`); three real matrix products of its blocks
-    and the stored rows give G1, G2 and K = G1 G2^T.  Every fill multiplies
-    every stored node, also for arguments in the 0.1% slack around
-    ``x_range``.
+    and the stored rows give G1, G2 and the fill G1 G2^T, also for
+    arguments in the 0.1% slack around ``x_range``.  The scale y^nu_min of
+    Q_h is split as x_i^(nu_min/2) on G1 and x_j^(nu_min/2) on G2: a
+    diagonal similarity of K, with K's determinants (4 K_Be(4 x_i, 4 x_j)
+    at r = 1).  Scaled as K, on graded grids down to x = 1e-63 the rows of
+    I - M lie 27 orders apart, and the determinant's pivots go wrong.
 
     Every entry is checked against its rounding bound
-    E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, the magnitude sum of its terms with
-    |.| the 1-norm |Re| + |Im| (|T_v| carries the factor 4 W).
+    E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, split as the fill is: the magnitude
+    sum of its terms with |.| the 1-norm |Re| + |Im| (|T_v| carries 4 W).
     AccuracyError is raised where E exceeds _ROUNDING_LIMIT max(1, |K|),
     cancellation in the contour sums, or where an entry or E is not finite.
     With rho the stored rows' ``magnitude_norms``, a = |P_h| rho_u and
@@ -432,11 +436,11 @@ def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
         p_u, p_v = p_norms[:, :n_u], p_norms[:, :n_v]
         g1, g2 = p[:, :n_u].view(float) @ rows[: 2 * n_u], p[:, :n_v].view(float) @ rows[2 * n_u :]
         del p  # free the table before the m x m products; the guard reads its norms
-        scale = np.exp((span - 1.0) * ln_x)  # y^nu_min of Q_h, y on the same grid
-        vals = g1 @ (scale[:, None] * g2).T
+        half = np.exp((0.5 * (span - 1.0)) * ln_x)  # x^(nu_min/2): y^nu_min of Q_h split over both factors
+        vals = (half[:, None] * g1) @ (half[:, None] * g2).T
         # |P| rho bounds the t-rule 2-norm of each row of |P| |T| (triangle inequality)
-        a = (2.0 * _EPS / _ROUNDING_LIMIT) * (p_u @ norms[:n_u])  # a_i b_j is eps a_i b_j / (_ROUNDING_LIMIT / 2)
-        b = scale * (p_v @ norms[n_u:])
+        a = (2.0 * _EPS / _ROUNDING_LIMIT) * half * (p_u @ norms[:n_u])  # a_i b_j is eps a_i b_j / (_ROUNDING_LIMIT / 2)
+        b = half * (p_v @ norms[n_u:])
         if a.max() * b.max() <= 1.0:  # NaN fails
             return vals
         k_scale = np.abs(vals)
@@ -445,7 +449,7 @@ def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
             return vals
         # neither screen clears the fill: form E from the rows' 1-norms
         mags = np.abs(rows[0::2]) + np.abs(rows[1::2])
-        bound = (_EPS / _ROUNDING_LIMIT * (p_u @ mags[:n_u])) @ (scale[:, None] * (p_v @ mags[n_u:])).T
+        bound = (_EPS / _ROUNDING_LIMIT * half[:, None] * (p_u @ mags[:n_u])) @ (half[:, None] * (p_v @ mags[n_u:])).T
         if not np.all(bound <= k_scale):  # NaN fails too; bound is E / _ROUNDING_LIMIT
             ratio = _ROUNDING_LIMIT * bound / k_scale
             if bad := np.count_nonzero(~np.isfinite(ratio)):
@@ -459,13 +463,14 @@ def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
 def kernel_eval(x: float, y: float, cq: ContourQuadrature) -> float:
     """K(x, y) from the precomputed double-contour discretization: the
     ``[0, 1]`` entry of the two-point fill on ``[x, y]``, with its rounding
-    guard."""
-    return float(_kernel_matrix([x, y], cq)[0, 1])
+    guard, times (y/x)^(nu_min/2)."""
+    nu_min = cq.gamma_nodes[0].real + cq.gammatilde_nodes[0].real - 1.0
+    return float(_kernel_matrix([x, y], cq)[0, 1] * (y / x) ** (0.5 * nu_min))
 
 
 class MeijerKernel:
     """Kernel handle: the contours for ``params`` over ``x_range`` and the
-    Fredholm matrix fill on them."""
+    Fredholm matrix fill on them, (x_i/x_j)^(nu_min/2) K(x_i, x_j)."""
 
     def __init__(self, params: ProcessParams, x_range: tuple, tol: float = CONTOUR_TOL):
         self.cq = build_contours(params, x_range, tol)
@@ -514,7 +519,7 @@ def _clusters_needed(locs, ring, coeffs, ln_top):
     return min(locs.size, int(np.flatnonzero(np.abs(top) > cut).max(initial=-1)) + 2)
 
 
-def _sum_residues(locs, ring, coeffs, z):
+def _sum_residues(locs, ring, coeffs, ln_z):
     """-(sum of residues) of amp(t) z^t over the listed pole clusters, each
     extracted by trapezoidal integration on a small circle.  ``ring`` holds
     the offsets t - loc of the upper half k = 0..M/2 of an M-point circle,
@@ -522,9 +527,9 @@ def _sum_residues(locs, ring, coeffs, z):
     of each cluster's circle times the offsets and the fold weights below,
     shape (2, cluster, ring point): the full ring's weights, then the
     every-other-point ones (see :func:`_series_rings`, which builds them
-    once per parameter set).  ``z`` may be a vector; returns one value per
-    z, and per z the gap between that value and the same sum over every
-    other ring point.  Only the leading clusters that the largest z needs
+    once per parameter set).  ``ln_z`` is a vector of ln z; returns one
+    value per z, and per z the gap between that value and the same sum over
+    every other ring point.  Only the leading clusters that the largest z needs
     are summed (:func:`_clusters_needed`), and the last cluster summed is
     the one the tail check measures.  The clusters left out sit below
     rounding: on the tested families the sums and gaps keep the bits of the
@@ -543,14 +548,10 @@ def _sum_residues(locs, ring, coeffs, z):
     ring sum is the real part of the half sum with weights 1 at the real
     points k = 0, M/2 and 2 in between; the every-other-point sum keeps the
     weights of even k only.  This needs M even, so that k = M/2 is the
-    second real point of the ring.
-
-    Its exponentials are numpy's complex ``exp``, not the half-angle
-    :func:`~meijergap.specfun.cexp` of the contour build and fill: the
-    oracle stays an independent route, so the kernel-oracle check of
-    ``meijergap verify`` checks cexp too.
+    second real point of the ring.  Its exponentials are numpy's complex
+    ``exp``, not the build's :func:`~meijergap.specfun.cexp`, so that the
+    kernel-oracle check of ``meijergap verify`` checks cexp too.
     """
-    ln_z = np.log(np.asarray(z, dtype=float))
     n = _clusters_needed(locs, ring, coeffs, ln_z.max())
     means = (coeffs[:, :n] @ np.exp(np.outer(ring, ln_z))).real * np.exp(np.outer(locs[:n], ln_z))
     per_cluster, per_cluster_even = means  # (n, nz) each: full ring, every other point
@@ -569,7 +570,7 @@ def _series_rings(params: ProcessParams):
     """The parts of :func:`kernel_eval_series` that depend on ``params``
     alone, computed once per parameter set: the residue rings of the two
     kernel factors, each as the ``(locs, ring, coeffs)`` that
-    :func:`_sum_residues` takes, and the oracle's t-rule (nodes, weights).
+    :func:`_sum_residues` takes, and the oracle's t-rule (ln t, weights).
 
     G1 sums the residues of F(-t) z^t = Gamma(-t) prod_k Gamma(1+mu_k+t) /
     prod_j Gamma(1+nu_j+t) z^t over the chain t = 0, 1, 2, ...; its rings
@@ -590,10 +591,10 @@ def _series_rings(params: ProcessParams):
     normalized to ints and floats, so parameters given as ints or as floats
     share an entry; it keeps the 8 most recent parameter sets.  Every
     returned array is shared by the calls on that entry and is read-only.
-    Errors are not cached: a parameter set that raises (nearly coincident
-    pole families, an underflowing t-rule) raises on every call.
+    Errors are not cached: a parameter set that raises while its rings are
+    built (nearly coincident pole families) raises on every call.
     """
-    grid = _graded_t_rule(_SERIES_T_POINTS, max(4, math.ceil(4.0 / (1.0 + params.nu_min))), params.nu_min)
+    ln_t, ln_w = _log_t_rule(_SERIES_T_POINTS, max(4, math.ceil(4.0 / (1.0 + params.nu_min))))
     half = np.exp(2j * math.pi * np.arange(_RING_POINTS // 2 + 1) / _RING_POINTS)
     k = np.arange(half.size)
     full = np.where((k == 0) | (k == k[-1]), 1.0, 2.0) / _RING_POINTS
@@ -615,7 +616,7 @@ def _series_rings(params: ProcessParams):
             rows = slice(block, block + _SERIES_TERMS)
             amps[rows][live[rows]] = np.exp(sign * log_big_f(z[rows][live[rows]], params))
         out.append((locs, ring, amps * ring * weights[:, None]))
-    out.append((grid.nodes, grid.weights))
+    out.append((ln_t, np.exp(ln_w)))
     for arrays in out:
         for a in arrays:
             a.setflags(write=False)
@@ -631,13 +632,10 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     t-integrand behaves like t^nu_min near 0, so the integral is computed by
     _SERIES_T_POINTS-point Gauss-Legendre quadrature after the regularizing
     substitution t = tau^kappa with kappa = max(4, ceil(4 / (1 + nu_min))).
-    The rings' amplitudes (exp(+-ln F) from :func:`log_big_f` on the upper
-    half of every ring) and the t-rule depend on ``params`` alone:
-    :func:`_series_rings` computes them once per parameter set and keeps
-    the 8 most recent sets, as read-only arrays.  Each call evaluates both
-    factors at all t-nodes at once, with one exp per (ring point, node) and
-    per (cluster, node), over the clusters the largest t x or t y needs
-    (see :func:`_sum_residues`).
+    The rings and the t-rule depend on ``params`` alone and are cached by
+    :func:`_series_rings`.  Each call evaluates both factors at all t-nodes
+    at once, with one exp per (ring point, node) and per (cluster, node),
+    over the clusters the largest t x or t y needs (see :func:`_sum_residues`).
 
     The ring-resolution gaps of the two factors, weighted by the quadrature
     weights and the other factor, bound the error the residue rings add to
@@ -648,9 +646,9 @@ def kernel_eval_series(x: float, y: float, params: ProcessParams) -> float:
     x, y = float(x), float(y)
     if not (0.0 < x < math.inf and 0.0 < y < math.inf):  # NaN fails too
         raise DomainError("kernel arguments must be positive and finite")
-    rings1, rings2, (t, dt) = _series_rings(params)
+    rings1, rings2, (ln_t, dt) = _series_rings(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        (g1, gap1), (g2, gap2) = _sum_residues(*rings1, t * x), _sum_residues(*rings2, t * y)
+        (g1, gap1), (g2, gap2) = _sum_residues(*rings1, ln_t + math.log(x)), _sum_residues(*rings2, ln_t + math.log(y))
         ring_err = float(np.sum(dt * (gap1 * np.abs(g2) + np.abs(g1) * gap2)))
     if not ring_err <= _SERIES_RING_TOL:  # unresolved rings overflow: inf and NaN included
         raise ConvergenceError(
@@ -682,9 +680,11 @@ class BesselKernel:
         add no rounding where x and y are close.  J_nu and t J_{nu+1}(t) are
         evaluated once per distinct argument.  Where |x - y| <= 1e-6 max(x, y)
         (the diagonal included) the quotient is replaced by its analytic limit
-        at the midpoint c,
-        ((c - nu^2) J_nu(sqrt c)^2 + (sqrt c J'_nu(sqrt c))^2) / (4c),
-        which agrees with the off-diagonal formula to O((x-y)^2).  The switch
+        at the midpoint c, ((c - nu^2) J^2 + (sqrt c J')^2) / (4c) with J and
+        J' at sqrt c, which agrees with the off-diagonal formula to
+        O((x-y)^2).  Its two nu^2 J^2 terms, 1/c times the result, are
+        cancelled analytically: the numerator is taken as
+        c J^2 - 2 nu J (sqrt c J_{nu+1}) + (sqrt c J_{nu+1})^2.  The switch
         is relative because near 0 the kernel varies on the scale of x itself.
         """
         nu = self.nu
@@ -702,6 +702,5 @@ class BesselKernel:
         # at c = 0 (nu >= 0; J_nu(0) diverges for nu < 0) the limit is 1/4 for nu = 0, else 0
         origin = mid == 0.0
         c = np.where(origin, 1.0, mid)
-        tjp = nu * jm - tm
-        out[near] = np.where(origin, 0.25 if nu == 0.0 else 0.0, ((c - nu * nu) * jm * jm + tjp * tjp) / (4.0 * c))
+        out[near] = np.where(origin, 0.25 if nu == 0.0 else 0.0, (c * jm * jm - 2.0 * nu * jm * tm + tm * tm) / (4.0 * c))
         return out

@@ -291,9 +291,12 @@ class TestConfig:
         assert json.loads(capsys.readouterr().out)["lnC"] == NEG_LN_C
 
     def test_shared_file_and_flag_override(self, tmp_path, capsys):
-        # one file serves coeffs and det: keys of other subcommands are dropped
+        # one file serves coeffs and det: keys of other subcommands are dropped.
+        # Its 6 nodes print 0.0183156131621487, 1.4e-6 relative from the
+        # default 80 nodes, so the override is seen above rounding (60 and 80
+        # nodes differ in the 16th digit only)
         cfg = tmp_path / "shared.cfg"
-        cfg.write_text("r = 1\nq = 0\nnu = 0\ns = 4\nnodes = 60\ns-min = 1\nout = x.csv\n")
+        cfg.write_text("r = 1\nq = 0\nnu = 0\ns = 4\nnodes = 6\ns-min = 1\nout = x.csv\n")
 
         def det(*argv):
             assert cli.main(["det", *argv]) == 0
@@ -302,7 +305,7 @@ class TestConfig:
         assert cli.main(["coeffs", "--config", str(cfg)]) == 0
         assert "rho = 0.5" in capsys.readouterr().out
         from_file = det("--config", str(cfg))
-        assert from_file == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "60")
+        assert from_file == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "6")
         assert from_file != det(*BESSEL_FLAGS, "--s", "4")
         assert det("--config", str(cfg), "--nodes", "80") == det(*BESSEL_FLAGS, "--s", "4", "--nodes", "80")
 
