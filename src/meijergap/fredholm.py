@@ -3,8 +3,11 @@
 The integral operator on [0, s] is replaced by the symmetrized quadrature
 matrix M_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j) on a Gauss-Legendre grid; the
 similarity transform leaves the determinant invariant and improves
-conditioning.  det(I - M) is evaluated through an LU factorization with
-partial pivoting, accumulating log |pivots| so that determinants far below
+conditioning.  A kernel of rank n_t on the grid, K = F1 F2^T with m x n_t
+factors, needs no m x m matrix: by Sylvester's identity
+det(I_m - W^(1/2) F1 F2^T W^(1/2)) = det(I_{n_t} - F2^T W F1).  Either
+determinant is evaluated through an LU factorization with partial
+pivoting, accumulating log |pivots| so that determinants far below
 double-precision underflow remain representable in log form.
 """
 
@@ -19,6 +22,7 @@ import numpy as np
 from .errors import DomainError, SingularityError
 
 _WEIGHT_SUM_TOL = 1e-12
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 @functools.lru_cache(maxsize=32)
@@ -77,7 +81,10 @@ def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
     ``kappa > 1`` applies x = s^(1-kappa) xi^kappa, which grades the rule
     toward 0, where the kernel behaves like x^nu_min (like ln x for
     coinciding integer parameters); :func:`kappa_for_nu_min` picks the
-    kappa that restores quadrature accuracy for every nu_min < 1.
+    kappa that restores quadrature accuracy for every nu_min < 1.  Raises
+    DomainError where the grading sends the first node below the smallest
+    normal double, where nodes and weights lose their digits or underflow
+    to 0: at m = 80 and s = 1 from kappa = 85 (nu_min = -0.977) on.
     """
     s = float(s)
     if not 0.0 < s < math.inf:  # NaN fails too
@@ -92,7 +99,13 @@ def gauss_legendre_grid(s: float, m: int, kappa: int = 1) -> FredholmGrid:
     edge = s ** (1.0 / kappa)
     eta = edge * (t + 1) / 2
     w_eta = edge * w / 2
-    return FredholmGrid(s=s, nodes=eta**kappa, weights=kappa * eta ** (kappa - 1) * w_eta)
+    nodes = eta**kappa
+    if nodes[0] < _TINY:
+        raise DomainError(
+            f"graded grid underflows: kappa = {kappa} sends the first of m = {m} nodes on (0, {s:g}) to "
+            f"10^{kappa * math.log10(eta[0]):.0f}, below the smallest normal double {_TINY:.1e}"
+        )
+    return FredholmGrid(s=s, nodes=nodes, weights=kappa * eta ** (kappa - 1) * w_eta)
 
 
 def kappa_for_nu_min(nu_min: float) -> int:
@@ -104,23 +117,39 @@ def kappa_for_nu_min(nu_min: float) -> int:
 def log_gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
     """ln det(1 - K|[0,s]) for the kernel handle on the given grid.
 
-    ``kernel`` is any object with a ``matrix(nodes)`` method returning
-    K(x_i, x_j) on the grid nodes, or any diagonal similarity
-    d_i K(x_i, x_j) / d_j of it (the determinant is the same), as a new
-    array, such as the handles in :mod:`meijergap.kernel`: the determinant
-    overwrites that array with I - M in place, the bits of
-    ``np.eye(m) - M``.  The gap probability itself is ``math.exp(log_gap_determinant(...))``.  Raises
-    SingularityError if the discretized determinant is zero, non-finite or
-    negative (the log-determinant of a gap probability must be real).
+    ``kernel`` is a handle such as those in :mod:`meijergap.kernel`, with
+    either of two methods, each returning new arrays and allowed to give
+    any diagonal similarity d_i K(x_i, x_j) / d_j of the kernel (the
+    determinant is the same):
+
+    * ``factors(nodes)``, taken when present: two m x n_t arrays F1, F2
+      with K(x_i, x_j) = (F1 F2^T)_ij.  By Sylvester's identity the
+      determinant is that of I - M with the n_t x n_t matrix
+      M = (F2^T W) F1, W the weights: no m x m matrix is formed.
+      :class:`~meijergap.kernel.MeijerKernel` takes this route.
+    * ``matrix(nodes)``: K(x_i, x_j) on the grid nodes, scaled in place to
+      M = sqrt(w_i) K_ij sqrt(w_j).  :class:`~meijergap.kernel.BesselKernel`
+      and handles that forward only ``matrix`` take this route.
+
+    Either M is overwritten with I - M in place, the bits of
+    ``np.eye(n) - M``.  The gap probability itself is
+    ``math.exp(log_gap_determinant(...))``.  Raises SingularityError if the
+    discretized determinant is zero, non-finite or negative (the
+    log-determinant of a gap probability must be real).
     """
     if not abs(float(s) - grid.s) <= 1e-12 * max(1.0, grid.s):  # NaN fails too
         raise DomainError("grid was built for a different s")
-    sqw = np.sqrt(grid.weights)
-    mat = kernel.matrix(grid.nodes)
-    mat *= sqw[:, None]
-    mat *= sqw[None, :]
+    factors = getattr(kernel, "factors", None)
+    if factors is not None:
+        f1, f2 = factors(grid.nodes)
+        mat = (f2.T * grid.weights) @ f1
+    else:
+        sqw = np.sqrt(grid.weights)
+        mat = kernel.matrix(grid.nodes)
+        mat *= sqw[:, None]
+        mat *= sqw[None, :]
     np.subtract(0.0, mat, out=mat)  # 0 - M, as the zeros of np.eye give it
-    mat.flat[:: grid.m + 1] += 1.0
+    mat.flat[:: mat.shape[0] + 1] += 1.0
     sign, logdet = np.linalg.slogdet(mat)
     if sign == 0.0 or not math.isfinite(logdet):
         raise SingularityError("discretized operator is numerically singular; s is beyond the envelope")

@@ -17,8 +17,10 @@ on such smooth contours (Weideman & Trefethen, Math. Comp. 76 (2007)).
 On the contours Re(v - u) > 0, so 1/(v - u) = int_0^1 t^(v-u-1) dt and the
 kernel is integrable: K(x, y) = int_0^1 G1(t x) G2(t y) dt with single-
 contour sums G1, G2.  Discretizing both contours and the t-integral once
-turns the Fredholm matrix fill into three real matrix products on
-precomputed factors and one table of powers x^-u that both contours share.
+turns the Fredholm fill into two real matrix products on precomputed
+factors and one table of powers x^-u that both contours share: they give
+the m x n_t factors of K on an m-point grid, from which the determinant
+needs no m x m matrix.
 Every complex exponential of the build and the fill is a
 :func:`~meijergap.specfun.cexp` of its real and imaginary parts, which
 runs on numpy's vectorized real ``tan`` and ``exp``; the residue-series
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from .fredholm import _legendre_rule
+from .fredholm import _TINY, _legendre_rule
 from .specfun import _at_poles, bessel_j, cexp, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
@@ -118,7 +120,7 @@ def _log_t_rule(n: int, kappa: int):
 
 # Rounding guard of the fill: the largest admitted ratio of an entry's
 # rounding bound E to max(1, |K|), both on the fill's scale (see
-# _kernel_matrix).  E / max(1, |K|) peaks at 2.6e-11 over every fill of the
+# _kernel_factors).  E / max(1, |K|) peaks at 2.6e-11 over every fill of the
 # benchmark catalogues (LEFT, sweep at s = 256), at 2.2e-12 for r = 1 down to
 # nu = -0.97 on det's grids, and at 1.5e-8 for r = 1, nu = 4 over
 # (1e-6, 256), where K cancels: the limit keeps a margin of 6.  The screen
@@ -129,11 +131,10 @@ _ROUNDING_LIMIT = 1e-7
 _EPS = float(np.finfo(float).eps)
 
 # Subnormal numbers slow every product they enter.  Stored factors below
-# the smallest normal number are set to 0, and so is an entry x^-u of the
+# the smallest normal number, _TINY, are set to 0, and so is an entry x^-u of the
 # fill's power table below e^_MIN_EXPONENT.  On the benchmark fills the
 # stored factors stay below e^1 and each half x^(nu_min/2) of y^nu_min
 # below e^10.5: each term cut is below e^-578, far below rounding in any K.
-_TINY = float(np.finfo(float).tiny)
 _MIN_EXPONENT = -600.0
 
 
@@ -237,7 +238,7 @@ class ContourQuadrature:
     factors.  ``magnitude_norms`` holds the 2-norm over the t-rule of the
     1-norms |Re| + |Im| of those rows, shape ((Nu + Nv)/2,), for the screen
     that clears most fills without forming the rounding bound (see
-    :func:`_kernel_matrix`).
+    :func:`_kernel_factors`).
     """
 
     gamma_nodes: np.ndarray
@@ -398,22 +399,24 @@ def _power_table(ln_arg, exponents):
     return p, np.abs(p.real) + np.abs(p.imag)
 
 
-def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
-    """(x_i/x_j)^(nu_min/2) K(x_i, x_j) on the grid xs via the factored
-    integrable form: the one Meijer kernel fill.
+def _kernel_factors(xs, cq: ContourQuadrature):
+    """The factors F1 = x^(nu_min/2) G1 and F2 = x^(nu_min/2) G2 of the
+    Meijer kernel fill on the grid xs, each of shape (m, n_t): their product
+    F1 F2^T is (x_i/x_j)^(nu_min/2) K(x_i, x_j), by the factored integrable
+    form K = G1 G2^T over the t-rule.
 
     One table x^-u over the grid and the first max(n_u, n_v) upper-half
     nodes, n_u of gamma and n_v of gammatilde as stored (either contour can
     be the longer), gives both contours' powers (see
-    :class:`ContourQuadrature`); three real matrix products of its blocks
-    and the stored rows give G1, G2 and the fill G1 G2^T, also for
-    arguments in the 0.1% slack around ``x_range``.  The scale y^nu_min of
-    Q_h is split as x_i^(nu_min/2) on G1 and x_j^(nu_min/2) on G2: a
-    diagonal similarity of K, with K's determinants (4 K_Be(4 x_i, 4 x_j)
-    at r = 1).  Scaled as K, on graded grids down to x = 1e-63 the rows of
-    I - M lie 27 orders apart, and the determinant's pivots go wrong.
+    :class:`ContourQuadrature`); two real matrix products of its blocks and
+    the stored rows give G1 and G2, also for arguments in the 0.1% slack
+    around ``x_range``.  The scale y^nu_min of Q_h is split as
+    x_i^(nu_min/2) on G1 and x_j^(nu_min/2) on G2: a diagonal similarity of
+    K, with K's determinants (4 K_Be(4 x_i, 4 x_j) at r = 1).  Scaled as K,
+    on graded grids down to x = 1e-63 the rows of the m x m matrix I - M
+    lie 27 orders apart, and its LU's pivots go wrong.
 
-    Every entry is checked against its rounding bound
+    Every entry of F1 F2^T is checked against its rounding bound
     E = eps |P_h| |T_u| (|Q_h| |T_v|)^T, split as the fill is: the magnitude
     sum of its terms with |.| the 1-norm |Re| + |Im| (|T_v| carries 4 W).
     AccuracyError is raised where E exceeds _ROUNDING_LIMIT max(1, |K|),
@@ -422,9 +425,10 @@ def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
     b = |Q_h| rho_v, Cauchy-Schwarz over the t-rule gives E_ij <= eps a_i b_j,
     which clears the fill, with a factor 2 for the rounding of a and b, when
     eps max a max b <= _ROUNDING_LIMIT / 2 (no m x m work) or else when
-    eps a_i b_j <= _ROUNDING_LIMIT max(1, |K_ij|) / 2 at every entry.  Only a
-    fill that neither screen clears forms E, from the norms of the same
-    power table; a NaN or an inf fails both screens.
+    eps a_i b_j <= _ROUNDING_LIMIT max(1, |K_ij|) / 2 at every entry.  Only
+    the entrywise screen forms F1 F2^T, and only a fill that neither screen
+    clears forms E, from the norms of the same power table; a NaN or an inf
+    fails both screens.
     """
     ln_x = _log_args(xs, cq)
     n_u, n_v = cq.gamma_nodes.size // 2, cq.gammatilde_nodes.size // 2  # gammatilde's rows start at row 2 n_u
@@ -435,18 +439,18 @@ def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
         p, p_norms = _power_table(ln_x, exponents)
         p_u, p_v = p_norms[:, :n_u], p_norms[:, :n_v]
         g1, g2 = p[:, :n_u].view(float) @ rows[: 2 * n_u], p[:, :n_v].view(float) @ rows[2 * n_u :]
-        del p  # free the table before the m x m products; the guard reads its norms
+        del p  # free the table before the guard's m x m products; the guard reads its norms
         half = np.exp((0.5 * (span - 1.0)) * ln_x)  # x^(nu_min/2): y^nu_min of Q_h split over both factors
-        vals = (half[:, None] * g1) @ (half[:, None] * g2).T
+        f1, f2 = half[:, None] * g1, half[:, None] * g2
         # |P| rho bounds the t-rule 2-norm of each row of |P| |T| (triangle inequality)
         a = (2.0 * _EPS / _ROUNDING_LIMIT) * half * (p_u @ norms[:n_u])  # a_i b_j is eps a_i b_j / (_ROUNDING_LIMIT / 2)
         b = half * (p_v @ norms[n_u:])
         if a.max() * b.max() <= 1.0:  # NaN fails
-            return vals
-        k_scale = np.abs(vals)
+            return f1, f2
+        k_scale = np.abs(f1 @ f2.T)
         np.maximum(k_scale, 1.0, out=k_scale)  # max(1, |K|), NaN kept
         if np.all(np.outer(a, b) <= k_scale):  # NaN fails
-            return vals
+            return f1, f2
         # neither screen clears the fill: form E from the rows' 1-norms
         mags = np.abs(rows[0::2]) + np.abs(rows[1::2])
         bound = (_EPS / _ROUNDING_LIMIT * half[:, None] * (p_u @ mags[:n_u])) @ (half[:, None] * (p_v @ mags[n_u:])).T
@@ -457,26 +461,35 @@ def _kernel_matrix(xs, cq: ContourQuadrature) -> np.ndarray:
             raise AccuracyError(
                 f"rounding bound {ratio.max():.3e} of max(1, |K|) exceeds {_ROUNDING_LIMIT:.0e}: cancellation in the contour sums"
             )
-    return vals
+    return f1, f2
 
 
 def kernel_eval(x: float, y: float, cq: ContourQuadrature) -> float:
     """K(x, y) from the precomputed double-contour discretization: the
-    ``[0, 1]`` entry of the two-point fill on ``[x, y]``, with its rounding
-    guard, times (y/x)^(nu_min/2)."""
+    ``[0, 1]`` entry of the two-point fill F1 F2^T on ``[x, y]``, with its
+    rounding guard, times (y/x)^(nu_min/2)."""
     nu_min = cq.gamma_nodes[0].real + cq.gammatilde_nodes[0].real - 1.0
-    return float(_kernel_matrix([x, y], cq)[0, 1] * (y / x) ** (0.5 * nu_min))
+    f1, f2 = _kernel_factors([x, y], cq)
+    return float((f1 @ f2.T)[0, 1] * (y / x) ** (0.5 * nu_min))
 
 
 class MeijerKernel:
     """Kernel handle: the contours for ``params`` over ``x_range`` and the
-    Fredholm matrix fill on them, (x_i/x_j)^(nu_min/2) K(x_i, x_j)."""
+    Fredholm fill on them, as the factors F1, F2 of (x_i/x_j)^(nu_min/2)
+    K(x_i, x_j) = (F1 F2^T)_ij (``factors``) or as that m x m matrix
+    (``matrix``).  :func:`~meijergap.fredholm.log_gap_determinant` takes the
+    factors, and with them an n_t x n_t determinant in place of an m x m one
+    (see :func:`_kernel_factors`)."""
 
     def __init__(self, params: ProcessParams, x_range: tuple, tol: float = CONTOUR_TOL):
         self.cq = build_contours(params, x_range, tol)
 
+    def factors(self, xs):
+        return _kernel_factors(xs, self.cq)
+
     def matrix(self, xs) -> np.ndarray:
-        return _kernel_matrix(xs, self.cq)
+        f1, f2 = _kernel_factors(xs, self.cq)
+        return f1 @ f2.T
 
 
 # ---------------------------------------------------------------------------

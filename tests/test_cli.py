@@ -123,6 +123,23 @@ class TestDetCmd:
         assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "0", "--s", "1", "--nodes", "0"]) == 2
         assert "node count m must be at least 2" in capsys.readouterr().err
 
+    def test_grid_underflow_exit_2(self, capsys):
+        # nu = -0.99 grades det's grid with kappa = 200, which sends the
+        # first of 80 nodes on (0, 1) to 10^-730: the grid names that, not
+        # the "must increase strictly" check its nodes used to fail
+        assert cli.main(["det", "--r", "1", "--q", "0", "--nu=-0.99", "--s", "1", "--nodes", "80"]) == 2
+        err = capsys.readouterr().err
+        assert "graded grid underflows: kappa = 200 sends the first of m = 80 nodes on (0, 1)" in err
+        assert "below the smallest normal double" in err
+
+    def test_heavy_grading_below_underflow_builds(self, capsys):
+        # nu = -0.975 grades the grid with kappa = 80 and its first node
+        # lies at 10^-292: det builds and meets the Bessel route on the same
+        # grid over (0, 4), measured 7.6e-15 relative apart in ln det
+        assert cli.main(["det", "--r", "1", "--q", "0", "--nu=-0.975", "--s", "1", "--nodes", "80"]) == 0
+        ref = log_gap_determinant(4.0, gauss_legendre_grid(4.0, 80, 80), BesselKernel(-0.975))
+        assert abs(math.log(float(capsys.readouterr().out)) - ref) <= 1e-12 * abs(ref)
+
     def test_zero_s_exit_2(self, capsys):
         assert cli.main(["det", "--r", "1", "--q", "0", "--nu", "0", "--s", "0"]) == 2
         captured = capsys.readouterr()

@@ -59,6 +59,14 @@ class TestGrid:
         assert np.all(np.diff(g.nodes) > 0)
         assert g.nodes[0] > 0 and g.nodes[-1] < 4.0
 
+    def test_graded_grid_underflow(self):
+        # kappa = 84 puts the first of 80 nodes on (0, 1) at 1.9e-307;
+        # kappa = 85 sends it to 10^-310, below the smallest normal double,
+        # and the grid raises before FredholmGrid sees its nodes
+        assert gauss_legendre_grid(1.0, 80, kappa=84).nodes[0] > np.finfo(float).tiny
+        with pytest.raises(DomainError, match="kappa = 85 sends the first of m = 80 nodes on \\(0, 1\\) to 10\\^-310"):
+            gauss_legendre_grid(1.0, 80, kappa=85)
+
     def test_kappa_selection(self):
         # the smallest kappa with kappa (1 + nu_min) >= 2: every nu_min < 1
         # is graded.  At -0.9, 2 / (1 + nu_min) rounds to 20.000000000000004
@@ -189,12 +197,20 @@ class TestGapDeterminant:
 
     @pytest.mark.parametrize("kernel", [MeijerKernel, BesselKernel], ids=["meijer", "bessel"])
     def test_in_place_matrix_matches_eye_minus_m(self, kernel):
-        # the determinant forms I - M in place on the array ``matrix``
-        # returns, with the bits of np.eye(m) - sqrt(w) K sqrt(w)
+        # the determinant forms I - M in place, with the bits of
+        # np.eye(n) - M: M = (F2^T w) F1 (n_t x n_t) from the factors of a
+        # handle that has them (Sylvester's identity), and
+        # M = sqrt(w) K sqrt(w) (m x m) from the matrix of one that has not
         grid = gauss_legendre_grid(32.0, 200)
-        handle = MeijerKernel(LEFT, (0.999 * grid.nodes[0], 32.0)) if kernel is MeijerKernel else BesselKernel(0.5)
-        sqw = np.sqrt(grid.weights)
-        ref = np.linalg.slogdet(np.eye(grid.m) - sqw[:, None] * handle.matrix(grid.nodes) * sqw[None, :])
+        if kernel is MeijerKernel:
+            handle = MeijerKernel(LEFT, (0.999 * grid.nodes[0], 32.0))
+            f1, f2 = handle.factors(grid.nodes)
+            mat = (f2.T * grid.weights) @ f1
+        else:
+            handle = BesselKernel(0.5)
+            sqw = np.sqrt(grid.weights)
+            mat = sqw[:, None] * handle.matrix(grid.nodes) * sqw[None, :]
+        ref = np.linalg.slogdet(np.eye(mat.shape[0]) - mat)
         assert ref[0] == 1.0
         assert log_gap_determinant(32.0, grid, handle) == ref[1]
 

@@ -19,7 +19,7 @@ from meijergap.kernel import (
     _cluster_poles,
     _clusters_needed,
     _first_tip,
-    _kernel_matrix,
+    _kernel_factors,
     _series_rings,
     _sum_residues,
     build_contours,
@@ -45,6 +45,13 @@ R6Q5 = ProcessParams(6, 5, tuple(0.3 + 0.8 * j for j in range(6)), tuple(0.8 + 0
 CUT_FAMILIES = pytest.mark.parametrize(
     "params", [BES, GIN2, LEFT, RIGHT, GIN6, HALF8, NEAR], ids=["BES", "GIN2", "LEFT", "RIGHT", "GIN6", "HALF8", "NEAR"]
 )
+
+
+def _kernel_matrix(xs, cq):
+    """The m x m fill F1 F2^T on ``xs``, as ``MeijerKernel.matrix`` forms it
+    from the guarded factors."""
+    f1, f2 = _kernel_factors(xs, cq)
+    return f1 @ f2.T
 
 
 def _hyperbolas(params, x_lo):
@@ -1223,6 +1230,69 @@ class TestBesselKernel:
                 mat = BesselKernel(nu).matrix(xs)
                 ref = np.array([[BesselKernel(nu).matrix([x, y])[0, 1] for y in xs] for x in xs])
                 assert np.array_equal(mat, ref)
+
+
+class _MatrixOnly:
+    """A handle that forwards only ``matrix``, as the benchmark's traced
+    runs wrap the Meijer handle: the determinant takes its m x m route."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def matrix(self, xs):
+        return self._handle.matrix(xs)
+
+
+def _det_grid_and_handle(params, s, m):
+    """det's graded m-point grid on (0, s) and a handle built for it."""
+    grid = gauss_legendre_grid(s, m, kappa_for_nu_min(params.nu_min))
+    return grid, MeijerKernel(params, (0.999 * grid.nodes[0], s))
+
+
+class TestFactorRoute:
+    @pytest.mark.parametrize("m", [50, 200])
+    @pytest.mark.parametrize("s", [1.0, 16.0])
+    @pytest.mark.parametrize("params", [LEFT, RIGHT, NEG, GIN2, BES], ids=["LEFT", "RIGHT", "NEG", "GIN2", "BES"])
+    def test_matches_matrix_route(self, params, s, m):
+        # ln det(I_{n_t} - (F2^T w) F1) from the handle's factors against
+        # ln det(I_m - sqrt(w) F1 F2^T sqrt(w)) from its matrix: equal by
+        # Sylvester's identity, measured at most 3.8e-13 relative apart
+        grid, handle = _det_grid_and_handle(params, s, m)
+        ld = log_gap_determinant(s, grid, handle)
+        ref = log_gap_determinant(s, grid, _MatrixOnly(handle))
+        assert abs(ld - ref) <= 2e-12 * abs(ref)
+
+    @pytest.mark.parametrize("params, s, scalar_clears", [(LEFT, 32.0, True), (NEG, 1.0, False)], ids=["LEFT", "NEG"])
+    def test_guard_screens_through_determinant(self, params, s, scalar_clears):
+        # the fill's guard runs on the factor route as on the matrix route:
+        # LEFT's fill at s = 32 is cleared by the scalar screen
+        # eps max a max b (1.1e-6 of half the limit), which forms no m x m
+        # matrix; NEG's at s = 1 fails it (66 times half the limit) and is
+        # cleared entry by entry (3.4e-7 of it) from the F1 F2^T it forms
+        grid, handle = _det_grid_and_handle(params, s, 200)
+        xs = grid.nodes
+        p_norms, q_norms, n_u, _ = _power_norms(handle.cq, np.log(xs))
+        norms = handle.cq.magnitude_norms
+        screen = kernel._EPS * np.outer(p_norms @ norms[:n_u], q_norms @ norms[n_u:]) * _similarity(xs, params)
+        fill = handle.matrix(xs)
+        half_limit = kernel._ROUNDING_LIMIT / 2
+        assert (screen.max() <= half_limit) == scalar_clears
+        assert np.all(screen <= half_limit * np.maximum(1.0, np.abs(fill)))
+        # ln det on the two routes, measured 1.9e-13 (LEFT) and 7.1e-16 (NEG) apart
+        ld = log_gap_determinant(s, grid, handle)
+        assert abs(ld - log_gap_determinant(s, grid, _MatrixOnly(handle))) <= 1e-12 * abs(ld)
+
+    def test_overflowing_fill_raises_on_both_routes(self):
+        # det's s = 1e6 fill, whose far powers x^-u overflow, fails both
+        # screens and raises the same AccuracyError, with no numpy warning,
+        # whichever route the determinant takes
+        grid, handle = _det_grid_and_handle(ProcessParams(3, 0, (1.31, 2.15, 3.19)), 1e6, 50)
+        messages = []
+        for route in (handle, _MatrixOnly(handle)):
+            with pytest.raises(AccuracyError, match="kernel entries or bounds not finite") as err:
+                log_gap_determinant(1e6, grid, route)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestHandles:
