@@ -31,6 +31,7 @@ from .kernel import (
     kernel_eval,
     kernel_eval_series,
     log_big_f,
+    log_gap_determinants,
 )
 from .specfun import (
     bessel_j,
@@ -68,6 +69,7 @@ __all__ = [
     "log_constant_mb",
     "log_gamma",
     "log_gap_determinant",
+    "log_gap_determinants",
     "truncated_log_expansion",
     "zeta_prime_minus1",
 ]

@@ -30,8 +30,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import compute_coeffs, truncated_log_expansion
 from .errors import MeijerGapError
-from .fredholm import gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
-from .kernel import CONTOUR_TOL, MeijerKernel, ProcessParams, build_contours, kernel_eval
+from .kernel import CONTOUR_TOL, ProcessParams, build_contours, kernel_eval, log_gap_determinants
 from .verify import run_checks
 
 _FMT = "{:.15g}"
@@ -150,20 +149,11 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _grid_and_handle(params: ProcessParams, s_lo: float, s_hi: float, m: int, tol: float = CONTOUR_TOL):
-    """The grading exponent kappa, the m-point graded grid on (0, s_lo), and a
-    kernel handle whose x_range covers the nodes of every such grid on
-    (0, s) for s_lo <= s <= s_hi."""
-    kappa = kappa_for_nu_min(params.nu_min)
-    grid = gauss_legendre_grid(s_lo, m, kappa=kappa)
-    handle = MeijerKernel(params, (0.999 * float(grid.nodes[0]), s_hi), tol=tol)
-    return kappa, grid, handle
-
-
 def cmd_det(args) -> int:
-    params = _params_from(args)
-    _, grid, handle = _grid_and_handle(params, args.s, args.s, args.nodes, args.tol)
-    _emit_scalar(args, "det", math.exp(log_gap_determinant(args.s, grid, handle)))
+    [log_det] = log_gap_determinants(_params_from(args), [args.s], args.nodes, args.tol)
+    if isinstance(log_det, MeijerGapError):
+        raise log_det
+    _emit_scalar(args, "det", math.exp(log_det))
     return 0
 
 
@@ -176,24 +166,17 @@ def cmd_converge(args) -> int:
         raise ValueError("requires points >= 2")
 
     cc = compute_coeffs(params)
-    svals = np.geomspace(s_min, s_max, args.points)
-    kappa, _, handle = _grid_and_handle(params, s_min, s_max, m)
+    svals = [float(s) for s in np.geomspace(s_min, s_max, args.points)]
 
     rows = []
-    n_ok = 0
-    for s in svals:
-        s = float(s)
+    for s, log_det in zip(svals, log_gap_determinants(params, svals, m)):
         asym = truncated_log_expansion(s, cc)
-        try:
-            grid = gauss_legendre_grid(s, m, kappa=kappa)
-            log_det = log_gap_determinant(s, grid, handle)
-        except MeijerGapError as exc:
-            print(f"warning: s={_fmt(s)}: {exc}", file=sys.stderr)
+        if isinstance(log_det, MeijerGapError):
+            print(f"warning: s={_fmt(s)}: {log_det}", file=sys.stderr)
             rows.append((_fmt(s), "", _fmt(asym), ""))
-            continue
-        f_of_s = s**cc.rho * (log_det - asym)
-        rows.append((_fmt(s), _fmt(log_det), _fmt(asym), _fmt(f_of_s)))
-        n_ok += 1
+        else:
+            rows.append((_fmt(s), _fmt(log_det), _fmt(asym), _fmt(s**cc.rho * (log_det - asym))))
+    n_ok = sum(row[1] != "" for row in rows)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,log_det,asymptotic,f\n")

@@ -135,7 +135,10 @@ def log_gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
     ``np.eye(n) - M``.  The gap probability itself is
     ``math.exp(log_gap_determinant(...))``.  Raises SingularityError if the
     discretized determinant is zero, non-finite or negative (the
-    log-determinant of a gap probability must be real).
+    log-determinant of a gap probability must be real).  A negative one
+    need not come from the grid: for some admitted parameters the Fredholm
+    determinant itself is negative (see
+    :class:`~meijergap.kernel.ProcessParams`).
     """
     if not abs(float(s) - grid.s) <= 1e-12 * max(1.0, grid.s):  # NaN fails too
         raise DomainError("grid was built for a different s")
@@ -154,5 +157,8 @@ def log_gap_determinant(s: float, grid: FredholmGrid, kernel) -> float:
     if sign == 0.0 or not math.isfinite(logdet):
         raise SingularityError("discretized operator is numerically singular; s is beyond the envelope")
     if sign < 0.0:
-        raise SingularityError("negative discretized determinant; refine the grid")
+        raise SingularityError(
+            "negative discretized determinant: det(1 - K|[0,s]) < 0 on this grid, so either it is not a "
+            "probability for these parameters, or the grid is too coarse, or s is beyond the envelope"
+        )
     return float(logdet)

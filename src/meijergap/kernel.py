@@ -1,5 +1,7 @@
 """Hard-edge Meijer-G kernel: gamma-ratio symbol, contour quadrature,
-double-contour evaluation, residue-series oracle, and the Bessel kernel.
+double-contour evaluation, residue-series oracle, the Bessel kernel, and
+the Nystrom rule of ``meijergap det`` and ``converge``
+(:func:`log_gap_determinants`).
 
 The kernel of the determinantal point process is
 
@@ -35,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, ConvergenceError, DomainError
-from .fredholm import _TINY, _legendre_rule
+from .errors import AccuracyError, ConvergenceError, DomainError, MeijerGapError
+from .fredholm import _TINY, _legendre_rule, gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
 from .specfun import _at_poles, bessel_j, cexp, log_gamma
 
 _TWO_PI_I_SQ = (2j * math.pi) ** 2
@@ -159,7 +161,18 @@ _SERIES_RING_TOL = 1e-5
 class ProcessParams:
     """Model parameters (r, q, nu_1..nu_r, mu_1..mu_q) of the point process.
 
-    Requires r > q >= 0 and every nu_j, mu_k finite and > -1.
+    Requires r > q >= 0 and every nu_j, mu_k finite and > -1.  Not every
+    such set makes det(1 - K|[0,s]) a gap probability: at r = 5, q = 4,
+    nu = (0.009, 2.785, 3.109, 3.45, 3.61), mu = (-0.364, -0.29, 1.855,
+    3.62) it is about 1e5 at s = 64, and at r = 4, q = 3,
+    nu = (2.155, 2.223, 2.371, 2.544), mu = (0.179, 1.481, 0.578) it is
+    negative at s = 16.  The condition measured so far is an injection
+    k -> j with mu_k > nu_j (equivalently, with nu and mu sorted
+    ascending, mu_k > nu_k for k = 1..q; every q = 0 set has one).  On random sets (r <= 6, q < r,
+    nu_j and mu_k uniform on (-0.5, 4)) none of the 70 that satisfy it gave
+    a determinant above 1 or below 0, or K(x, x) < 0 on the grid; 24 of the
+    29 that fail it did.  This is measured, not proven; the paper's own
+    hypotheses (arXiv 1910.12098) should decide it.  It is not checked.
     """
 
     r: int
@@ -490,6 +503,32 @@ class MeijerKernel:
     def matrix(self, xs) -> np.ndarray:
         f1, f2 = _kernel_factors(xs, self.cq)
         return f1 @ f2.T
+
+
+def log_gap_determinants(params: ProcessParams, svals, nodes: int, tol: float = CONTOUR_TOL) -> list:
+    """ln det(1 - K|[0,s]) for each s of ``svals`` by the Nystrom rule of
+    ``meijergap det`` and ``converge``: per s the ``nodes``-point grid
+    ``gauss_legendre_grid(s, nodes, kappa)`` with kappa =
+    ``kappa_for_nu_min(params.nu_min)``, and one :class:`MeijerKernel` for
+    every s, built with ``tol`` over x_range = (0.999 x_1, max s), x_1 the
+    first node of the smallest s's grid and the lowest node of all of them.
+
+    Returns one entry per s, in order: the ln det, or the
+    :class:`~meijergap.errors.MeijerGapError` raised at that s, so that one
+    failed s does not stop a sweep.  Errors of the shared set-up, the
+    smallest s's grid and the contour build, are raised.
+    """
+    kappa = kappa_for_nu_min(params.nu_min)
+    first = gauss_legendre_grid(min(svals), nodes, kappa=kappa)
+    handle = MeijerKernel(params, (0.999 * float(first.nodes[0]), max(svals)), tol=tol)
+
+    def log_det(s):
+        try:
+            return log_gap_determinant(s, gauss_legendre_grid(s, nodes, kappa=kappa), handle)
+        except MeijerGapError as exc:
+            return exc
+
+    return [log_det(s) for s in svals]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from meijergap import kernel
-from meijergap.errors import AccuracyError, ConvergenceError, DomainError
+from meijergap.errors import AccuracyError, ConvergenceError, DomainError, SingularityError
 from meijergap.fredholm import gauss_legendre_grid, kappa_for_nu_min, log_gap_determinant
 from meijergap.kernel import (
     BesselKernel,
@@ -26,6 +26,7 @@ from meijergap.kernel import (
     kernel_eval,
     kernel_eval_series,
     log_big_f,
+    log_gap_determinants,
 )
 from meijergap.specfun import bessel_j, log_gamma
 
@@ -52,6 +53,15 @@ def _kernel_matrix(xs, cq):
     from the guarded factors."""
     f1, f2 = _kernel_factors(xs, cq)
     return f1 @ f2.T
+
+
+def _det_ln(params, s, m):
+    """ln det(1 - K|[0,s]) by the Nystrom rule of ``meijergap det``:
+    ``log_gap_determinants`` at one s, raising the error it returns there."""
+    [ld] = log_gap_determinants(params, [s], m)
+    if isinstance(ld, Exception):
+        raise ld
+    return ld
 
 
 def _hyperbolas(params, x_lo):
@@ -650,29 +660,30 @@ class TestKernelEval:
             _kernel_matrix(xs, cq)
 
     def test_neg_crossing_determinants(self):
-        # ln det(1 - K|[0,s]) for NEG, settled to 13 digits on fine panel
-        # contours; the hyperbolas, which cross the real axis between NEG's
-        # poles at 0 and 1/2, are 5.5e-14 and 4.3e-13 off.  Panel contours
-        # with one crossing panel of length 1 were 6.5e-6 and 2.0e-5 off
+        # ln det(1 - K|[0,s]) for NEG on det's kappa = 4 grids, settled to 13
+        # digits on fine panel contours; the hyperbolas, which cross the real
+        # axis between NEG's poles at 0 and 1/2, are 5.5e-14 and 4.3e-13 off.
+        # Panel contours with one crossing panel of length 1 were 6.5e-6 and
+        # 2.0e-5 off
         for s, ref in ((1.0, -1.8651766711303), (4.0, -4.4845830616002)):
-            grid = gauss_legendre_grid(s, 100, kappa=4)
-            handle = MeijerKernel(NEG, (0.999 * grid.nodes[0], s))
-            assert abs(log_gap_determinant(s, grid, handle) - ref) < 1e-11
+            assert abs(_det_ln(NEG, s, 100) - ref) < 1e-11
 
     @pytest.mark.parametrize("nu", [2.0, 3.0, 4.0])
     def test_graded_grids_match_bessel_route(self, nu):
         # r = 1 on a kappa = 2 grid over [0, s], as a max(2, .) grading would
         # give nu >= 1, against the Bessel kernel on [0, 4s]: the two define
-        # the same determinant.  Measured at most 4.6e-13 apart; the panel
-        # contours raised AccuracyError in most of these cells, where the
-        # graded first node fell into their loss of accuracy near x = 0
+        # the same determinant.  Measured at most 4.2e-13 apart for s <= 16,
+        # and 2.0e-8 relative at s = 64, where ln det runs from -23 to -39 and
+        # bessel_j is 1.3e-9 absolute on (10, 20].  The panel contours raised
+        # AccuracyError in most of these cells, where the graded first node
+        # fell into their loss of accuracy near x = 0
         params = ProcessParams(1, 0, (nu,))
-        for s in (1.0, 16.0):
+        for s in (1.0, 4.0, 16.0, 64.0):
             for m in (80, 200):
                 grid = gauss_legendre_grid(s, m, 2)
                 ld = log_gap_determinant(s, grid, MeijerKernel(params, (0.999 * grid.nodes[0], s)))
                 ref = log_gap_determinant(4.0 * s, gauss_legendre_grid(4.0 * s, m, 2), BesselKernel(nu))
-                assert abs(ld - ref) < 1e-10
+                assert abs(ld - ref) < (1e-10 if s < 64.0 else 1e-7 * abs(ref))
 
     @pytest.mark.parametrize(
         "params",
@@ -691,19 +702,14 @@ class TestKernelEval:
         # same grid mapped to [0, 4s], measured at most 2.6e-9 relative;
         # r = 2 and 3 at m = 200 against m = 400, measured 4.5e-8
         kappa = kappa_for_nu_min(params.nu_min)
-
-        def meijer_route(s, m):
-            grid = gauss_legendre_grid(s, m, kappa)
-            return log_gap_determinant(s, grid, MeijerKernel(params, (0.999 * grid.nodes[0], s)))
-
         for s in (1.0, 16.0):
             if params.r == 1:
                 for m in (80, 200):
                     ref = log_gap_determinant(4.0 * s, gauss_legendre_grid(4.0 * s, m, kappa), BesselKernel(params.nu[0]))
-                    assert abs(meijer_route(s, m) - ref) <= 1e-8 * abs(ref)
+                    assert abs(_det_ln(params, s, m) - ref) <= 1e-8 * abs(ref)
             else:
-                ref = meijer_route(s, 400)
-                assert abs(meijer_route(s, 200) - ref) <= 1e-7 * abs(ref)
+                ref = _det_ln(params, s, 400)
+                assert abs(_det_ln(params, s, 200) - ref) <= 1e-7 * abs(ref)
 
     def test_neg_t_rule_near_zero_leaves_det(self, monkeypatch):
         # det's kappa = 4 grid puts NEG's first node at x = 1.7e-18, where the
@@ -1247,6 +1253,41 @@ def _det_grid_and_handle(params, s, m):
     """det's graded m-point grid on (0, s) and a handle built for it."""
     grid = gauss_legendre_grid(s, m, kappa_for_nu_min(params.nu_min))
     return grid, MeijerKernel(params, (0.999 * grid.nodes[0], s))
+
+
+class TestLogGapDeterminants:
+    """The Nystrom rule of ``meijergap det`` and ``converge`` as one library
+    call: graded grids per s and one handle for all of them."""
+
+    @pytest.mark.parametrize("m", [80, 200])
+    @pytest.mark.parametrize("s", [1.0, 32.0])
+    @pytest.mark.parametrize("params", [LEFT, RIGHT, NEG, GIN2, BES], ids=["LEFT", "RIGHT", "NEG", "GIN2", "BES"])
+    def test_one_s_is_det_grid_and_handle(self, params, s, m):
+        assert log_gap_determinants(params, [s], m) == [log_gap_determinant(s, *_det_grid_and_handle(params, s, m))]
+
+    def test_sweep_shares_one_handle_and_returns_errors(self):
+        # converge's 9-point LEFT sweep at 100 nodes: every s on one handle
+        # built from the s = 1 grid's first node up to s = 256, where the
+        # discretized determinant is negative, past the envelope (the
+        # expansion puts ln det near -198 there)
+        svals = [float(s) for s in np.geomspace(1.0, 256.0, 9)]
+        kappa = kappa_for_nu_min(LEFT.nu_min)
+        handle = MeijerKernel(LEFT, (0.999 * gauss_legendre_grid(1.0, 100, kappa).nodes[0], 256.0))
+        lds = log_gap_determinants(LEFT, svals, 100)
+        assert lds[:-1] == [log_gap_determinant(s, gauss_legendre_grid(s, 100, kappa), handle) for s in svals[:-1]]
+        assert isinstance(lds[-1], SingularityError) and "negative discretized determinant" in str(lds[-1])
+
+    @pytest.mark.parametrize(
+        "params, s, error, text",
+        [
+            (ProcessParams(1, 0, (-0.99,)), 1.0, DomainError, "graded grid underflows"),
+            (LEFT, 1e6, ConvergenceError, "contour truncation bound"),
+        ],
+        ids=["grid", "contours"],
+    )
+    def test_shared_setup_errors_raise(self, params, s, error, text):
+        with pytest.raises(error, match=text):
+            log_gap_determinants(params, [s], 50)
 
 
 class TestFactorRoute:
